@@ -50,7 +50,7 @@ def main():
           f"bracket [{sol.value_lower:.8f}, {sol.value_upper:.8f}]")
     print("empirical usage:", np.round(sol.y, 6))
 
-    sched = extract_schedule(comps, rates, y, value, g)
+    sched = extract_schedule(comps, rates, y, value)
     print(f"\nsoft schedule: {sched.length} slots")
     for slot, comp_idx in enumerate(sched.slots):
         print(f"  slot {slot}: activate links {comps[comp_idx].members}")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .conflict import ConflictGraph
 from .topology import RateVector
 
@@ -26,17 +28,24 @@ def greedy_color(g: ConflictGraph, order: list[int]) -> Coloring:
 
     ``order`` must be a permutation of 0..L-1; the first link opens class 0,
     and a link that conflicts with every existing class opens a new one.
+    Each class keeps a mask of the links that conflict with any member (the
+    OR of the members' adjacency rows), so the test for a link is one lookup
+    per class; the order of tests and the classes are those of checking every
+    member pairwise.
     """
     if sorted(order) != list(range(g.n_links)):
         raise ValueError(f"order must be a permutation of 0..{g.n_links - 1}")
     classes: list[list[int]] = []
+    blocked: list[np.ndarray] = []
     for link in order:
-        for cls in classes:
-            if not any(g.adjacency[link, member] for member in cls):
+        for cls, mask in zip(classes, blocked):
+            if not mask[link]:
                 cls.append(link)
+                mask |= g.adjacency[link]
                 break
         else:
             classes.append([link])
+            blocked.append(g.adjacency[link].copy())
     return Coloring(tuple(tuple(sorted(cls)) for cls in classes))
 
 

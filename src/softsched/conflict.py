@@ -4,6 +4,13 @@ Two links conflict when they touch a common node, or when either receiver
 would hear the other transmitter within ``beta_db`` of its own signal. The
 margin test is pairwise; cumulative interference from several simultaneous
 transmitters is deliberately not modelled.
+
+``build_conflict_graph`` evaluates every pair at once: it computes one L x L
+matrix of received powers (each link's transmitter at each link's receiver)
+and thresholds it against the diagonal, the links' own signals, at
+``beta_db``. The scalar ``physically_adjacent`` and ``interference_adjacent``
+state the same rule one pair at a time and are the reference it is tested
+against.
 """
 
 from __future__ import annotations
@@ -97,18 +104,31 @@ def interference_adjacent(a: Link, b: Link, nodes: list[Node],
 
 def build_conflict_graph(links: list[Link], nodes: list[Node],
                          params: ConflictParams) -> ConflictGraph:
-    """Pairwise conflict matrix: shared node or failed interference margin."""
+    """Conflict matrix: shared node or failed interference margin, for all pairs at once.
+
+    ``power[a, b]`` is the power of a's transmitter at b's receiver, computed
+    as in ``received_power_db``, so its diagonal holds each link's own
+    signal. Pair (a, b) fails the margin at b's receiver when
+    ``own[b] <= power[a, b] + beta_db``; testing both receivers makes the
+    matrix symmetric, and raising beta_db can only add conflicts.
+    """
     if not links:
         raise ValueError("cannot build a conflict graph over an empty link list")
-    n = len(links)
-    adj = np.eye(n, dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            hit = physically_adjacent(links[i], links[j]) or interference_adjacent(
-                links[i], links[j], nodes, params
-            )
-            adj[i, j] = adj[j, i] = hit
-    return ConflictGraph(n, adj)
+    tx = np.array([link.tx for link in links])
+    rx = np.array([link.rx for link in links])
+    pos = np.array([node.position for node in nodes], dtype=float)
+    tx_power = np.array([node.tx_power_db for node in nodes], dtype=float)
+    p = params.propagation
+    gap = pos[rx][None, :, :] - pos[tx][:, None, :]
+    dist = np.hypot(gap[..., 0], gap[..., 1])
+    power = tx_power[tx][:, None] - 10.0 * p.alpha * np.log10(np.maximum(dist, p.d_min))
+    own = power.diagonal()
+    margin_fails = own[None, :] <= power + params.beta_db
+    shared_node = (
+        (tx[:, None] == tx[None, :]) | (tx[:, None] == rx[None, :])
+        | (rx[:, None] == tx[None, :]) | (rx[:, None] == rx[None, :])
+    )
+    return ConflictGraph(len(links), shared_node | margin_fails | margin_fails.T)
 
 
 def load_conflict_fixture(path) -> tuple[ConflictGraph, tuple[int, ...] | None]:

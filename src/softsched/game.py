@@ -278,7 +278,7 @@ class ScheduleCheck:
 
 
 def extract_schedule(components: list[Component], r: RateVector, y: np.ndarray,
-                     value_lower: float, g: ConflictGraph) -> Schedule:
+                     value_lower: float, _unused_graph: ConflictGraph | None = None) -> Schedule:
     """Round the mixed strategy y into a feasible integer slot schedule.
 
     The fractional optimum needs 1/value slots, so the target length is
@@ -289,6 +289,10 @@ def extract_schedule(components: list[Component], r: RateVector, y: np.ndarray,
     and a trim pass drops slots that turned out to be unnecessary, scanning
     components from the highest index down. Slots are listed grouped by
     ascending component index.
+
+    The components already fix which links fire together, so no conflict
+    graph is needed. A fifth positional argument (a conflict graph) is
+    accepted and ignored, so that five-argument callers keep working.
     """
     if not value_lower > 0:
         raise ValueError(f"value_lower must be positive, got {value_lower}")

@@ -195,7 +195,7 @@ def _soft_slots(g: ConflictGraph, rates: RateVector, cfg: ExperimentConfig):
         sol = fp_solve(payoff, SolverConfig(delta=cfg.delta, max_iterations=cfg.max_iterations))
         y, lower, upper = sol.y, sol.value_lower, sol.value_upper
         iterations, converged = sol.iterations, sol.converged
-    schedule = extract_schedule(comps, rates, y, lower, g)
+    schedule = extract_schedule(comps, rates, y, lower)
     check = verify_schedule(schedule, g, rates)
     if not check:
         raise RuntimeError(f"extracted schedule failed verification: {check.violation}")
@@ -278,22 +278,20 @@ def run_sweep(cfg: ExperimentConfig,
     for run_id in range(cfg.runs):
         records.extend(run_instance(cfg, run_id, fixture))
 
-    betas = sorted({rec.beta_db for rec in records}, key=lambda b: (math.isnan(b), b))
-    rows = []
-    for beta in betas:
-        def _same_beta(rec, beta=beta):
-            return rec.beta_db == beta or (math.isnan(beta) and math.isnan(rec.beta_db))
+    # One pass groups the records by (beta, mode), each group in record order
+    # so every sum below adds up in the same order. NaN betas (conflict
+    # fixtures) all map to the single key math.nan, which a dict finds by
+    # identity although NaN != NaN.
+    groups: dict[float, dict[str, list[ResultRecord]]] = {}
+    for rec in records:
+        beta = math.nan if math.isnan(rec.beta_db) else rec.beta_db
+        groups.setdefault(beta, {mode: [] for mode in cfg.modes})[rec.mode].append(rec)
 
-        slots_by_mode = {
-            mode: {rec.run_id: rec.slots for rec in records if rec.mode == mode and _same_beta(rec)}
-            for mode in cfg.modes
-        }
+    rows = []
+    for beta in sorted(groups, key=lambda b: (math.isnan(b), b)):
+        by_mode = groups[beta]
         for mode in cfg.modes:
-            values = [
-                rec.avg_slots_per_packet
-                for rec in records
-                if rec.mode == mode and _same_beta(rec)
-            ]
+            values = [rec.avg_slots_per_packet for rec in by_mode[mode]]
             mean = sum(values) / len(values)
             if len(values) >= 2:
                 spread = math.sqrt(
@@ -304,7 +302,8 @@ def run_sweep(cfg: ExperimentConfig,
                 stderr = 0.0
             gain = None
             if mode == "soft" and "coloring" in cfg.modes:
-                soft, hard = slots_by_mode["soft"], slots_by_mode["coloring"]
+                soft = {rec.run_id: rec.slots for rec in by_mode["soft"]}
+                hard = {rec.run_id: rec.slots for rec in by_mode["coloring"]}
                 gains = [1.0 - soft[rid] / hard[rid] for rid in sorted(soft)]
                 gain = sum(gains) / len(gains)
             rows.append(

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from softsched import ConflictGraph, RateVector
+from softsched import ConflictGraph, RateVector, interference_adjacent, physically_adjacent
 
 # Three links where link 0 is compatible with both others but links 1 and 2
 # conflict. With rates (3, 1, 2) the best hard coloring needs 4 slots while
@@ -54,3 +54,28 @@ def brute_force_maximal(g: ConflictGraph):
     all_sets = [frozenset(m) for m in brute_force_components(g)]
     maximal = [s for s in all_sets if not any(s < t for t in all_sets)]
     return sorted((tuple(sorted(s)) for s in maximal), key=lambda m: (len(m), m))
+
+
+def pairwise_conflict_graph(links, nodes, params) -> ConflictGraph:
+    """Conflict graph by applying the scalar pair tests to every link pair."""
+    n = len(links)
+    adj = np.eye(n, dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            adj[i, j] = adj[j, i] = physically_adjacent(links[i], links[j]) or (
+                interference_adjacent(links[i], links[j], nodes, params)
+            )
+    return ConflictGraph(n, adj)
+
+
+def first_fit_classes(g: ConflictGraph, order):
+    """Greedy first-fit classes, testing every member of a class pairwise."""
+    classes = []
+    for link in order:
+        for cls in classes:
+            if not any(g.adjacency[link, member] for member in cls):
+                cls.append(link)
+                break
+        else:
+            classes.append([link])
+    return tuple(tuple(sorted(cls)) for cls in classes)

@@ -127,7 +127,7 @@ def _pipeline_slots(nodes, sessions, beta, solver_cfg):
     g = build_conflict_graph(links, nodes, ConflictParams(beta, params))
     comps = enumerate_maximal(g)
     sol = fp_solve(build_payoff(comps, rates), solver_cfg)
-    sched = extract_schedule(comps, rates, sol.y, sol.value_lower, g)
+    sched = extract_schedule(comps, rates, sol.y, sol.value_lower)
     check = verify_schedule(sched, g, rates)
     soft = sched.length
     hard = coloring_slots(greedy_color(g, list(range(len(links)))), rates)

@@ -12,7 +12,7 @@ from softsched import (
     no_schedule_slots,
 )
 
-from conftest import THREE_LINK_RATES, random_conflict_graph, three_link_graph
+from conftest import THREE_LINK_RATES, first_fit_classes, random_conflict_graph, three_link_graph
 
 
 def test_three_link_default_order():
@@ -92,3 +92,16 @@ def test_coloring_never_beats_no_reuse_backwards(n, p, seed):
     assert coloring_slots(c, r) <= no_schedule_slots(r)
     if all(len(cls) == 1 for cls in c.classes):
         assert coloring_slots(c, r) == no_schedule_slots(r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=14),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_greedy_matches_first_fit_reference(n, p, seed):
+    rng = np.random.default_rng(seed)
+    g = random_conflict_graph(rng, n, p)
+    order = [int(v) for v in rng.permutation(n)]
+    assert greedy_color(g, order).classes == first_fit_classes(g, order)

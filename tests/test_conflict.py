@@ -12,13 +12,18 @@ from softsched import (
     Link,
     Node,
     PropagationParams,
+    Session,
+    accumulate_rates,
     build_conflict_graph,
+    generate_nodes,
     interference_adjacent,
     load_conflict_fixture,
     physically_adjacent,
+    received_power_db,
+    route_sessions,
 )
 
-from conftest import three_link_graph
+from conftest import pairwise_conflict_graph, three_link_graph
 
 
 def _link(lid, tx, rx, nodes):
@@ -84,6 +89,18 @@ def test_interference_symmetric():
     assert interference_adjacent(a, b, nodes, params) == interference_adjacent(
         b, a, nodes, params
     )
+
+
+def test_margin_tie_counts_as_conflict():
+    # Link a's transmitter is exactly as far from b's receiver as b's own
+    # transmitter, so at beta = 0 the margin test sits at its threshold.
+    nodes = _chain_nodes([(0.5, 0.0), (1.0, 0.0), (0.5, 0.5), (0.5, 0.25)])
+    links = [_link(0, 0, 1, nodes), _link(1, 2, 3, nodes)]
+    for beta, hit in ((0.0, True), (-1e-9, False)):
+        params = ConflictParams(beta_db=beta)
+        assert interference_adjacent(links[0], links[1], nodes, params) is hit
+        edges = build_conflict_graph(links, nodes, params).edge_set()
+        assert edges == ({(0, 1)} if hit else set())
 
 
 def test_chain_with_physical_rule_only():
@@ -152,6 +169,73 @@ def test_uniform_power_offset_cancels(seed, offset):
     g = build_conflict_graph(links, nodes, params)
     g_shifted = build_conflict_graph(links, shifted, params)
     assert np.array_equal(g.adjacency, g_shifted.adjacency)
+
+
+@st.composite
+def _layouts(draw):
+    """Nodes with their own transmit powers, and links that may share nodes."""
+    n_nodes = draw(st.integers(min_value=2, max_value=8))
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    nodes = [
+        Node(i, (draw(unit), draw(unit)), draw(st.floats(min_value=-20.0, max_value=20.0)))
+        for i in range(n_nodes)
+    ]
+    node_id = st.integers(min_value=0, max_value=n_nodes - 1)
+    pairs = draw(st.lists(st.tuples(node_id, node_id).filter(lambda p: p[0] != p[1]),
+                          min_size=1, max_size=12))
+    return nodes, [_link(i, tx, rx, nodes) for i, (tx, rx) in enumerate(pairs)]
+
+
+_BETAS = st.one_of(st.floats(min_value=-30.0, max_value=60.0),
+                   st.sampled_from([-math.inf, math.inf]))
+_EPS = np.finfo(float).eps
+
+
+def _margin_is_near_tie(a, b, nodes, params):
+    """True when a receiver's margin test for links a and b sits at its threshold.
+
+    There the matrix build and the scalar reference may round to different
+    sides: numpy's hypot and log10 may differ from math.dist and math.log10
+    by an ulp. The tolerance allows tens of ulps on every term of the test.
+    """
+    beta, p = params.beta_db, params.propagation
+    if not math.isfinite(beta):
+        return False
+    for victim, interferer in ((b, a), (a, b)):
+        own = received_power_db(nodes[victim.tx], nodes[victim.rx].position, p)
+        other = received_power_db(nodes[interferer.tx], nodes[victim.rx].position, p)
+        tol = 64 * _EPS * (abs(own) + abs(other) + abs(beta) + 10.0 * p.alpha)
+        if abs(own - other - beta) <= tol:
+            return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout=_layouts(), beta=_BETAS, alpha=st.floats(min_value=2.0, max_value=6.0))
+def test_graph_matches_pairwise_reference(layout, beta, alpha):
+    nodes, links = layout
+    params = ConflictParams(beta, PropagationParams(alpha=alpha))
+    got = build_conflict_graph(links, nodes, params).adjacency
+    want = pairwise_conflict_graph(links, nodes, params).adjacency
+    for a, b in zip(*np.nonzero(got != want)):
+        assert _margin_is_near_tie(links[a], links[b], nodes, params), (a, b)
+
+
+def test_graph_equals_pairwise_reference_on_routed_instances():
+    # Sweep-sized instances (20 nodes, 10 routed sessions) at every integer
+    # beta of the default sweep: here no margin sits at a tie, so the graphs
+    # must be identical, which keeps sweep output byte-identical.
+    params = PropagationParams(alpha=4.0)
+    for seed in range(3):
+        nodes = generate_nodes(20, seed)
+        rng = np.random.default_rng(seed)
+        sessions = [Session(int(s), int(t), 1)
+                    for s, t in (rng.choice(20, size=2, replace=False) for _ in range(10))]
+        links, _ = accumulate_rates(route_sessions(nodes, sessions, params), sessions, nodes)
+        for beta in range(31):
+            conflict = ConflictParams(float(beta), params)
+            assert np.array_equal(build_conflict_graph(links, nodes, conflict).adjacency,
+                                  pairwise_conflict_graph(links, nodes, conflict).adjacency)
 
 
 def test_conflict_fixture_roundtrip(tmp_path):

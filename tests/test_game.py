@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from softsched import (
     Component,
-    ConflictGraph,
     PayoffMatrix,
     RateVector,
     Schedule,
@@ -269,7 +268,7 @@ def test_bottleneck_three_link():
 def test_extract_three_link_schedule():
     g = three_link_graph()
     sched = extract_schedule(
-        THREE_LINK_COMPONENTS, THREE_LINK_RATES, np.array([1 / 3, 2 / 3]), 1 / 3, g
+        THREE_LINK_COMPONENTS, THREE_LINK_RATES, np.array([1 / 3, 2 / 3]), 1 / 3
     )
     assert sched.slots == (0, 1, 1)
     assert sched.length == 3
@@ -278,16 +277,14 @@ def test_extract_three_link_schedule():
 
 
 def test_extract_single_component_forced_length():
-    g = ConflictGraph.from_pairs(2, [(0, 1)])  # only singleton components viable
-    comps = [Component((0,)), Component((1,))]
+    comps = [Component((0,)), Component((1,))]  # links 0 and 1 conflict
     r = RateVector((7, 3))
     value, y = lp_oracle(build_payoff(comps, r))
-    sched = extract_schedule(comps, r, y, value, g)
+    sched = extract_schedule(comps, r, y, value)
     assert sched.length == 10
-    one_comp = [Component((0, 1))]
-    g_free = ConflictGraph.from_pairs(2, [])
+    one_comp = [Component((0, 1))]  # no conflict
     r2 = RateVector((7, 2))
-    sched2 = extract_schedule(one_comp, r2, np.array([1.0]), 1 / 7, g_free)
+    sched2 = extract_schedule(one_comp, r2, np.array([1.0]), 1 / 7)
     assert sched2.slots == (0,) * 7
 
 
@@ -295,7 +292,7 @@ def test_extract_repairs_skewed_strategy():
     # All mass on the component that misses link 2; repair must cover it.
     g = three_link_graph()
     sched = extract_schedule(
-        THREE_LINK_COMPONENTS, THREE_LINK_RATES, np.array([1.0, 0.0]), 1 / 3, g
+        THREE_LINK_COMPONENTS, THREE_LINK_RATES, np.array([1.0, 0.0]), 1 / 3
     )
     assert verify_schedule(sched, g, THREE_LINK_RATES)
 
@@ -303,8 +300,7 @@ def test_extract_repairs_skewed_strategy():
 def test_extract_rejects_nonpositive_value():
     with pytest.raises(ValueError):
         extract_schedule(
-            THREE_LINK_COMPONENTS, THREE_LINK_RATES, np.array([0.5, 0.5]), 0.0,
-            three_link_graph(),
+            THREE_LINK_COMPONENTS, THREE_LINK_RATES, np.array([0.5, 0.5]), 0.0
         )
 
 
@@ -312,7 +308,7 @@ def test_extract_rejects_nonpositive_value():
 def test_extract_random_instances_verify(seed):
     g, comps, r, H = random_payoff(seed)
     sol = fp_solve(H)
-    sched = extract_schedule(comps, r, sol.y, sol.value_lower, g)
+    sched = extract_schedule(comps, r, sol.y, sol.value_lower)
     check = verify_schedule(sched, g, r)
     assert check.ok, check.violation
     # never shorter than the fractional optimum allows

@@ -96,6 +96,15 @@ def test_sweep_aggregates_mean_of_runs():
     assert table[0].runs == 2
 
 
+def test_conflict_fixture_sweep_has_one_nan_row_per_mode():
+    table, records = run_sweep(ExperimentConfig(runs=3), load_fixture(THREE_LINK_FIXTURE))
+    assert len(records) == 3 * 3
+    assert [row.mode for row in table] == ["soft", "coloring", "none"]
+    assert all(math.isnan(row.beta_db) and row.runs == 3 for row in table)
+    # The fixture is the same every run, so the soft gain is 1 - 3/5 each time.
+    assert table[0].mean_gain_vs_coloring == pytest.approx(0.4)
+
+
 def test_gain_column_only_on_soft_rows():
     cfg = small_cfg(runs=2)
     table, _ = run_sweep(cfg)
