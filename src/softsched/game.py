@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ class PayoffMatrix:
         self.h = np.asarray(self.h, dtype=float)
         if self.h.ndim != 2 or 0 in self.h.shape:
             raise ValueError(f"payoff matrix must be a nonempty 2-d array, got {self.h.shape}")
-        if (self.h < 0).any():
+        if not (self.h >= 0).all():  # also rejects NaN
             raise ValueError("payoff entries must be nonnegative")
         if not (self.h > 0).any(axis=1).all():
             raise ValueError("every link (row) needs at least one component containing it")
@@ -136,47 +137,69 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
     returned empirical strategies themselves certify the bracket:
     min(H @ y) equals value_lower and max(x @ H) equals value_upper.
 
+    The two accumulators are kept differently. y_acc has one entry per
+    component and stays a numpy vector. x_acc has one entry per link and is
+    a Python list: a picked column adds only its nonzero entries, which are
+    built on the column's first pick and cached, since FP picks few of the
+    columns. The argmin over x_acc is recomputed only when the current
+    bottleneck link is in the picked column. Skipping it otherwise is
+    exact: entries only grow, so the entries before the bottleneck stay
+    strictly above its unchanged value and those after it stay at or above
+    it. Each float add is one the dense update makes, and the adds skipped
+    are of 0.0, which change nothing; so the trajectory, bounds and
+    iteration count are those of a dense loop, bit for bit.
+
     Hitting max_iterations is not an error: the solution comes back with
     converged=False and the bounds still valid.
     """
     cfg = cfg or SolverConfig()
-    rows = [np.ascontiguousarray(row) for row in H.h]
-    cols = [np.ascontiguousarray(col) for col in H.h.T]
-    n_links, n_comps = H.h.shape
+    h = H.h
+    rows = [np.ascontiguousarray(row) for row in h]
+    n_links, n_comps = h.shape
+    col_entries: list[dict[int, float] | None] = [None] * n_comps
 
-    x_acc = cols[0].copy()
-    col_counts = np.zeros(n_comps, dtype=np.int64)
+    # + 0.0 turns -0.0 into 0.0, as the dense loop's first add does
+    x_acc = (h[:, 0] + 0.0).tolist()
+    col_counts = [0] * n_comps
     col_counts[0] = 1
     y_acc = np.zeros(n_comps)
-    row_counts = np.zeros(n_links, dtype=np.int64)
+    row_counts = [0] * n_links
     log: list[tuple[float, float]] | None = [] if log_bounds else None
 
     k = 0
     converged = False
-    i_next = x_acc.argmin()
+    i_next = x_acc.index(min(x_acc))
     while k < cfg.max_iterations:
         k += 1
         i_k = i_next
         row_counts[i_k] += 1
         y_acc += rows[i_k]
         j_k = y_acc.argmax()
-        upper = y_acc[j_k] / k
+        upper = y_acc.item(j_k) / k
         col_counts[j_k] += 1
-        x_acc += cols[j_k]
-        i_next = x_acc.argmin()
+        entries = col_entries[j_k]
+        if entries is None:
+            links = np.flatnonzero(h[:, j_k])
+            entries = col_entries[j_k] = dict(zip(links.tolist(), h[links, j_k].tolist()))
+        for i, value in entries.items():
+            x_acc[i] += value
+        if i_k in entries:
+            i_next = x_acc.index(min(x_acc))
         lower = x_acc[i_next] / (k + 1)
         if log is not None:
-            log.append((float(lower), float(upper)))
+            log.append((lower, upper))
         if upper - lower <= cfg.delta:
             converged = True
             break
 
-    state = FpState(x_acc, y_acc, row_counts, col_counts, k, int(i_k), int(j_k))
+    row_counts = np.array(row_counts, dtype=np.int64)
+    col_counts = np.array(col_counts, dtype=np.int64)
+    state = FpState(np.array(x_acc), y_acc, row_counts, col_counts, k, i_k, int(j_k))
     return GameSolution(
         x=row_counts / k,
         y=col_counts / (k + 1),
-        value_lower=float(lower),
-        value_upper=float(upper),
+        value_lower=lower,
+        value_upper=upper,
         iterations=k,
         converged=converged,
         state=state,
@@ -336,17 +359,22 @@ def extract_schedule(components: list[Component], r: RateVector, y: np.ndarray,
 
 
 def verify_schedule(s: Schedule, g: ConflictGraph, r: RateVector) -> ScheduleCheck:
-    """Independent feasibility check: slots conflict-free and demands met."""
+    """Independent feasibility check: slots conflict-free and demands met.
+
+    Each distinct component is checked once, at its first slot, and serves
+    its links once per slot it fills. Components are visited in order of
+    first slot, so a conflict is reported at the first slot that has one.
+    """
     served = np.zeros(len(r), dtype=int)
-    for slot_idx, comp_idx in enumerate(s.slots):
+    for comp_idx, n_slots in Counter(s.slots).items():
         members = s.components[comp_idx].members
-        for a_pos, a in enumerate(members):
-            for b in members[a_pos + 1:]:
-                if g.adjacency[a, b]:
-                    return ScheduleCheck(
-                        False, f"slot {slot_idx} activates conflicting links {a} and {b}"
-                    )
-        served[list(members)] += 1
+        for a, b in itertools.combinations(members, 2):
+            if g.adjacency[a, b]:
+                return ScheduleCheck(
+                    False,
+                    f"slot {s.slots.index(comp_idx)} activates conflicting links {a} and {b}",
+                )
+        served[list(members)] += n_slots
     for i in range(len(r)):
         if served[i] < r[i]:
             return ScheduleCheck(

@@ -114,15 +114,11 @@ def received_power_db(tx: Node, rx_pos: Position, params: PropagationParams) -> 
     return tx.tx_power_db - 10.0 * params.alpha * math.log10(max(d, params.d_min))
 
 
-def _hop_cost(nodes: list[Node], u: int, v: int, alpha: float) -> float:
-    return math.dist(nodes[u].position, nodes[v].position) ** alpha
-
-
-def _dijkstra(nodes: list[Node], source: int, sink: int, alpha: float) -> list[int]:
+def _dijkstra(weights: list[list[float]], source: int, sink: int) -> list[int]:
     # Priority = (total d^alpha, hop count, node sequence). The tuple order
     # makes ties deterministic: fewer hops first, then the lexicographically
     # smallest node sequence.
-    n = len(nodes)
+    n = len(weights)
     heap: list[tuple[float, int, tuple[int, ...]]] = [(0.0, 0, (source,))]
     settled = set()
     while heap:
@@ -133,10 +129,11 @@ def _dijkstra(nodes: list[Node], source: int, sink: int, alpha: float) -> list[i
         settled.add(u)
         if u == sink:
             return list(path)
+        w_u = weights[u]
         for v in range(n):
             if v == u or v in settled:
                 continue
-            heapq.heappush(heap, (cost + _hop_cost(nodes, u, v, alpha), hops + 1, path + (v,)))
+            heapq.heappush(heap, (cost + w_u[v], hops + 1, path + (v,)))
     raise RuntimeError(f"no path from {source} to {sink}")  # unreachable on a full mesh
 
 
@@ -155,7 +152,9 @@ def route_sessions(nodes: list[Node], sessions: list[Session],
             raise ValueError(f"session endpoints {s.source}->{s.sink} outside node range")
         if s.source == s.sink:
             raise ValueError(f"session source equals sink ({s.source})")
-    return [_dijkstra(nodes, s.source, s.sink, params.alpha) for s in sessions]
+    positions = [node.position for node in nodes]
+    weights = [[math.dist(p, q) ** params.alpha for q in positions] for p in positions]
+    return [_dijkstra(weights, s.source, s.sink) for s in sessions]
 
 
 def accumulate_rates(paths: list[list[int]], sessions: list[Session],

@@ -1,11 +1,22 @@
 """Shared helpers: the canonical three-link instance and brute-force oracles."""
 
+import heapq
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from softsched import ConflictGraph, RateVector, interference_adjacent, physically_adjacent
+from softsched import (
+    ConflictGraph,
+    FpState,
+    GameSolution,
+    RateVector,
+    ScheduleCheck,
+    SolverConfig,
+    interference_adjacent,
+    physically_adjacent,
+)
 
 # Three links where link 0 is compatible with both others but links 1 and 2
 # conflict. With rates (3, 1, 2) the best hard coloring needs 4 slots while
@@ -79,3 +90,90 @@ def first_fit_classes(g: ConflictGraph, order):
         else:
             classes.append([link])
     return tuple(tuple(sorted(cls)) for cls in classes)
+
+
+def fp_reference(H, cfg=None, log_bounds=False):
+    """Fictitious play with dense numpy updates of both accumulators every iteration."""
+    cfg = cfg or SolverConfig()
+    rows = [np.ascontiguousarray(row) for row in H.h]
+    cols = [np.ascontiguousarray(col) for col in H.h.T]
+    n_links, n_comps = H.h.shape
+
+    x_acc = cols[0].copy()
+    col_counts = np.zeros(n_comps, dtype=np.int64)
+    col_counts[0] = 1
+    y_acc = np.zeros(n_comps)
+    row_counts = np.zeros(n_links, dtype=np.int64)
+    log = [] if log_bounds else None
+
+    k = 0
+    converged = False
+    i_next = x_acc.argmin()
+    while k < cfg.max_iterations:
+        k += 1
+        i_k = i_next
+        row_counts[i_k] += 1
+        y_acc += rows[i_k]
+        j_k = y_acc.argmax()
+        upper = y_acc[j_k] / k
+        col_counts[j_k] += 1
+        x_acc += cols[j_k]
+        i_next = x_acc.argmin()
+        lower = x_acc[i_next] / (k + 1)
+        if log is not None:
+            log.append((float(lower), float(upper)))
+        if upper - lower <= cfg.delta:
+            converged = True
+            break
+
+    state = FpState(x_acc, y_acc, row_counts, col_counts, k, int(i_k), int(j_k))
+    return GameSolution(
+        x=row_counts / k,
+        y=col_counts / (k + 1),
+        value_lower=float(lower),
+        value_upper=float(upper),
+        iterations=k,
+        converged=converged,
+        state=state,
+        bounds_log=log,
+    )
+
+
+def verify_schedule_reference(s, g, r):
+    """Schedule check that tests every member pair of every slot's component."""
+    served = np.zeros(len(r), dtype=int)
+    for slot_idx, comp_idx in enumerate(s.slots):
+        members = s.components[comp_idx].members
+        for a_pos, a in enumerate(members):
+            for b in members[a_pos + 1:]:
+                if g.adjacency[a, b]:
+                    return ScheduleCheck(
+                        False, f"slot {slot_idx} activates conflicting links {a} and {b}"
+                    )
+        served[list(members)] += 1
+    for i in range(len(r)):
+        if served[i] < r[i]:
+            return ScheduleCheck(
+                False, f"link {i} served {int(served[i])} times but requires {r[i]}"
+            )
+    return ScheduleCheck(True)
+
+
+def dijkstra_reference(nodes, source, sink, alpha):
+    """Minimum-power path that recomputes each hop cost when it relaxes the hop."""
+    heap = [(0.0, 0, (source,))]
+    settled = set()
+    while heap:
+        cost, hops, path = heapq.heappop(heap)
+        u = path[-1]
+        if u in settled:
+            continue
+        settled.add(u)
+        if u == sink:
+            return list(path)
+        for v in range(len(nodes)):
+            if v == u or v in settled:
+                continue
+            hop = math.dist(nodes[u].position, nodes[v].position) ** alpha
+            heapq.heappush(heap, (cost + hop, hops + 1, path + (v,)))
+    raise RuntimeError(f"no path from {source} to {sink}")

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softsched import (
@@ -25,7 +25,13 @@ from softsched import (
     verify_schedule,
 )
 
-from conftest import THREE_LINK_RATES, random_conflict_graph, three_link_graph
+from conftest import (
+    THREE_LINK_RATES,
+    fp_reference,
+    random_conflict_graph,
+    three_link_graph,
+    verify_schedule_reference,
+)
 
 THREE_LINK_COMPONENTS = [Component((0, 1)), Component((0, 2))]
 
@@ -62,6 +68,11 @@ def test_payoff_single_link():
 def test_payoff_rejects_zero_rate():
     with pytest.raises(ValueError):
         build_payoff([Component((0, 1))], RateVector((3, 0)))
+
+
+def test_payoff_rejects_nan_entry():
+    with pytest.raises(ValueError):
+        PayoffMatrix(np.array([[np.nan, 1.0], [1.0, 1.0]]))
 
 
 def test_payoff_rejects_uncovered_link():
@@ -159,6 +170,85 @@ def test_fp_gap_running_minimum_hits_delta():
     running = list(itertools.accumulate(gaps, min))
     assert running == sorted(running, reverse=True)
     assert running[-1] <= 1e-3
+
+
+def assert_same_solution(got, want):
+    """Field-for-field equality, floats bit for bit."""
+    for name in ("x", "y"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.value_lower.hex() == want.value_lower.hex()
+    assert got.value_upper.hex() == want.value_upper.hex()
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    for name in ("x_acc", "y_acc", "row_counts", "col_counts"):
+        a, b = getattr(got.state, name), getattr(want.state, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert (got.state.k, got.state.last_row, got.state.last_col) == (
+        want.state.k, want.state.last_row, want.state.last_col)
+    assert type(got.state.last_row) is int and type(got.state.last_col) is int
+    if want.bounds_log is None:
+        assert got.bounds_log is None
+    else:
+        assert [(l.hex(), u.hex()) for l, u in got.bounds_log] == [
+            (l.hex(), u.hex()) for l, u in want.bounds_log]
+
+
+@st.composite
+def tied_payoffs(draw):
+    """Small nonnegative matrices of small integers times one scale, so picks tie often."""
+    n_links = draw(st.integers(1, 6))
+    n_comps = draw(st.integers(1, 8))
+    scale = draw(st.sampled_from([1.0, 0.1, 1 / 3, 1e-3, 7.25]))
+    ints = draw(st.lists(st.integers(0, 3), min_size=n_links * n_comps,
+                         max_size=n_links * n_comps))
+    h = np.array(ints, dtype=float).reshape(n_links, n_comps)
+    for i in np.flatnonzero(~h.any(axis=1)):
+        h[i, i % n_comps] = 1.0
+    for j in np.flatnonzero(~h.any(axis=0)):
+        h[j % n_links, j] = 1.0
+    return PayoffMatrix(h * scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    H=tied_payoffs(),
+    max_iterations=st.integers(1, 50),
+    delta=st.sampled_from([1e-9, 1e-3, 0.05, 0.5]),
+    log_bounds=st.booleans(),
+)
+@example(H=PayoffMatrix(np.array([[0.7]])), max_iterations=1, delta=1e-9, log_bounds=True)
+@example(H=PayoffMatrix(np.array([[0.5, 0.25, 0.5]])), max_iterations=7, delta=1e-9,
+         log_bounds=False)
+@example(H=PayoffMatrix(np.array([[0.5], [0.25], [0.5]])), max_iterations=7, delta=1e-9,
+         log_bounds=True)
+def test_fp_matches_dense_reference(H, max_iterations, delta, log_bounds):
+    cfg = SolverConfig(delta=delta, max_iterations=max_iterations)
+    assert_same_solution(fp_solve(H, cfg, log_bounds=log_bounds),
+                         fp_reference(H, cfg, log_bounds=log_bounds))
+
+
+def test_fp_bottleneck_outside_picked_column():
+    # Links 0 and 1 form component 1, link 2 component 0. Iteration 2 makes
+    # link 2 the bottleneck; at iteration 3 the component player still picks
+    # column 1, which does not contain link 2, so the argmin is not recomputed.
+    H = PayoffMatrix(np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]))
+    cfg = SolverConfig(delta=1e-9, max_iterations=3)
+    want = fp_reference(H, cfg, log_bounds=True)
+    assert (want.state.last_row, want.state.last_col) == (2, 1)
+    assert H.h[2, 1] == 0.0
+    assert_same_solution(fp_solve(H, cfg, log_bounds=True), want)
+    longer = SolverConfig(delta=1e-9, max_iterations=40)
+    assert_same_solution(fp_solve(H, longer, log_bounds=True),
+                         fp_reference(H, longer, log_bounds=True))
+
+
+def test_fp_negative_zero_entries_match_reference():
+    # Column 1 is picked first and misses link 1, whose -0.0 the dense
+    # update turns into 0.0; the bound from that link then shows the sign.
+    H = PayoffMatrix(np.array([[0.0, 1.0, 0.0], [-0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
+    for max_iterations in (1, 2, 9):
+        cfg = SolverConfig(delta=1e-9, max_iterations=max_iterations)
+        assert_same_solution(fp_solve(H, cfg), fp_reference(H, cfg))
 
 
 # ---------------------------------------------------------------- exact oracle
@@ -330,6 +420,32 @@ def test_verify_flags_underserved_link():
     check = verify_schedule(sched, g, THREE_LINK_RATES)
     assert not check
     assert "link 0" in check.violation
+
+
+def test_verify_reports_first_conflicting_slot_in_any_order():
+    # Component 2 conflicts; it first fills slot 2 and again slot 4.
+    g = three_link_graph()
+    comps = (Component((0, 1)), Component((0,)), Component((0, 1, 2)))
+    sched = Schedule(slots=(1, 0, 2, 1, 2), served=(5, 3, 2), components=comps)
+    check = verify_schedule(sched, g, THREE_LINK_RATES)
+    assert check == verify_schedule_reference(sched, g, THREE_LINK_RATES)
+    assert check.violation == "slot 2 activates conflicting links 1 and 2"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_verify_matches_reference(data):
+    n_links = data.draw(st.integers(1, 6))
+    g = random_conflict_graph(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                              n_links, data.draw(st.sampled_from([0.0, 0.2, 0.6])))
+    members = st.lists(st.integers(0, n_links - 1), min_size=1, max_size=n_links, unique=True)
+    comps = tuple(Component(tuple(sorted(m)))
+                  for m in data.draw(st.lists(members, min_size=1, max_size=5)))
+    slots = tuple(data.draw(st.lists(st.integers(0, len(comps) - 1), max_size=12)))
+    r = RateVector(tuple(data.draw(st.lists(st.integers(0, 4), min_size=n_links,
+                                            max_size=n_links))))
+    sched = Schedule(slots=slots, served=(0,) * n_links, components=comps)
+    assert verify_schedule(sched, g, r) == verify_schedule_reference(sched, g, r)
 
 
 def test_theorem_reciprocal_schedule_length():

@@ -18,6 +18,8 @@ from softsched import (
     route_sessions,
 )
 
+from conftest import dijkstra_reference
+
 
 def test_generate_nodes_in_unit_square():
     nodes = generate_nodes(10, seed=7)
@@ -138,6 +140,21 @@ def test_route_matches_exhaustive_minimum(seed):
     params = PropagationParams(alpha=alpha)
     got = route_sessions(nodes, [session], params)[0]
     assert got == _exhaustive_best_path(nodes, session.source, session.sink, alpha)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_route_matches_reference_with_cost_ties(data):
+    # Coordinates on a coarse grid repeat distances, and repeated positions
+    # give zero-cost hops, so many paths tie exactly on cost.
+    n = data.draw(st.integers(2, 8))
+    coord = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    nodes = [Node(i, (data.draw(coord), data.draw(coord))) for i in range(n)]
+    alpha = data.draw(st.sampled_from([1.0, 2.0, 2.5, 4.0]))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    sessions = [Session(a, b, 1) for a, b in data.draw(st.lists(pairs, min_size=1, max_size=6))]
+    got = route_sessions(nodes, sessions, PropagationParams(alpha=alpha))
+    assert got == [dijkstra_reference(nodes, s.source, s.sink, alpha) for s in sessions]
 
 
 def test_accumulate_single_session():
