@@ -137,45 +137,65 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
     returned empirical strategies themselves certify the bracket:
     min(H @ y) equals value_lower and max(x @ H) equals value_upper.
 
-    The two accumulators are kept differently. y_acc has one entry per
-    component and stays a numpy vector. x_acc has one entry per link and is
-    a Python list: a picked column adds only its nonzero entries, which are
-    built on the column's first pick and cached, since FP picks few of the
-    columns. The argmin over x_acc is recomputed only when the current
-    bottleneck link is in the picked column. Skipping it otherwise is
-    exact: entries only grow, so the entries before the bottleneck stay
-    strictly above its unchanged value and those after it stay at or above
-    it. Each float add is one the dense update makes, and the adds skipped
-    are of 0.0, which change nothing; so the trajectory, bounds and
-    iteration count are those of a dense loop, bit for bit.
+    Both accumulators are updated sparsely. x_acc (one entry per link) is a
+    Python list: a picked column adds only its nonzero entries, built on the
+    column's first pick and cached, since FP picks few of the columns. The
+    argmin over x_acc is recomputed only when the current bottleneck link is
+    in the picked column. Skipping it otherwise is exact: entries only grow,
+    so the entries before the bottleneck stay strictly above its unchanged
+    value and those after it stay at or above it.
+
+    y_acc (one entry per component) is a Python list too: a picked row adds
+    only to the components that contain its link, with each row's nonzero
+    entries built once, and the new argmax is searched among those
+    components and the current leader, largest value first and lowest index
+    on ties. An untouched entry did not grow, so it can at most equal the
+    leader, and then only from a higher index. Python pays for each touched
+    entry where numpy pays per call, so this wins on short rows, as in games
+    of about ten nodes, and loses where links sit in hundreds of components
+    (see CHANGES.md).
+
+    Each float add is one the dense update makes, and the adds skipped are
+    of 0.0, which change nothing; so the trajectory, bounds and iteration
+    count are those of a dense loop, bit for bit.
 
     Hitting max_iterations is not an error: the solution comes back with
     converged=False and the bounds still valid.
     """
     cfg = cfg or SolverConfig()
     h = H.h
-    rows = [np.ascontiguousarray(row) for row in h]
     n_links, n_comps = h.shape
     col_entries: list[dict[int, float] | None] = [None] * n_comps
+    row_entries = []
+    for row in h:
+        comps = np.flatnonzero(row)
+        row_entries.append(list(zip(comps.tolist(), row[comps].tolist())))
 
     # + 0.0 turns -0.0 into 0.0, as the dense loop's first add does
     x_acc = (h[:, 0] + 0.0).tolist()
     col_counts = [0] * n_comps
     col_counts[0] = 1
-    y_acc = np.zeros(n_comps)
+    y_acc = [0.0] * n_comps
     row_counts = [0] * n_links
     log: list[tuple[float, float]] | None = [] if log_bounds else None
 
     k = 0
     converged = False
     i_next = x_acc.index(min(x_acc))
+    j_k = 0  # the first maximum of the all-zero y_acc
     while k < cfg.max_iterations:
         k += 1
         i_k = i_next
         row_counts[i_k] += 1
-        y_acc += rows[i_k]
-        j_k = y_acc.argmax()
-        upper = y_acc.item(j_k) / k
+        best_j = j_k
+        best = y_acc[j_k]
+        for j, value in row_entries[i_k]:
+            value += y_acc[j]
+            y_acc[j] = value
+            if value > best or (value == best and j < best_j):
+                best, best_j = value, j
+        j_k = best_j
+        upper = best / k
         col_counts[j_k] += 1
         entries = col_entries[j_k]
         if entries is None:
@@ -194,7 +214,7 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
 
     row_counts = np.array(row_counts, dtype=np.int64)
     col_counts = np.array(col_counts, dtype=np.int64)
-    state = FpState(np.array(x_acc), y_acc, row_counts, col_counts, k, i_k, int(j_k))
+    state = FpState(np.array(x_acc), np.array(y_acc), row_counts, col_counts, k, i_k, j_k)
     return GameSolution(
         x=row_counts / k,
         y=col_counts / (k + 1),
@@ -310,8 +330,10 @@ def extract_schedule(components: list[Component], r: RateVector, y: np.ndarray,
     in proportion to y; a repair loop then adds slots of whichever component
     covers the most still-underserved links until every link meets its rate,
     and a trim pass drops slots that turned out to be unnecessary, scanning
-    components from the highest index down. Slots are listed grouped by
-    ascending component index.
+    components from the highest index down; each component loses, in one
+    step, its slot count or the smallest surplus (served minus rate) among
+    its links, whichever is less. Slots are listed grouped by ascending
+    component index.
 
     The components already fix which links fire together, so no conflict
     graph is needed. A fifth positional argument (a conflict graph) is
@@ -348,14 +370,18 @@ def extract_schedule(components: list[Component], r: RateVector, y: np.ndarray,
         counts[j] += 1
         served[list(components[j].members)] += 1
 
+    # Lists: the trim touches a few entries per component, too few for numpy.
+    counts, served, rates = counts.tolist(), served.tolist(), rates.tolist()
     for j in range(len(components) - 1, -1, -1):
-        members = list(components[j].members)
-        while counts[j] and (served[members] - 1 >= rates[members]).all():
-            counts[j] -= 1
-            served[members] -= 1
+        if counts[j]:
+            members = components[j].members
+            drop = min(counts[j], min([served[i] - rates[i] for i in members]))
+            counts[j] -= drop
+            for i in members:
+                served[i] -= drop
 
-    slots = tuple(j for j in range(len(components)) for _ in range(counts[j]))
-    return Schedule(slots, tuple(int(v) for v in served), tuple(components))
+    slots = tuple(j for j, n in enumerate(counts) for _ in range(n))
+    return Schedule(slots, tuple(served), tuple(components))
 
 
 def verify_schedule(s: Schedule, g: ConflictGraph, r: RateVector) -> ScheduleCheck:

@@ -12,6 +12,7 @@ from softsched import (
     FpState,
     GameSolution,
     RateVector,
+    Schedule,
     ScheduleCheck,
     SolverConfig,
     interference_adjacent,
@@ -137,6 +138,43 @@ def fp_reference(H, cfg=None, log_bounds=False):
         state=state,
         bounds_log=log,
     )
+
+
+def extract_schedule_reference(components, r, y, value_lower):
+    """Schedule rounding whose trim pass drops one slot at a time."""
+    y = np.asarray(y, dtype=float)
+    target = math.ceil(1.0 / value_lower - 1e-9)
+    quotas = y * target
+    counts = np.floor(quotas).astype(int)
+    leftover = target - int(counts.sum())
+    by_remainder = np.argsort(-(quotas - counts), kind="stable")
+    for j in by_remainder[:leftover]:
+        counts[j] += 1
+
+    served = np.zeros(len(r), dtype=int)
+    for j, comp in enumerate(components):
+        if counts[j]:
+            served[list(comp.members)] += counts[j]
+
+    rates = np.asarray(r.rates)
+    while (served < rates).any():
+        under = served < rates
+        coverage = [sum(under[i] for i in comp.members) for comp in components]
+        j = int(np.argmax(coverage))
+        if coverage[j] == 0:
+            missing = int(np.flatnonzero(under)[0])
+            raise ValueError(f"no component covers underserved link {missing}")
+        counts[j] += 1
+        served[list(components[j].members)] += 1
+
+    for j in range(len(components) - 1, -1, -1):
+        members = list(components[j].members)
+        while counts[j] and (served[members] - 1 >= rates[members]).all():
+            counts[j] -= 1
+            served[members] -= 1
+
+    slots = tuple(j for j in range(len(components)) for _ in range(counts[j]))
+    return Schedule(slots, tuple(int(v) for v in served), tuple(components))
 
 
 def verify_schedule_reference(s, g, r):

@@ -27,6 +27,7 @@ from softsched import (
 
 from conftest import (
     THREE_LINK_RATES,
+    extract_schedule_reference,
     fp_reference,
     random_conflict_graph,
     three_link_graph,
@@ -227,6 +228,35 @@ def test_fp_matches_dense_reference(H, max_iterations, delta, log_bounds):
                          fp_reference(H, cfg, log_bounds=log_bounds))
 
 
+def test_fp_long_rows_match_reference():
+    # Rows far longer than tied_payoffs draws: every link is in most of the
+    # 90 components, so each pick touches dozens of entries of y_acc.
+    rng = np.random.default_rng(5)
+    h = rng.integers(0, 3, (4, 90)) + np.eye(4, 90)
+    h[0] += 1
+    H = PayoffMatrix(h)
+    assert np.count_nonzero(H.h, axis=1).min() > 50
+    for max_iterations in (1, 30, 1000):
+        cfg = SolverConfig(delta=1e-9, max_iterations=max_iterations)
+        assert_same_solution(fp_solve(H, cfg, log_bounds=True),
+                             fp_reference(H, cfg, log_bounds=True))
+
+
+@pytest.mark.parametrize("n, touched, want_col", [(2, 0, 0), (3, 2, 1)])
+def test_fp_component_tie_keeps_lowest_index(n, touched, want_col):
+    # Identity games: after iteration 1 component 1 leads with 1.0. At
+    # iteration 2 the picked row lifts only component `touched` to 1.0,
+    # exactly the untouched leader's value; the lower index of the two wins.
+    H = PayoffMatrix(np.eye(n))
+    assert fp_reference(H, SolverConfig(delta=1e-9, max_iterations=1)).state.last_col == 1
+    cfg = SolverConfig(delta=1e-9, max_iterations=2)
+    want = fp_reference(H, cfg)
+    assert want.state.last_row == touched
+    assert want.state.y_acc[touched] == want.state.y_acc[1] == 1.0
+    assert want.state.last_col == want_col
+    assert_same_solution(fp_solve(H, cfg), want)
+
+
 def test_fp_bottleneck_outside_picked_column():
     # Links 0 and 1 form component 1, link 2 component 0. Iteration 2 makes
     # link 2 the bottleneck; at iteration 3 the component player still picks
@@ -404,6 +434,28 @@ def test_extract_random_instances_verify(seed):
     # never shorter than the fractional optimum allows
     value, _ = lp_oracle(H)
     assert sched.length >= math.ceil(1.0 / value - 1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_extract_matches_reference(data):
+    n_links = data.draw(st.integers(1, 6))
+    members = st.lists(st.integers(0, n_links - 1), min_size=1, max_size=n_links, unique=True)
+    comps = [Component(tuple(sorted(m)))
+             for m in data.draw(st.lists(members, min_size=1, max_size=6))]
+    r = RateVector(tuple(data.draw(st.lists(st.integers(0, 6), min_size=n_links,
+                                            max_size=n_links))))
+    weights = data.draw(st.lists(st.integers(0, 5), min_size=len(comps), max_size=len(comps))
+                        .filter(any))
+    y = np.array(weights) / sum(weights)
+    value_lower = 1 / data.draw(st.floats(1.0, 40.0))
+    try:
+        want = extract_schedule_reference(comps, r, y, value_lower)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            extract_schedule(comps, r, y, value_lower)
+        return
+    assert extract_schedule(comps, r, y, value_lower) == want
 
 
 def test_verify_flags_conflicting_slot():
