@@ -29,7 +29,6 @@ from .game import (
     Schedule,
     ScheduleCheck,
     SolverConfig,
-    UnsupportedSizeError,
     bottleneck,
     build_payoff,
     extract_schedule,

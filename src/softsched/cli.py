@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"independent replications (default {_DEFAULTS.runs})")
     p.add_argument("--seed", type=int, help=f"root RNG seed (default {_DEFAULTS.seed})")
     p.add_argument("--solver", choices=["fp", "exact"],
-                   help="game solver: fictitious play or the exact small-instance oracle")
+                   help="game solver: fictitious play or the exact linear program (HiGHS)")
     p.add_argument("--delta", type=float,
                    help=f"fictitious-play convergence gap (default {_DEFAULTS.delta})")
     p.add_argument("--max-iters", type=int, dest="max_iters",

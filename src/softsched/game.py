@@ -6,8 +6,9 @@ mixed column strategy y is a recipe for how often to fire each component,
 and (Hy)_i is the fraction of link i's demand served per slot, so the game
 value v = max_y min_i (Hy)_i makes 1/v the minimal fractional schedule
 length. Fictitious play approximates the equilibrium with certified
-lower/upper bounds on v; a small exact solver provides an independent
-cross-check, and the schedule extractor turns y into integer slot counts.
+lower/upper bounds on v; an exact linear-programming solve (HiGHS, through
+scipy) provides an independent cross-check at any size, and the schedule
+extractor turns y into integer slot counts.
 """
 
 from __future__ import annotations
@@ -22,15 +23,6 @@ import numpy as np
 from .components import Component
 from .conflict import ConflictGraph
 from .topology import RateVector
-
-DEFAULT_ORACLE_LIMIT = 12
-
-_FEAS_TOL = 1e-10   # slack when testing vertex candidates for feasibility
-_DET_TOL = 1e-12    # singularity filter for candidate basis systems
-
-
-class UnsupportedSizeError(ValueError):
-    """Raised when the exact solver is asked for more columns than its limit."""
 
 
 @dataclass(eq=False)
@@ -227,62 +219,23 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
     )
 
 
-def lp_oracle(H: PayoffMatrix, limit: int = DEFAULT_ORACLE_LIMIT) -> tuple[float, np.ndarray]:
+def lp_oracle(H: PayoffMatrix) -> tuple[float, np.ndarray]:
     """Exact game value and optimal component strategy, independent of fictitious play.
 
-    Solves max t s.t. Hy >= t*1, sum(y) = 1, y >= 0 by enumerating candidate
-    vertices: every support K of y paired with an equal-sized set T of tight
-    rows gives a square linear system; feasible solutions are polytope
-    vertices and the optimum is their best value. Among optimal vertices the
-    lexicographically smallest y is returned, making the result canonical.
-
-    Exponential in the matrix size, hence the column limit.
+    With u = y / v the game max_y min_i (Hy)_i becomes the linear program
+    min sum(u) s.t. Hu >= 1, u >= 0, which HiGHS solves at any size. Its
+    optimum sum(u) = 1/v is the fractional schedule length, and y = u / sum(u).
+    Every row of H has a positive entry, so the program is feasible and bounded.
     """
-    if H.n_components > limit:
-        raise UnsupportedSizeError(
-            f"{H.n_components} components exceed the exact-solver limit of {limit}"
-        )
-    h = H.h
-    n_links, n_comps = h.shape
-    candidates: list[tuple[float, np.ndarray]] = []
+    # Imported here, not at module level: scipy would more than triple the
+    # start-up time and memory of every run that only uses fictitious play.
+    from scipy.optimize import linprog
 
-    for s in range(1, min(n_links, n_comps) + 1):
-        supports = np.array(list(itertools.combinations(range(n_comps), s)))
-        rhs = np.zeros(s + 1)
-        rhs[s] = 1.0
-        for tight in itertools.combinations(range(n_links), s):
-            # One system per support: rows `tight` of H restricted to the
-            # support equal t, and the support sums to one.
-            systems = np.zeros((len(supports), s + 1, s + 1))
-            systems[:, :s, :s] = h[np.asarray(tight)][:, supports].transpose(1, 0, 2)
-            systems[:, :s, s] = -1.0
-            systems[:, s, :s] = 1.0
-            solvable = np.abs(np.linalg.det(systems)) > _DET_TOL
-            if not solvable.any():
-                continue
-            solutions = np.linalg.solve(systems[solvable], rhs)
-            y_support = solutions[:, :s]
-            t = solutions[:, s]
-            left = h[:, supports[solvable]].transpose(1, 0, 2)  # (n_sys, I, s)
-            row_values = np.einsum("nis,ns->ni", left, y_support)
-            feasible = (y_support >= -_FEAS_TOL).all(axis=1) & (
-                row_values >= t[:, None] - _FEAS_TOL
-            ).all(axis=1)
-            for support, y_s, value in zip(
-                supports[solvable][feasible], y_support[feasible], t[feasible]
-            ):
-                y = np.zeros(n_comps)
-                y[support] = y_s
-                candidates.append((float(value), y))
-
-    if not candidates:
-        raise RuntimeError("no feasible vertex found; payoff matrix is malformed")
-    best = max(value for value, _ in candidates)
-    optimal = [y for value, y in candidates if value >= best - 1e-12]
-    y = min(optimal, key=tuple)
-    # scrub the feasibility slack so callers get a clean probability vector
-    y = np.clip(y, 0.0, None)
-    return best, y / y.sum()
+    res = linprog(np.ones(H.n_components), A_ub=-H.h, b_ub=-np.ones(H.n_links), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS could not solve the game: {res.message}")
+    length = float(res.x.sum())
+    return 1.0 / length, res.x / length
 
 
 def supported_rates(H: PayoffMatrix, y: np.ndarray) -> np.ndarray:

@@ -68,6 +68,51 @@ def brute_force_maximal(g: ConflictGraph):
     return sorted((tuple(sorted(s)) for s in maximal), key=lambda m: (len(m), m))
 
 
+def vertex_enumeration_value(H):
+    """Exact game value by enumerating the vertices of max t s.t. Hy >= t, sum(y) = 1, y >= 0.
+
+    Every support K of y paired with an equal-sized set T of tight rows gives
+    a square linear system; its feasible solutions are the polytope's
+    vertices and the value is the best of theirs. Exponential in the matrix size.
+
+    The tolerances below are absolute, so the vertices are those of H scaled
+    to a largest entry of 1; the value scales back with H.
+    """
+    feas_tol = 1e-10  # slack when testing vertex candidates for feasibility
+    det_tol = 1e-12   # singularity filter for candidate basis systems
+    scale = H.h.max()
+    h = H.h / scale
+    n_links, n_comps = h.shape
+    best = -math.inf
+    for s in range(1, min(n_links, n_comps) + 1):
+        supports = np.array(list(itertools.combinations(range(n_comps), s)))
+        rhs = np.zeros(s + 1)
+        rhs[s] = 1.0
+        for tight in itertools.combinations(range(n_links), s):
+            # One system per support: rows `tight` of H restricted to the
+            # support equal t, and the support sums to one.
+            systems = np.zeros((len(supports), s + 1, s + 1))
+            systems[:, :s, :s] = h[np.asarray(tight)][:, supports].transpose(1, 0, 2)
+            systems[:, :s, s] = -1.0
+            systems[:, s, :s] = 1.0
+            solvable = np.abs(np.linalg.det(systems)) > det_tol
+            if not solvable.any():
+                continue
+            solutions = np.linalg.solve(systems[solvable], rhs)
+            y_support = solutions[:, :s]
+            t = solutions[:, s]
+            left = h[:, supports[solvable]].transpose(1, 0, 2)  # (n_sys, I, s)
+            row_values = np.einsum("nis,ns->ni", left, y_support)
+            feasible = (y_support >= -feas_tol).all(axis=1) & (
+                row_values >= t[:, None] - feas_tol
+            ).all(axis=1)
+            if feasible.any():
+                best = max(best, float(t[feasible].max()))
+    if best == -math.inf:
+        raise RuntimeError("no feasible vertex found; payoff matrix is malformed")
+    return best * scale
+
+
 def pairwise_conflict_graph(links, nodes, params) -> ConflictGraph:
     """Conflict graph by applying the scalar pair tests to every link pair."""
     n = len(links)

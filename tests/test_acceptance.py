@@ -111,7 +111,7 @@ def test_criterion_3_dominated_components_do_not_matter():
         if len(everything) > 16:
             continue
         r = RateVector(tuple(int(v) for v in rng.integers(1, 10, n)))
-        v_all, _ = lp_oracle(build_payoff(everything, r), limit=16)
+        v_all, _ = lp_oracle(build_payoff(everything, r))
         v_max, _ = lp_oracle(build_payoff(prune_dominated(everything), r))
         worst = max(worst, abs(v_all - v_max))
         assert abs(v_all - v_max) <= 1e-9

@@ -12,7 +12,6 @@ from softsched import (
     RateVector,
     Schedule,
     SolverConfig,
-    UnsupportedSizeError,
     bottleneck,
     build_payoff,
     enumerate_components,
@@ -32,6 +31,7 @@ from conftest import (
     random_conflict_graph,
     three_link_graph,
     verify_schedule_reference,
+    vertex_enumeration_value,
 )
 
 THREE_LINK_COMPONENTS = [Component((0, 1)), Component((0, 2))]
@@ -301,19 +301,32 @@ def test_oracle_identity_two():
     assert np.allclose(y, [0.5, 0.5], atol=1e-12)
 
 
-def test_oracle_lexicographic_tie_break():
-    # Flat game: every strategy is optimal; the lex-smallest vertex is (0, 1).
+def test_oracle_flat_game_tie():
+    # Flat game: every strategy is optimal, and any probability vector will do.
     value, y = lp_oracle(PayoffMatrix(np.ones((2, 2))))
     assert value == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(y, [0.0, 1.0], atol=1e-12)
+    assert (y >= 0).all() and y.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.min(np.ones((2, 2)) @ y) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_oracle_size_limit():
-    h = np.eye(13)
-    with pytest.raises(UnsupportedSizeError):
-        lp_oracle(PayoffMatrix(h))
-    value, _ = lp_oracle(PayoffMatrix(h), limit=13)
-    assert value == pytest.approx(1 / 13, abs=1e-12)
+def test_oracle_has_no_size_limit():
+    for n in (13, 500):
+        value, _ = lp_oracle(PayoffMatrix(np.eye(n)))
+        assert value == pytest.approx(1 / n, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(H=tied_payoffs())
+@example(H=PayoffMatrix(np.array([[0.7]])))
+@example(H=PayoffMatrix(np.array([[0.5, 0.25, 0.5]])))
+@example(H=PayoffMatrix(np.array([[0.5], [0.25], [0.5]])))
+@example(H=PayoffMatrix(np.ones((6, 8))))
+@example(H=PayoffMatrix(np.eye(6) * 1e-3))  # basis determinant 1e-18
+def test_oracle_matches_vertex_enumeration(H):
+    value, y = lp_oracle(H)
+    assert abs(value - vertex_enumeration_value(H)) <= 1e-12
+    assert (y >= 0).all() and y.sum() == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.min(H.h @ y) - value) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -342,7 +355,7 @@ def test_oracle_dominance_invariance(seed):
         if len(everything) <= 20:
             break
     r = RateVector(tuple(int(v) for v in rng.integers(1, 10, n)))
-    v_all, _ = lp_oracle(build_payoff(everything, r), limit=20)
+    v_all, _ = lp_oracle(build_payoff(everything, r))
     v_max, _ = lp_oracle(build_payoff(prune_dominated(everything), r))
     assert abs(v_all - v_max) <= 1e-9
 

@@ -1,12 +1,34 @@
+import csv
 import dataclasses
 import json
 import math
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from softsched import ExperimentConfig, load_fixture, run_instance, run_sweep, write_detail, write_results
+from softsched import (
+    ConflictParams,
+    ExperimentConfig,
+    PropagationParams,
+    SolverConfig,
+    accumulate_rates,
+    build_conflict_graph,
+    build_payoff,
+    enumerate_maximal,
+    fp_solve,
+    load_fixture,
+    lp_oracle,
+    route_sessions,
+    run_instance,
+    run_sweep,
+    write_detail,
+    write_results,
+)
 from softsched.cli import main
-from softsched.harness import RESULTS_HEADER
+from softsched.harness import RESULTS_HEADER, _generate_instance
 
 THREE_LINK_FIXTURE = "fixtures/three_link.json"
 
@@ -77,6 +99,24 @@ def test_mode_ordering_invariant_small():
     for (run_id, beta, mode), slots in keyed.items():
         if mode == "soft":
             assert slots <= keyed[(run_id, beta, "coloring")] <= keyed[(run_id, beta, "none")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(run_id=st.integers(0, 10_000), beta=st.integers(0, 30))
+def test_fp_brackets_contain_exact_value_on_routed_instances(run_id, beta):
+    # Paper-default instances (10 nodes, 10 sessions), up to about a hundred
+    # components: far past what an exponential-time exact solver reaches.
+    cfg = ExperimentConfig()
+    params = PropagationParams(alpha=cfg.alpha)
+    nodes, sessions = _generate_instance(cfg, run_id)
+    links, rates = accumulate_rates(route_sessions(nodes, sessions, params), sessions, nodes)
+    g = build_conflict_graph(links, nodes, ConflictParams(float(beta), params))
+    H = build_payoff(enumerate_maximal(g), rates)
+    value, _ = lp_oracle(H)
+    sol = fp_solve(H, SolverConfig(delta=cfg.delta), log_bounds=True)
+    for lower, upper in sol.bounds_log:
+        assert lower <= value + 1e-12
+        assert upper >= value - 1e-12
 
 
 def test_no_schedule_metric_is_exact_ratio():
@@ -215,6 +255,31 @@ def test_cli_exact_solver_matches_fp_on_fixture(tmp_path):
     soft_fp = [l for l in outputs["fp"].split("\n") if ",soft," in l]
     soft_exact = [l for l in outputs["exact"].split("\n") if ",soft," in l]
     assert soft_fp == soft_exact
+
+
+def test_cli_exact_solver_paper_scale_sweep(tmp_path):
+    args = ["--nodes", "10", "--sessions", "10", "--runs", "4", "--solver", "exact"]
+    outputs = []
+    for tag in ("first", "second"):
+        agg = tmp_path / f"{tag}_agg.csv"
+        det = tmp_path / f"{tag}_detail.csv"
+        assert main(args + ["--out", str(agg), "--detail", str(det)]) == 0
+        outputs.append((agg.read_bytes(), det.read_bytes()))
+    assert outputs[0] == outputs[1]
+    with open(tmp_path / "first_detail.csv", newline="") as fh:
+        slots = {(row["run_id"], row["beta_db"], row["mode"]): int(row["slots"])
+                 for row in csv.DictReader(fh)}
+    cases = {(run_id, beta) for run_id, beta, _ in slots}
+    assert len(cases) == 4 * 7
+    for run_id, beta in cases:
+        soft, hard, none = (slots[(run_id, beta, mode)] for mode in ("soft", "coloring", "none"))
+        assert soft <= hard <= none, (run_id, beta, soft, hard, none)
+
+
+def test_import_does_not_load_scipy():
+    # scipy is loaded only by the exact solver; fictitious-play runs never pay for it.
+    code = "import softsched, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_cli_modes_flag(tmp_path):
