@@ -35,8 +35,8 @@ class PayoffMatrix:
         self.h = np.asarray(self.h, dtype=float)
         if self.h.ndim != 2 or 0 in self.h.shape:
             raise ValueError(f"payoff matrix must be a nonempty 2-d array, got {self.h.shape}")
-        if not (self.h >= 0).all():  # also rejects NaN
-            raise ValueError("payoff entries must be nonnegative")
+        if not ((self.h >= 0) & (self.h < math.inf)).all():  # also rejects NaN
+            raise ValueError("payoff entries must be finite and nonnegative")
         if not (self.h > 0).any(axis=1).all():
             raise ValueError("every link (row) needs at least one component containing it")
         if not (self.h > 0).any(axis=0).all():
@@ -83,7 +83,12 @@ class FpState:
 
 @dataclass
 class GameSolution:
-    """Mixed strategies plus a certified bracket on the game value."""
+    """Mixed strategies plus a certified bracket on the game value.
+
+    max(x @ H) is value_upper and min(H @ y) is value_lower. x may come from
+    an earlier iteration than y (see fp_solve); iterations counts up to the
+    last one.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -125,9 +130,16 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
     lowest index on ties). Each accumulator, divided by its own pick count,
     is a one-player payoff profile, so its worst entry bounds the game
     value: min(x_acc) / (k + 1) from below and max(y_acc) / k from above.
-    The solve stops once the bound gap is within delta, which means the
-    returned empirical strategies themselves certify the bracket:
-    min(H @ y) equals value_lower and max(x @ H) equals value_upper.
+    Every iterate's bound holds (Robinson 1951), and the upper one
+    oscillates, so the solve keeps the least upper bound seen so far with
+    the link player's pick counts of its iteration. It stops once that
+    least upper bound is within delta of the current lower bound. x is
+    those saved counts over their iteration number and value_upper their
+    bound; y and value_lower come from the last iteration. So the returned
+    strategies certify the bracket: min(H @ y) equals value_lower and
+    max(x @ H) equals value_upper. bounds_log, when asked for, holds each
+    iteration's own (lower, upper) pair, not the running minimum; state
+    is that of the last iteration.
 
     Both accumulators are updated sparsely. x_acc (one entry per link) is a
     Python list: a picked column adds only its nonzero entries, built on the
@@ -173,6 +185,7 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
 
     k = 0
     converged = False
+    upper_min = math.inf
     i_next = x_acc.index(min(x_acc))
     j_k = 0  # the first maximum of the all-zero y_acc
     while k < cfg.max_iterations:
@@ -188,6 +201,8 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
                 best, best_j = value, j
         j_k = best_j
         upper = best / k
+        if upper < upper_min:
+            upper_min, k_min, row_counts_min = upper, k, row_counts.copy()
         col_counts[j_k] += 1
         entries = col_entries[j_k]
         if entries is None:
@@ -200,7 +215,7 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
         lower = x_acc[i_next] / (k + 1)
         if log is not None:
             log.append((lower, upper))
-        if upper - lower <= cfg.delta:
+        if upper_min - lower <= cfg.delta:
             converged = True
             break
 
@@ -208,10 +223,10 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
     col_counts = np.array(col_counts, dtype=np.int64)
     state = FpState(np.array(x_acc), np.array(y_acc), row_counts, col_counts, k, i_k, j_k)
     return GameSolution(
-        x=row_counts / k,
+        x=np.array(row_counts_min, dtype=np.int64) / k_min,
         y=col_counts / (k + 1),
         value_lower=lower,
-        value_upper=upper,
+        value_upper=upper_min,
         iterations=k,
         converged=converged,
         state=state,

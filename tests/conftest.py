@@ -139,7 +139,11 @@ def first_fit_classes(g: ConflictGraph, order):
 
 
 def fp_reference(H, cfg=None, log_bounds=False):
-    """Fictitious play with dense numpy updates of both accumulators every iteration."""
+    """Fictitious play with dense numpy updates of both accumulators every iteration.
+
+    Stops on the running minimum of the upper bounds, whose iteration's
+    link-player counts give x.
+    """
     cfg = cfg or SolverConfig()
     rows = [np.ascontiguousarray(row) for row in H.h]
     cols = [np.ascontiguousarray(col) for col in H.h.T]
@@ -154,6 +158,7 @@ def fp_reference(H, cfg=None, log_bounds=False):
 
     k = 0
     converged = False
+    upper_min = math.inf
     i_next = x_acc.argmin()
     while k < cfg.max_iterations:
         k += 1
@@ -162,22 +167,24 @@ def fp_reference(H, cfg=None, log_bounds=False):
         y_acc += rows[i_k]
         j_k = y_acc.argmax()
         upper = y_acc[j_k] / k
+        if upper < upper_min:
+            upper_min, k_min, row_counts_min = upper, k, row_counts.copy()
         col_counts[j_k] += 1
         x_acc += cols[j_k]
         i_next = x_acc.argmin()
         lower = x_acc[i_next] / (k + 1)
         if log is not None:
             log.append((float(lower), float(upper)))
-        if upper - lower <= cfg.delta:
+        if upper_min - lower <= cfg.delta:
             converged = True
             break
 
     state = FpState(x_acc, y_acc, row_counts, col_counts, k, int(i_k), int(j_k))
     return GameSolution(
-        x=row_counts / k,
+        x=row_counts_min / k_min,
         y=col_counts / (k + 1),
         value_lower=float(lower),
-        value_upper=float(upper),
+        value_upper=float(upper_min),
         iterations=k,
         converged=converged,
         state=state,

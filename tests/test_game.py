@@ -76,6 +76,13 @@ def test_payoff_rejects_nan_entry():
         PayoffMatrix(np.array([[np.nan, 1.0], [1.0, 1.0]]))
 
 
+def test_payoff_rejects_infinite_entry():
+    # Fictitious play's first upper bound would be inf, never below the
+    # running minimum's start, and inf - inf never closes the bracket.
+    with pytest.raises(ValueError):
+        PayoffMatrix(np.array([[np.inf, 1.0], [1.0, 1.0]]))
+
+
 def test_payoff_rejects_uncovered_link():
     with pytest.raises(ValueError):
         build_payoff([Component((0,))], RateVector((1, 1)))
@@ -119,11 +126,22 @@ def test_fp_strategies_certify_bounds():
     assert np.max(sol.x @ H.h) == pytest.approx(sol.value_upper, abs=1e-12)
 
 
+def test_fp_identity_two_certifies_exact_value():
+    # The upper bound 1/2 of iteration 2 meets the lower bound 1/2 of
+    # iteration 3, although the current upper bound there is 2/3.
+    sol = fp_solve(PayoffMatrix(np.eye(2)), SolverConfig(delta=1e-9), log_bounds=True)
+    assert sol.converged
+    assert sol.iterations == 3
+    assert sol.bounds_log == [(0.5, 1.0), (1 / 3, 0.5), (0.5, 2 / 3)]
+    assert sol.value_lower == sol.value_upper == 0.5
+    assert sol.x.tolist() == sol.y.tolist() == [0.5, 0.5]
+
+
 def test_fp_budget_exhaustion_is_reported_not_raised():
-    sol = fp_solve(PayoffMatrix(np.eye(2)), SolverConfig(delta=1e-9, max_iterations=10))
+    sol = fp_solve(PayoffMatrix(np.eye(3)), SolverConfig(delta=1e-9, max_iterations=10))
     assert not sol.converged
     assert sol.iterations == 10
-    assert sol.value_lower <= 0.5 <= sol.value_upper
+    assert sol.value_lower <= 1 / 3 <= sol.value_upper
 
 
 def test_fp_tie_breaking_lowest_index():
@@ -165,12 +183,16 @@ def test_fp_bracket_always_contains_exact_value(seed):
 
 
 def test_fp_gap_running_minimum_hits_delta():
+    # The solve stops at the first iteration where the least upper bound so
+    # far is within delta of that iteration's lower bound.
     _, _, _, H = random_payoff(123)
     sol = fp_solve(H, SolverConfig(delta=1e-3), log_bounds=True)
-    gaps = [u - l for l, u in sol.bounds_log]
-    running = list(itertools.accumulate(gaps, min))
-    assert running == sorted(running, reverse=True)
-    assert running[-1] <= 1e-3
+    assert sol.value_upper == min(u for _, u in sol.bounds_log)
+    assert sol.value_lower == sol.bounds_log[-1][0]
+    upper_min = itertools.accumulate((u for _, u in sol.bounds_log), min)
+    gaps = [u - l for u, (l, _) in zip(upper_min, sol.bounds_log)]
+    assert all(gap > 1e-3 for gap in gaps[:-1])
+    assert gaps[-1] <= 1e-3
 
 
 def assert_same_solution(got, want):
@@ -226,6 +248,16 @@ def test_fp_matches_dense_reference(H, max_iterations, delta, log_bounds):
     cfg = SolverConfig(delta=delta, max_iterations=max_iterations)
     assert_same_solution(fp_solve(H, cfg, log_bounds=log_bounds),
                          fp_reference(H, cfg, log_bounds=log_bounds))
+
+
+@settings(max_examples=200, deadline=None)
+@given(H=tied_payoffs(), max_iterations=st.integers(1, 300),
+       delta=st.sampled_from([1e-9, 1e-3, 0.05]))
+def test_fp_strategies_certify_bounds_on_random_games(H, max_iterations, delta):
+    # x comes from the iteration of the least upper bound, y from the last one.
+    sol = fp_solve(H, SolverConfig(delta=delta, max_iterations=max_iterations))
+    assert np.max(sol.x @ H.h) == pytest.approx(sol.value_upper, abs=1e-12)
+    assert np.min(H.h @ sol.y) == pytest.approx(sol.value_lower, abs=1e-12)
 
 
 def test_fp_long_rows_match_reference():

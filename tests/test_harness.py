@@ -119,6 +119,23 @@ def test_fp_brackets_contain_exact_value_on_routed_instances(run_id, beta):
         assert upper >= value - 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(n_nodes=st.integers(2, 20), n_sessions=st.integers(1, 12), seed=st.integers(0, 10_000),
+       run_id=st.integers(0, 10_000), alpha=st.floats(2.0, 6.0))
+def test_coloring_never_exceeds_no_reuse_on_random_instances(n_nodes, n_sessions, seed,
+                                                             run_id, alpha):
+    # Routed instances give random conflict graphs and rates; soft <= coloring
+    # is left out because it does not hold on every instance.
+    cfg = ExperimentConfig(
+        n_nodes=n_nodes, n_sessions=min(n_sessions, n_nodes * (n_nodes - 1)), seed=seed,
+        alpha=alpha, beta_min_db=-10.0, beta_max_db=40.0, beta_step_db=10.0,
+        modes=("coloring", "none"),
+    )
+    slots = {(r.beta_db, r.mode): r.slots for r in run_instance(cfg, run_id)}
+    for beta in cfg.beta_values():
+        assert slots[(beta, "coloring")] <= slots[(beta, "none")]
+
+
 def test_no_schedule_metric_is_exact_ratio():
     cfg = small_cfg(runs=3, modes=("none",))
     _, records = run_sweep(cfg)
