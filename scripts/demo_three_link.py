@@ -15,7 +15,6 @@ from softsched import (
     SolverConfig,
     build_payoff,
     coloring_slots,
-    enumerate_components,
     enumerate_maximal,
     extract_schedule,
     fp_solve,
@@ -32,7 +31,6 @@ def main():
     rates = RateVector((3, 1, 2))
 
     print("conflict edges:", sorted(g.edge_set()))
-    print("all components:", [c.members for c in enumerate_components(g)])
     comps = enumerate_maximal(g)
     print("maximal components:", [c.members for c in comps])
 

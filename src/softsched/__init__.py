@@ -9,18 +9,13 @@ from .coloring import Coloring, coloring_slots, greedy_color, no_schedule_slots
 from .components import (
     Component,
     ResourceLimitError,
-    enumerate_components,
     enumerate_maximal,
-    is_independent_set,
-    prune_dominated,
 )
 from .conflict import (
     ConflictGraph,
     ConflictParams,
     build_conflict_graph,
-    interference_adjacent,
     load_conflict_fixture,
-    physically_adjacent,
 )
 from .game import (
     FpState,
@@ -29,7 +24,6 @@ from .game import (
     Schedule,
     ScheduleCheck,
     SolverConfig,
-    bottleneck,
     build_payoff,
     extract_schedule,
     fp_solve,
@@ -57,7 +51,6 @@ from .topology import (
     accumulate_rates,
     generate_nodes,
     load_topology_fixture,
-    received_power_db,
     route_sessions,
 )
 

@@ -1,11 +1,10 @@
 """Topology components: conflict-free link sets and their enumeration.
 
 A component is any set of links that can all be activated in the same slot,
-i.e. an independent set of the conflict graph. Its generation is its
-cardinality. Scheduling only ever needs the maximal components, since a
-component contained in a larger one is dominated in the scheduling game;
-the full generation-by-generation enumeration exists for analysis and for
-cross-checking the direct maximal enumeration.
+i.e. an independent set of the conflict graph. Scheduling only ever needs
+the maximal components, since a component contained in a larger one is
+dominated in the scheduling game, so ``enumerate_maximal`` is the only
+enumerator.
 """
 
 from __future__ import annotations
@@ -33,86 +32,19 @@ class Component:
         if list(self.members) != sorted(set(self.members)):
             raise ValueError(f"members must be sorted and distinct, got {self.members}")
 
-    @property
-    def generation(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, link: int) -> bool:
-        return link in self.members
-
-
-def is_independent_set(g: ConflictGraph, members) -> bool:
-    """True when no two distinct members conflict in g."""
-    members = list(members)
-    return not any(
-        g.adjacency[a, b] for idx, a in enumerate(members) for b in members[idx + 1:]
-    )
-
-
-def _compat_sets(g: ConflictGraph) -> list[frozenset[int]]:
-    # Complement-graph neighbourhoods: links that may share a slot with i.
-    return [
-        frozenset(j for j in range(g.n_links) if j != i and not g.adjacency[i, j])
-        for i in range(g.n_links)
-    ]
-
-
-def enumerate_components(g: ConflictGraph, max_generation: int | None = None,
-                         cap: int = DEFAULT_COMPONENT_CAP) -> list[Component]:
-    """All components of g up to ``max_generation`` links, each exactly once.
-
-    Output is ordered by generation, then lexicographically by member list.
-    Raises ResourceLimitError when more than ``cap`` components would be
-    produced; desk-scale instances stay far below the default cap.
-    """
-    compat = _compat_sets(g)
-    out: list[Component] = []
-    # Each frontier entry carries the candidate extensions above its last
-    # member, so children are generated in lexicographic order directly.
-    frontier: list[tuple[tuple[int, ...], list[int]]] = [
-        ((i,), sorted(j for j in compat[i] if j > i)) for i in range(g.n_links)
-    ]
-    generation = 1
-    while frontier and (max_generation is None or generation <= max_generation):
-        # every frontier entry is itself a component, so overflow is already
-        # certain here; fail before materialising the next generation
-        if len(out) + len(frontier) > cap:
-            raise ResourceLimitError(
-                f"component count exceeds the cap of {cap}; raise the cap to proceed"
-            )
-        out.extend(Component(members) for members, _ in frontier)
-        frontier = [
-            (members + (j,), [j2 for j2 in cands if j2 > j and j2 in compat[j]])
-            for members, cands in frontier
-            for j in cands
-        ]
-        generation += 1
-    return out
-
-
-def prune_dominated(components: list[Component]) -> list[Component]:
-    """Drop every component that is a strict subset of another, keeping order.
-
-    What survives are exactly the maximal elements of the input under set
-    inclusion; applied to a full enumeration these are the maximal
-    independent sets of the conflict graph.
-    """
-    sets = [frozenset(c.members) for c in components]
-    return [
-        comp
-        for k, comp in enumerate(components)
-        if not any(k != other and sets[k] < sets[other] for other in range(len(sets)))
-    ]
-
 
 def enumerate_maximal(g: ConflictGraph, cap: int = DEFAULT_COMPONENT_CAP) -> list[Component]:
     """Maximal components of g, via Bron-Kerbosch with pivoting on the complement graph.
 
     A maximal independent set of the conflict graph is a maximal clique of
-    its complement. Output order is canonical: by generation, then
-    lexicographic, matching prune_dominated(enumerate_components(g)).
+    its complement. Output order is canonical: by size, then lexicographic
+    by member list.
     """
-    compat = _compat_sets(g)
+    # Complement-graph neighbourhoods: links that may share a slot with i.
+    compat = [
+        frozenset(j for j in range(g.n_links) if j != i and not g.adjacency[i, j])
+        for i in range(g.n_links)
+    ]
     found: list[tuple[int, ...]] = []
 
     def expand(chosen: list[int], candidates: set[int], excluded: set[int]):

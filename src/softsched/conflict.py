@@ -8,9 +8,7 @@ transmitters is deliberately not modelled.
 ``build_conflict_graph`` evaluates every pair at once: it computes one L x L
 matrix of received powers (each link's transmitter at each link's receiver)
 and thresholds it against the diagonal, the links' own signals, at
-``beta_db``. The scalar ``physically_adjacent`` and ``interference_adjacent``
-state the same rule one pair at a time and are the reference it is tested
-against.
+``beta_db``.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .topology import Link, Node, PropagationParams, received_power_db
+from .topology import Link, Node, PropagationParams
 
 
 @dataclass(frozen=True)
@@ -78,39 +76,17 @@ class ConflictGraph:
         return frozenset(zip(ii.tolist(), jj.tolist()))
 
 
-def physically_adjacent(a: Link, b: Link) -> bool:
-    """True when the two links share a node (including a link with itself)."""
-    return bool({a.tx, a.rx} & {b.tx, b.rx})
-
-
-def interference_adjacent(a: Link, b: Link, nodes: list[Node],
-                          params: ConflictParams) -> bool:
-    """Margin test for node-disjoint links a and b.
-
-    At b's receiver, a's transmitter is the interferer; at a's receiver, b's
-    transmitter is. The pair conflicts if either desired signal fails to
-    exceed the interference by more than beta_db. Testing both receivers
-    makes the relation symmetric.
-    """
-    p = params.propagation
-    own_b = received_power_db(nodes[b.tx], nodes[b.rx].position, p)
-    other_at_b = received_power_db(nodes[a.tx], nodes[b.rx].position, p)
-    if own_b <= other_at_b + params.beta_db:
-        return True
-    own_a = received_power_db(nodes[a.tx], nodes[a.rx].position, p)
-    other_at_a = received_power_db(nodes[b.tx], nodes[a.rx].position, p)
-    return own_a <= other_at_a + params.beta_db
-
-
 def build_conflict_graph(links: list[Link], nodes: list[Node],
                          params: ConflictParams) -> ConflictGraph:
     """Conflict matrix: shared node or failed interference margin, for all pairs at once.
 
-    ``power[a, b]`` is the power of a's transmitter at b's receiver, computed
-    as in ``received_power_db``, so its diagonal holds each link's own
-    signal. Pair (a, b) fails the margin at b's receiver when
-    ``own[b] <= power[a, b] + beta_db``; testing both receivers makes the
-    matrix symmetric, and raising beta_db can only add conflicts.
+    ``power[a, b]`` is the power in dB of a's transmitter at b's receiver,
+    ``tx_power_db - 10 * alpha * log10(max(d, d_min))`` (the path-loss
+    constant is unity, which cancels in the margin test), so its diagonal
+    holds each link's own signal. Pair (a, b) fails the margin at b's
+    receiver when ``own[b] <= power[a, b] + beta_db``; testing both
+    receivers makes the matrix symmetric, and raising beta_db can only add
+    conflicts.
     """
     if not links:
         raise ValueError("cannot build a conflict graph over an empty link list")

@@ -261,11 +261,6 @@ def supported_rates(H: PayoffMatrix, y: np.ndarray) -> np.ndarray:
     return H.h @ y
 
 
-def bottleneck(H: PayoffMatrix, y: np.ndarray) -> int:
-    """Index of the link with the least supported rate under y, lowest on ties."""
-    return int(np.argmin(supported_rates(H, y)))
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Slot-by-slot component assignment with per-link service counts."""

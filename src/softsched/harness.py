@@ -73,8 +73,15 @@ class ExperimentConfig:
             raise ValueError(f"runs must be at least 1, got {self.runs}")
         if self.n_sessions < 1:
             raise ValueError(f"n_sessions must be at least 1, got {self.n_sessions}")
+        betas = (self.beta_min_db, self.beta_max_db, self.beta_step_db)
+        if not all(math.isfinite(b) for b in betas):
+            raise ValueError(f"beta bounds and step must be finite, got {betas}")
         if not self.beta_step_db > 0:
             raise ValueError(f"beta_step_db must be positive, got {self.beta_step_db}")
+        if self.beta_min_db > self.beta_max_db:
+            raise ValueError(
+                f"beta_min_db {self.beta_min_db} exceeds beta_max_db {self.beta_max_db}"
+            )
         if self.solver not in ("fp", "exact"):
             raise ValueError(f"solver must be 'fp' or 'exact', got {self.solver!r}")
         if self.poisson_mean <= 0:

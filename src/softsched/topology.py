@@ -103,17 +103,6 @@ def generate_nodes(n: int, seed: int) -> list[Node]:
     return [Node(i, (float(x), float(y))) for i, (x, y) in enumerate(coords)]
 
 
-def received_power_db(tx: Node, rx_pos: Position, params: PropagationParams) -> float:
-    """Received power in dB at ``rx_pos`` from transmitter ``tx``.
-
-    tx_power_db - 10 * alpha * log10(max(d, d_min)); the proportionality
-    constant of the path-loss law is unity, which cancels in the dB
-    comparisons the conflict test performs.
-    """
-    d = math.dist(tx.position, rx_pos)
-    return tx.tx_power_db - 10.0 * params.alpha * math.log10(max(d, params.d_min))
-
-
 def _dijkstra(weights: list[list[float]], source: int, sink: int) -> list[int]:
     # Priority = (total d^alpha, hop count, node sequence). The tuple order
     # makes ties deterministic: fewer hops first, then the lexicographically

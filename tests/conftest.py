@@ -1,4 +1,5 @@
-"""Shared helpers: the canonical three-link instance and brute-force oracles."""
+"""Shared helpers: the canonical three-link instance and the simple reference
+implementations that the library's fast paths are tested against."""
 
 import heapq
 import itertools
@@ -9,14 +10,16 @@ import pytest
 
 from softsched import (
     ConflictGraph,
+    ConflictParams,
     FpState,
     GameSolution,
+    Link,
+    Node,
+    PropagationParams,
     RateVector,
     Schedule,
     ScheduleCheck,
     SolverConfig,
-    interference_adjacent,
-    physically_adjacent,
 )
 
 # Three links where link 0 is compatible with both others but links 1 and 2
@@ -48,13 +51,11 @@ def independent_in(adj: np.ndarray, members) -> bool:
     )
 
 
-def brute_force_components(g: ConflictGraph, max_generation=None):
+def brute_force_components(g: ConflictGraph):
     """Every nonempty independent set, by sweeping all 2^L subsets."""
     out = []
     for mask in range(1, 2 ** g.n_links):
         members = tuple(i for i in range(g.n_links) if mask >> i & 1)
-        if max_generation is not None and len(members) > max_generation:
-            continue
         if independent_in(g.adjacency, members):
             out.append(members)
     out.sort(key=lambda m: (len(m), m))
@@ -111,6 +112,41 @@ def vertex_enumeration_value(H):
     if best == -math.inf:
         raise RuntimeError("no feasible vertex found; payoff matrix is malformed")
     return best * scale
+
+
+def received_power_db(tx: Node, rx_pos, params: PropagationParams) -> float:
+    """Received power in dB at ``rx_pos`` from transmitter ``tx``.
+
+    tx_power_db - 10 * alpha * log10(max(d, d_min)); the proportionality
+    constant of the path-loss law is unity, which cancels in the dB
+    comparisons the conflict test performs.
+    """
+    d = math.dist(tx.position, rx_pos)
+    return tx.tx_power_db - 10.0 * params.alpha * math.log10(max(d, params.d_min))
+
+
+def physically_adjacent(a: Link, b: Link) -> bool:
+    """True when the two links share a node (including a link with itself)."""
+    return bool({a.tx, a.rx} & {b.tx, b.rx})
+
+
+def interference_adjacent(a: Link, b: Link, nodes: list[Node],
+                          params: ConflictParams) -> bool:
+    """Margin test for node-disjoint links a and b.
+
+    At b's receiver, a's transmitter is the interferer; at a's receiver, b's
+    transmitter is. The pair conflicts if either desired signal fails to
+    exceed the interference by more than beta_db. Testing both receivers
+    makes the relation symmetric.
+    """
+    p = params.propagation
+    own_b = received_power_db(nodes[b.tx], nodes[b.rx].position, p)
+    other_at_b = received_power_db(nodes[a.tx], nodes[b.rx].position, p)
+    if own_b <= other_at_b + params.beta_db:
+        return True
+    own_a = received_power_db(nodes[a.tx], nodes[a.rx].position, p)
+    other_at_a = received_power_db(nodes[b.tx], nodes[a.rx].position, p)
+    return own_a <= other_at_a + params.beta_db
 
 
 def pairwise_conflict_graph(links, nodes, params) -> ConflictGraph:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from softsched import (
+    Component,
     ConflictParams,
     ExperimentConfig,
     PropagationParams,
@@ -20,7 +21,6 @@ from softsched import (
     build_conflict_graph,
     build_payoff,
     coloring_slots,
-    enumerate_components,
     enumerate_maximal,
     extract_schedule,
     fp_solve,
@@ -28,7 +28,6 @@ from softsched import (
     load_fixture,
     lp_oracle,
     no_schedule_slots,
-    prune_dominated,
     route_sessions,
     run_instance,
     run_sweep,
@@ -37,7 +36,13 @@ from softsched import (
 from softsched.cli import main
 from softsched.harness import _generate_instance
 
-from conftest import THREE_LINK_RATES, brute_force_maximal, random_conflict_graph, three_link_graph
+from conftest import (
+    THREE_LINK_RATES,
+    brute_force_components,
+    brute_force_maximal,
+    random_conflict_graph,
+    three_link_graph,
+)
 
 THREE_LINK_FIXTURE = "fixtures/three_link.json"
 
@@ -109,12 +114,13 @@ def test_criterion_3_dominated_components_do_not_matter():
     while done < 100:
         n = int(rng.integers(2, 6))
         g = random_conflict_graph(rng, n, float(rng.uniform(0.2, 0.9)))
-        everything = enumerate_components(g)
+        everything = [Component(m) for m in brute_force_components(g)]
         if len(everything) > 16:
             continue
         r = RateVector(tuple(int(v) for v in rng.integers(1, 10, n)))
+        maximal = [Component(m) for m in brute_force_maximal(g)]
         v_all, _ = lp_oracle(build_payoff(everything, r))
-        v_max, _ = lp_oracle(build_payoff(prune_dominated(everything), r))
+        v_max, _ = lp_oracle(build_payoff(maximal, r))
         worst = max(worst, abs(v_all - v_max))
         assert abs(v_all - v_max) <= 1e-9
         done += 1

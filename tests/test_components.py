@@ -3,82 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softsched import (
-    Component,
-    ConflictGraph,
-    ResourceLimitError,
-    enumerate_components,
-    enumerate_maximal,
-    is_independent_set,
-    prune_dominated,
-)
+from softsched import Component, ConflictGraph, ResourceLimitError, enumerate_maximal
 
-from conftest import (
-    brute_force_components,
-    brute_force_maximal,
-    random_conflict_graph,
-    three_link_graph,
-)
+from conftest import brute_force_maximal, independent_in, random_conflict_graph, three_link_graph
 
 
 def members(comps):
     return [c.members for c in comps]
 
 
-def test_three_link_full_enumeration():
-    comps = enumerate_components(three_link_graph())
-    assert members(comps) == [(0,), (1,), (2,), (0, 1), (0, 2)]
-    assert [c.generation for c in comps] == [1, 1, 1, 2, 2]
-
-
 def test_complete_graph_only_singletons():
     g = ConflictGraph(3, np.ones((3, 3), dtype=bool))
-    assert members(enumerate_components(g)) == [(0,), (1,), (2,)]
     assert members(enumerate_maximal(g)) == [(0,), (1,), (2,)]
 
 
-def test_conflict_free_graph_gives_power_set():
-    g = ConflictGraph.from_pairs(3, [])
-    comps = enumerate_components(g)
-    assert len(comps) == 7
-    assert members(comps) == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
-
-
-def test_generation_cutoff():
-    g = ConflictGraph.from_pairs(3, [])
-    assert len(enumerate_components(g, max_generation=2)) == 6
-    assert len(enumerate_components(g, max_generation=1)) == 3
-
-
 def test_component_cap_is_enforced():
-    g = ConflictGraph.from_pairs(10, [])
-    with pytest.raises(ResourceLimitError, match="13"):
-        enumerate_components(g, cap=13)
     with pytest.raises(ResourceLimitError, match="4"):
         enumerate_maximal(ConflictGraph(6, np.ones((6, 6), dtype=bool)), cap=4)
-
-
-def test_prune_three_link():
-    comps = enumerate_components(three_link_graph())
-    assert members(prune_dominated(comps)) == [(0, 1), (0, 2)]
-
-
-def test_prune_keeps_maximal_singletons():
-    g = ConflictGraph(3, np.ones((3, 3), dtype=bool))
-    comps = enumerate_components(g)
-    assert prune_dominated(comps) == comps
-
-
-def test_prune_is_idempotent():
-    comps = enumerate_components(three_link_graph())
-    once = prune_dominated(comps)
-    assert prune_dominated(once) == once
-
-
-def test_prune_arbitrary_input_order():
-    # Dominated entries go regardless of where their parents sit in the list.
-    comps = [Component((0, 1)), Component((0,)), Component((2,)), Component((0, 2))]
-    assert members(prune_dominated(comps)) == [(0, 1), (0, 2)]
 
 
 def test_maximal_three_link():
@@ -116,17 +57,6 @@ def test_maximal_matches_brute_force(n, p, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n=st.integers(min_value=1, max_value=8),
-    p=st.floats(min_value=0.0, max_value=1.0),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-def test_full_enumeration_matches_brute_force(n, p, seed):
-    g = random_conflict_graph(np.random.default_rng(seed), n, p)
-    assert members(enumerate_components(g)) == brute_force_components(g)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
     n=st.integers(min_value=1, max_value=9),
     p=st.floats(min_value=0.0, max_value=1.0),
     seed=st.integers(min_value=0, max_value=10_000),
@@ -136,21 +66,11 @@ def test_maximal_are_independent_and_maximal(n, p, seed):
     maximal = enumerate_maximal(g)
     covered = set()
     for comp in maximal:
-        assert is_independent_set(g, comp.members)
+        assert independent_in(g.adjacency, comp.members)
         covered.update(comp.members)
         outside = set(range(n)) - set(comp.members)
         for extra in outside:
-            assert not is_independent_set(g, comp.members + (extra,))
+            assert not independent_in(g.adjacency, comp.members + (extra,))
     # every link sits in at least one maximal component
     assert covered == set(range(n))
 
-
-@settings(max_examples=30, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=8),
-    p=st.floats(min_value=0.0, max_value=1.0),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-def test_maximal_equals_pruned_full_enumeration(n, p, seed):
-    g = random_conflict_graph(np.random.default_rng(seed), n, p)
-    assert enumerate_maximal(g) == prune_dominated(enumerate_components(g))

@@ -16,14 +16,17 @@ from softsched import (
     accumulate_rates,
     build_conflict_graph,
     generate_nodes,
-    interference_adjacent,
     load_conflict_fixture,
-    physically_adjacent,
-    received_power_db,
     route_sessions,
 )
 
-from conftest import pairwise_conflict_graph, three_link_graph
+from conftest import (
+    interference_adjacent,
+    pairwise_conflict_graph,
+    physically_adjacent,
+    received_power_db,
+    three_link_graph,
+)
 
 
 def _link(lid, tx, rx, nodes):

@@ -12,20 +12,19 @@ from softsched import (
     RateVector,
     Schedule,
     SolverConfig,
-    bottleneck,
     build_payoff,
-    enumerate_components,
     enumerate_maximal,
     extract_schedule,
     fp_solve,
     lp_oracle,
-    prune_dominated,
     supported_rates,
     verify_schedule,
 )
 
 from conftest import (
     THREE_LINK_RATES,
+    brute_force_components,
+    brute_force_maximal,
     extract_schedule_reference,
     fp_reference,
     random_conflict_graph,
@@ -383,12 +382,13 @@ def test_oracle_dominance_invariance(seed):
     while True:
         n = int(rng.integers(2, 6))
         g = random_conflict_graph(rng, n, float(rng.uniform(0.3, 0.9)))
-        everything = enumerate_components(g)
+        everything = [Component(m) for m in brute_force_components(g)]
         if len(everything) <= 20:
             break
     r = RateVector(tuple(int(v) for v in rng.integers(1, 10, n)))
+    maximal = [Component(m) for m in brute_force_maximal(g)]
     v_all, _ = lp_oracle(build_payoff(everything, r))
-    v_max, _ = lp_oracle(build_payoff(prune_dominated(everything), r))
+    v_max, _ = lp_oracle(build_payoff(maximal, r))
     assert abs(v_all - v_max) <= 1e-9
 
 
@@ -418,14 +418,6 @@ def test_supported_rates_unit_mass_selects_column():
 def test_supported_rates_dimension_mismatch():
     with pytest.raises(ValueError):
         supported_rates(three_link_payoff(), np.array([1.0]))
-
-
-def test_bottleneck_three_link():
-    H = three_link_payoff()
-    assert bottleneck(H, np.array([1.0, 0.0])) == 2
-    # three-way tie at the optimum resolves to the lowest index
-    assert bottleneck(H, np.array([1 / 3, 2 / 3])) == 0
-    assert bottleneck(PayoffMatrix(np.array([[0.5]])), np.array([1.0])) == 0
 
 
 # ---------------------------------------------------------------- schedules

@@ -186,6 +186,16 @@ def test_config_validation():
         ExperimentConfig(modes=())
     with pytest.raises(ValueError):
         ExperimentConfig(n_sessions=0)
+    # Non-finite beta settings made beta_values() append forever, and a
+    # reversed range made a sweep with no beta at all.
+    for bounds in (
+        dict(beta_min_db=math.nan), dict(beta_min_db=-math.inf),
+        dict(beta_max_db=math.inf), dict(beta_max_db=math.nan),
+        dict(beta_step_db=math.inf), dict(beta_step_db=math.nan),
+        dict(beta_min_db=10.0, beta_max_db=0.0),
+    ):
+        with pytest.raises(ValueError, match="beta"):
+            ExperimentConfig(**bounds)
 
 
 def test_modes_canonicalized():
@@ -338,6 +348,14 @@ def test_cli_error_exit_nonzero(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "error" in err
+    assert not out.exists()
+
+
+def test_cli_rejects_reversed_beta_range(tmp_path, capsys):
+    out = tmp_path / "agg.csv"
+    code = main(["--beta-min", "10", "--beta-max", "0", "--runs", "1", "--out", str(out)])
+    assert code == 1
+    assert "beta_min_db 10.0 exceeds beta_max_db 0.0" in capsys.readouterr().err
     assert not out.exists()
 
 

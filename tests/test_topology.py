@@ -14,11 +14,10 @@ from softsched import (
     accumulate_rates,
     generate_nodes,
     load_topology_fixture,
-    received_power_db,
     route_sessions,
 )
 
-from conftest import dijkstra_reference
+from conftest import dijkstra_reference, received_power_db
 
 
 def test_generate_nodes_in_unit_square():
