@@ -15,7 +15,6 @@ from .conflict import (
     ConflictGraph,
     ConflictParams,
     build_conflict_graph,
-    load_conflict_fixture,
 )
 from .game import (
     FpState,
@@ -50,7 +49,6 @@ from .topology import (
     Session,
     accumulate_rates,
     generate_nodes,
-    load_topology_fixture,
     route_sessions,
 )
 

@@ -23,6 +23,7 @@ _DEFAULTS = ExperimentConfig()
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Flags that set an ExperimentConfig field store into that field's name."""
     p = argparse.ArgumentParser(
         prog="softsched",
         description=(
@@ -30,29 +31,32 @@ def build_parser() -> argparse.ArgumentParser:
             "matrix game, benchmarked against greedy coloring and no scheduling."
         ),
     )
-    p.add_argument("--nodes", type=int, help=f"network size (default {_DEFAULTS.n_nodes})")
-    p.add_argument("--sessions", type=int,
+    p.add_argument("--nodes", type=int, dest="n_nodes",
+                   help=f"network size (default {_DEFAULTS.n_nodes})")
+    p.add_argument("--sessions", type=int, dest="n_sessions",
                    help=f"source-sink session count (default {_DEFAULTS.n_sessions})")
-    p.add_argument("--beta-min", type=float,
+    p.add_argument("--beta-min", type=float, dest="beta_min_db",
                    help=f"sweep start, dB (default {_DEFAULTS.beta_min_db})")
-    p.add_argument("--beta-max", type=float,
+    p.add_argument("--beta-max", type=float, dest="beta_max_db",
                    help=f"sweep end, dB (default {_DEFAULTS.beta_max_db})")
-    p.add_argument("--beta-step", type=float,
+    p.add_argument("--beta-step", type=float, dest="beta_step_db",
                    help=f"sweep step, dB (default {_DEFAULTS.beta_step_db})")
-    p.add_argument("--alpha", type=float,
+    p.add_argument("--alpha", type=float, dest="alpha",
                    help=f"attenuation exponent (default {_DEFAULTS.alpha})")
-    p.add_argument("--poisson-mean", type=float,
+    p.add_argument("--poisson-mean", type=float, dest="poisson_mean",
                    help=f"mean packets per session (default {_DEFAULTS.poisson_mean})")
-    p.add_argument("--runs", type=int,
+    p.add_argument("--runs", type=int, dest="runs",
                    help=f"independent replications (default {_DEFAULTS.runs})")
-    p.add_argument("--seed", type=int, help=f"root RNG seed (default {_DEFAULTS.seed})")
-    p.add_argument("--solver", choices=["fp", "exact"],
+    p.add_argument("--seed", type=int, dest="seed",
+                   help=f"root RNG seed (default {_DEFAULTS.seed})")
+    p.add_argument("--solver", choices=["fp", "exact"], dest="solver",
                    help="game solver: fictitious play or the exact linear program (HiGHS)")
-    p.add_argument("--delta", type=float,
+    p.add_argument("--delta", type=float, dest="delta",
                    help=f"fictitious-play convergence gap (default {_DEFAULTS.delta})")
-    p.add_argument("--max-iters", type=int, dest="max_iters",
+    p.add_argument("--max-iters", type=int, dest="max_iterations",
                    help=f"fictitious-play iteration budget (default {_DEFAULTS.max_iterations})")
-    p.add_argument("--modes", help="comma-separated subset of soft,coloring,none")
+    p.add_argument("--modes", type=lambda s: tuple(filter(None, map(str.strip, s.split(",")))),
+                   dest="modes", help="comma-separated subset of soft,coloring,none")
     p.add_argument("--fixture", help="topology or conflict-graph fixture file; bypasses generation")
     p.add_argument("--config", help="JSON file with ExperimentConfig fields; flags override it")
     p.add_argument("--out", default="results.csv", help="aggregated CSV path (default results.csv)")
@@ -60,40 +64,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_FLAG_TO_FIELD = {
-    "nodes": "n_nodes",
-    "sessions": "n_sessions",
-    "beta_min": "beta_min_db",
-    "beta_max": "beta_max_db",
-    "beta_step": "beta_step_db",
-    "alpha": "alpha",
-    "poisson_mean": "poisson_mean",
-    "runs": "runs",
-    "seed": "seed",
-    "solver": "solver",
-    "delta": "delta",
-    "max_iters": "max_iterations",
-}
-
-
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    names = [f.name for f in dataclasses.fields(ExperimentConfig)]
     values = {}
     if args.config:
         with open(args.config) as fh:
-            loaded = json.load(fh)
-        known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        unknown = sorted(set(loaded) - known)
+            values = json.load(fh)
+        unknown = sorted(set(values) - set(names))
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {unknown}")
-        values.update(loaded)
-    for flag, field_name in _FLAG_TO_FIELD.items():
-        flag_value = getattr(args, flag)
-        if flag_value is not None:
-            values[field_name] = flag_value
-    if args.modes is not None:
-        values["modes"] = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    if "modes" in values:
-        values["modes"] = tuple(values["modes"])
+    values.update((n, getattr(args, n)) for n in names if getattr(args, n) is not None)
     return ExperimentConfig(**values)
 
 

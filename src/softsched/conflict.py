@@ -13,7 +13,6 @@ and thresholds it against the diagonal, the links' own signals, at
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -106,36 +105,3 @@ def build_conflict_graph(links: list[Link], nodes: list[Node],
     )
     return ConflictGraph(len(links), shared_node | margin_fails | margin_fails.T)
 
-
-def load_conflict_fixture(path) -> tuple[ConflictGraph, tuple[int, ...] | None]:
-    """Read a conflict fixture: {"n_links": L, "conflicts": [[i,j],...], "rates": [...]}.
-
-    ``rates`` is optional at this level; callers that need demands must check
-    for it. The fixture lets known adjacency structures be injected without
-    any geometry behind them.
-    """
-    with open(path) as fh:
-        data = json.load(fh)
-    try:
-        n_links = int(data["n_links"])
-        pairs = [(int(i), int(j)) for i, j in data["conflicts"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: conflict fixture needs 'n_links' and 'conflicts'") from exc
-    graph = ConflictGraph.from_pairs(n_links, pairs)
-    rates = data.get("rates")
-    if rates is not None:
-        rates = tuple(int(r) for r in rates)
-        if len(rates) != n_links:
-            raise ValueError(f"{path}: {len(rates)} rates for {n_links} links")
-    return graph, rates
-
-
-def is_topology_fixture(path) -> bool:
-    """Distinguish topology fixtures from conflict fixtures by their keys."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if isinstance(data, dict) and "nodes" in data:
-        return True
-    if isinstance(data, dict) and "n_links" in data:
-        return False
-    raise ValueError(f"{path}: neither a topology nor a conflict fixture")

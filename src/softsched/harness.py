@@ -15,20 +15,16 @@ are reproducible and order-independent.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .coloring import coloring_slots, greedy_color, no_schedule_slots
 from .components import enumerate_maximal
-from .conflict import (
-    ConflictGraph,
-    ConflictParams,
-    build_conflict_graph,
-    is_topology_fixture,
-    load_conflict_fixture,
-)
+from .conflict import ConflictGraph, ConflictParams, build_conflict_graph
 from .game import SolverConfig, build_payoff, extract_schedule, fp_solve, lp_oracle, verify_schedule
 from .topology import (
     Node,
@@ -37,19 +33,10 @@ from .topology import (
     Session,
     accumulate_rates,
     generate_nodes,
-    load_topology_fixture,
     route_sessions,
 )
 
 MODE_ORDER = ("soft", "coloring", "none")
-
-RESULTS_HEADER = (
-    "n_nodes,n_sessions,beta_db,mode,runs,mean_avg_slots_per_packet,stderr,mean_gain_vs_coloring"
-)
-DETAIL_HEADER = (
-    "run_id,mode,beta_db,n_nodes,n_sessions,total_packets,total_link_activations,"
-    "slots,avg_slots_per_packet,value_lower,value_upper,fp_iterations,converged"
-)
 
 
 @dataclass(frozen=True)
@@ -84,8 +71,13 @@ class ExperimentConfig:
             )
         if self.solver not in ("fp", "exact"):
             raise ValueError(f"solver must be 'fp' or 'exact', got {self.solver!r}")
-        if self.poisson_mean <= 0:
+        if not self.poisson_mean > 0:
             raise ValueError(f"poisson_mean must be positive, got {self.poisson_mean}")
+        # The solver and path-loss settings are checked where they are defined.
+        SolverConfig(self.delta, self.max_iterations)
+        PropagationParams(alpha=self.alpha)
+        if isinstance(self.modes, str):
+            raise ValueError(f"modes must be a list of mode names, not the string {self.modes!r}")
         bad = [m for m in self.modes if m not in MODE_ORDER]
         if bad or not self.modes:
             raise ValueError(f"modes must be a nonempty subset of {MODE_ORDER}, got {self.modes}")
@@ -117,14 +109,61 @@ class Fixture:
     rates: RateVector | None = None
 
 
+def _count(value, name: str, least: int = 0) -> int:
+    """A fixture's whole-number field, checked rather than rounded."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 or value < least:
+        raise ValueError(f"{name} must be a whole number of at least {least}, got {value!r}")
+    return int(value)
+
+
+def _topology_fixture(data) -> Fixture:
+    nodes = sorted((Node(_count(n["id"], "node id"), (float(n["x"]), float(n["y"])),
+                         float(n.get("tx_power_db", 0.0))) for n in data["nodes"]),
+                   key=lambda n: n.id)
+    if [n.id for n in nodes] != list(range(len(nodes))):
+        raise ValueError("node ids must be dense 0..N-1")
+    for n in nodes:
+        if not (0.0 <= n.position[0] <= 1.0 and 0.0 <= n.position[1] <= 1.0):
+            raise ValueError(f"node {n.id} position {n.position} outside unit square")
+    sessions = [Session(*(_count(s[k], f"session {k}") for k in ("source", "sink", "packets")))
+                for s in data["sessions"]]
+    for s in sessions:
+        if not (0 <= s.source < len(nodes) and 0 <= s.sink < len(nodes)):
+            raise ValueError(f"session {s.source}->{s.sink} references unknown node")
+    return Fixture("topology", nodes=tuple(nodes), sessions=tuple(sessions))
+
+
+def _conflict_fixture(data) -> Fixture:
+    n_links = _count(data["n_links"], "n_links", least=1)
+    pairs = [(_count(i, "conflict pair index"), _count(j, "conflict pair index"))
+             for i, j in data["conflicts"]]
+    rates = tuple(_count(r, "rate", least=1) for r in data["rates"])
+    if len(rates) != n_links:
+        raise ValueError(f"{len(rates)} rates for {n_links} links")
+    return Fixture("conflict", graph=ConflictGraph.from_pairs(n_links, pairs),
+                   rates=RateVector(rates))
+
+
 def load_fixture(path) -> Fixture:
-    if is_topology_fixture(path):
-        nodes, sessions = load_topology_fixture(path)
-        return Fixture("topology", nodes=tuple(nodes), sessions=tuple(sessions))
-    graph, rates = load_conflict_fixture(path)
-    if rates is None:
-        raise ValueError(f"{path}: conflict fixtures used by the harness must carry 'rates'")
-    return Fixture("conflict", graph=graph, rates=RateVector(rates))
+    """Read a fixture file, a topology or a conflict graph told apart by its keys.
+
+    Topology: {"nodes": [{id, x, y, tx_power_db?}], "sessions": [{source, sink, packets}]}.
+    Conflict graph: {"n_links": L, "conflicts": [[i, j], ...], "rates": [L rates]}.
+    Counts must be whole numbers and rates at least 1; a malformed fixture
+    raises ValueError naming the path.
+    """
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+            if "nodes" in data:
+                return _topology_fixture(data)
+            if "n_links" in data:
+                return _conflict_fixture(data)
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    raise ValueError(f"{path}: no 'nodes' (topology fixture) or 'n_links' (conflict fixture)")
 
 
 @dataclass(frozen=True)
@@ -154,6 +193,12 @@ class SweepRow:
     mean_avg_slots_per_packet: float
     stderr: float
     mean_gain_vs_coloring: float | None
+
+
+
+# CSV columns are the dataclass fields, in declaration order.
+RESULTS_HEADER = ",".join(f.name for f in fields(SweepRow))
+DETAIL_HEADER = ",".join(f.name for f in fields(ResultRecord))
 
 
 def _positive_poisson(rng, mean: float) -> int:
@@ -338,7 +383,9 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _write_lines(path, lines):
+def _write_csv(rows, header: str, path) -> None:
+    cells = operator.attrgetter(*header.split(","))
+    lines = [header, *(",".join(map(_csv_cell, cells(row))) for row in rows)]
     try:
         with open(path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -348,33 +395,9 @@ def _write_lines(path, lines):
 
 def write_results(table: list[SweepRow], path) -> None:
     """Aggregated CSV: LF line endings, '.' decimals, 9 significant digits."""
-    lines = [RESULTS_HEADER]
-    for row in table:
-        lines.append(
-            ",".join(
-                _csv_cell(v)
-                for v in (
-                    row.n_nodes, row.n_sessions, row.beta_db, row.mode, row.runs,
-                    row.mean_avg_slots_per_packet, row.stderr, row.mean_gain_vs_coloring,
-                )
-            )
-        )
-    _write_lines(path, lines)
+    _write_csv(table, RESULTS_HEADER, path)
 
 
 def write_detail(records: list[ResultRecord], path) -> None:
     """Optional per-run CSV with the raw metric numerators and denominators."""
-    lines = [DETAIL_HEADER]
-    for rec in records:
-        lines.append(
-            ",".join(
-                _csv_cell(v)
-                for v in (
-                    rec.run_id, rec.mode, rec.beta_db, rec.n_nodes, rec.n_sessions,
-                    rec.total_packets, rec.total_link_activations, rec.slots,
-                    rec.avg_slots_per_packet, rec.value_lower, rec.value_upper,
-                    rec.fp_iterations, rec.converged,
-                )
-            )
-        )
-    _write_lines(path, lines)
+    _write_csv(records, DETAIL_HEADER, path)

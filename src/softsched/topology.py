@@ -9,7 +9,6 @@ needs to forward all packets routed through it.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
 
@@ -173,30 +172,3 @@ def accumulate_rates(paths: list[list[int]], sessions: list[Session],
     ]
     return links, RateVector(tuple(totals[key] for key in order))
 
-
-def load_topology_fixture(path) -> tuple[list[Node], list[Session]]:
-    """Read a topology fixture: {"nodes": [{id,x,y,tx_power_db}], "sessions": [...]}."""
-    with open(path) as fh:
-        data = json.load(fh)
-    try:
-        raw_nodes = data["nodes"]
-        raw_sessions = data["sessions"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: topology fixture needs 'nodes' and 'sessions'") from exc
-    nodes = [
-        Node(int(n["id"]), (float(n["x"]), float(n["y"])), float(n.get("tx_power_db", 0.0)))
-        for n in raw_nodes
-    ]
-    nodes.sort(key=lambda n: n.id)
-    if [n.id for n in nodes] != list(range(len(nodes))):
-        raise ValueError(f"{path}: node ids must be dense 0..N-1")
-    for n in nodes:
-        if not (0.0 <= n.position[0] <= 1.0 and 0.0 <= n.position[1] <= 1.0):
-            raise ValueError(f"{path}: node {n.id} position {n.position} outside unit square")
-    sessions = [
-        Session(int(s["source"]), int(s["sink"]), int(s["packets"])) for s in raw_sessions
-    ]
-    for s in sessions:
-        if not (0 <= s.source < len(nodes)) or not (0 <= s.sink < len(nodes)):
-            raise ValueError(f"{path}: session {s.source}->{s.sink} references unknown node")
-    return nodes, sessions

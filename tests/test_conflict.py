@@ -12,11 +12,12 @@ from softsched import (
     Link,
     Node,
     PropagationParams,
+    RateVector,
     Session,
     accumulate_rates,
     build_conflict_graph,
     generate_nodes,
-    load_conflict_fixture,
+    load_fixture,
     route_sessions,
 )
 
@@ -243,11 +244,13 @@ def test_graph_equals_pairwise_reference_on_routed_instances():
 
 def test_conflict_fixture_roundtrip(tmp_path):
     g = three_link_graph()
-    doc = {"n_links": g.n_links, "conflicts": [list(e) for e in sorted(g.edge_set())]}
+    doc = {"n_links": g.n_links, "conflicts": [list(e) for e in sorted(g.edge_set())],
+           "rates": [3, 1, 2]}
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(doc))
-    loaded, rates = load_conflict_fixture(path)
-    assert rates is None
+    fixture = load_fixture(path)
+    assert fixture.kind == "conflict"
+    loaded = fixture.graph
     assert loaded.n_links == g.n_links
     assert loaded.edge_set() == g.edge_set()
     assert np.array_equal(loaded.adjacency, g.adjacency)
@@ -256,24 +259,27 @@ def test_conflict_fixture_roundtrip(tmp_path):
 def test_conflict_fixture_with_rates(tmp_path):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps({"n_links": 2, "conflicts": [[0, 1]], "rates": [4, 2]}))
-    _, rates = load_conflict_fixture(path)
-    assert rates == (4, 2)
+    assert load_fixture(path).rates == RateVector((4, 2))
 
 
 @pytest.mark.parametrize(
-    "doc",
+    "doc",  # (fixture document, expected error message)
     [
-        {"n_links": 2, "conflicts": [[0, 2]]},            # index out of range
-        {"n_links": 2, "conflicts": [[1, 1]]},            # self pair
-        {"n_links": 3, "conflicts": [[0, 1]], "rates": [1, 2]},  # rate length mismatch
-        {"conflicts": []},                                 # missing n_links
+        ({"n_links": 2, "conflicts": [[0, 2]], "rates": [1, 1]},
+         r"bad conflict pair \(0, 2\)"),                  # index out of range
+        ({"n_links": 2, "conflicts": [[1, 1]], "rates": [1, 1]},
+         r"bad conflict pair \(1, 1\)"),                  # self pair
+        ({"n_links": 3, "conflicts": [[0, 1]], "rates": [1, 2]},
+         "2 rates for 3 links"),                           # rate length mismatch
+        ({"conflicts": [], "rates": [1]}, "'n_links'"),    # missing n_links
     ],
 )
 def test_conflict_fixture_validation(tmp_path, doc):
+    document, message = doc
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
-        load_conflict_fixture(path)
+    path.write_text(json.dumps(document))
+    with pytest.raises(ValueError, match=message):
+        load_fixture(path)
 
 
 def test_adjacency_must_be_symmetric():

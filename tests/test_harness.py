@@ -28,9 +28,10 @@ from softsched import (
     write_results,
 )
 from softsched.cli import main
-from softsched.harness import RESULTS_HEADER, _generate_instance
+from softsched.harness import DETAIL_HEADER, RESULTS_HEADER, _generate_instance
 
 THREE_LINK_FIXTURE = "fixtures/three_link.json"
+RELAY_FIXTURE = "fixtures/relay_topology.json"  # three collinear nodes, one 0->2 session
 
 
 def small_cfg(**overrides):
@@ -54,18 +55,8 @@ def test_three_link_fixture_slot_counts():
     assert by_mode["coloring"].value_lower is None
 
 
-def test_topology_fixture_keeps_beta_sweep(tmp_path):
-    doc = {
-        "nodes": [
-            {"id": 0, "x": 0.0, "y": 0.0},
-            {"id": 1, "x": 0.5, "y": 0.0},
-            {"id": 2, "x": 1.0, "y": 0.0},
-        ],
-        "sessions": [{"source": 0, "sink": 2, "packets": 2}],
-    }
-    path = tmp_path / "topo.json"
-    path.write_text(json.dumps(doc))
-    fixture = load_fixture(path)
+def test_topology_fixture_keeps_beta_sweep():
+    fixture = load_fixture(RELAY_FIXTURE)
     assert fixture.kind == "topology"
     cfg = small_cfg(runs=1)
     records = run_instance(cfg, 0, fixture)
@@ -196,6 +187,18 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError, match="beta"):
             ExperimentConfig(**bounds)
+    # NaN passed a `<= 0` test and failed in numpy at run 0; the solver and
+    # path-loss settings were not checked until a run needed them, and never
+    # when no mode used them.
+    for bad, message in (
+        (dict(poisson_mean=math.nan), "poisson_mean"),
+        (dict(delta=-1.0, modes=("coloring",)), "delta"),
+        (dict(max_iterations=0, modes=("none",)), "max_iterations"),
+        (dict(alpha=math.nan), "alpha"),
+        (dict(modes="none"), "string 'none'"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**bad)
 
 
 def test_modes_canonicalized():
@@ -359,8 +362,82 @@ def test_cli_rejects_reversed_beta_range(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, config, message",
+    [
+        (["--delta", "-1", "--modes", "coloring"], None, "delta must be positive"),
+        (["--poisson-mean", "nan"], None, "poisson_mean must be positive"),
+        ([], {"modes": "none"}, "not the string 'none'"),
+    ],
+)
+def test_cli_rejects_bad_settings_before_running(tmp_path, capsys, args, config, message):
+    out = tmp_path / "agg.csv"
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        args = args + ["--config", str(cfg_path)]
+    assert main(args + ["--runs", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "run 0" not in err
+    assert not out.exists()
+
+
 def test_cli_rejects_bad_fixture(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n_links": 2, "conflicts": []}))  # no rates
     assert main(["--fixture", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
     assert "rates" in capsys.readouterr().err
+
+
+_THREE_NODES = [{"id": 0, "x": 0.0, "y": 0.0}, {"id": 1, "x": 0.5, "y": 0.0},
+                {"id": 2, "x": 1.0, "y": 0.0}]
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        # int() used to truncate these, and the run went ahead on the rounded instance.
+        ({"n_links": 2, "conflicts": [], "rates": [1.7, 2]}, "rate must be"),
+        ({"nodes": _THREE_NODES, "sessions": [{"source": 0, "sink": 2, "packets": 2.5}]},
+         "session packets must be"),
+        ({"nodes": _THREE_NODES[:2] + [{"id": 2.5, "x": 1.0, "y": 0.0}], "sessions": []},
+         "node id must be"),
+        ({"nodes": _THREE_NODES, "sessions": [{"source": 0.5, "sink": 2, "packets": 1}]},
+         "session source must be"),
+        ({"nodes": _THREE_NODES, "sessions": [{"source": 0, "sink": 2.5, "packets": 1}]},
+         "session sink must be"),
+        # Rates below 1 used to stop the sweep at run 0, with a division by
+        # zero when every rate was 0.
+        ({"n_links": 3, "conflicts": [[1, 2]], "rates": [3, 0, 2]}, "rate must be"),
+        ({"n_links": 2, "conflicts": [], "rates": [0, 0]}, "rate must be"),
+        # A missing field used to surface as a bare KeyError naming neither file nor field.
+        ({"nodes": [{"id": 0, "y": 0.0}], "sessions": []}, "missing field 'x'"),
+        ({"nodes": _THREE_NODES, "sessions": [{"source": 0, "sink": 2}]},
+         "missing field 'packets'"),
+    ],
+)
+def test_cli_rejects_fixture_with_bad_field(tmp_path, capsys, doc, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "agg.csv"
+    assert main(["--fixture", str(bad), "--modes", "coloring,none", "--runs", "1",
+                 "--beta-max", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and field in err
+    assert not out.exists()
+    with pytest.raises(ValueError, match=field):
+        load_fixture(bad)
+
+
+def test_csv_headers_are_pinned():
+    # The headers come from the SweepRow and ResultRecord fields; renaming a
+    # field must not change the public CSV unnoticed.
+    assert RESULTS_HEADER == (
+        "n_nodes,n_sessions,beta_db,mode,runs,mean_avg_slots_per_packet,stderr,"
+        "mean_gain_vs_coloring"
+    )
+    assert DETAIL_HEADER == (
+        "run_id,mode,beta_db,n_nodes,n_sessions,total_packets,total_link_activations,"
+        "slots,avg_slots_per_packet,value_lower,value_upper,fp_iterations,converged"
+    )

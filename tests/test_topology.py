@@ -13,7 +13,7 @@ from softsched import (
     Session,
     accumulate_rates,
     generate_nodes,
-    load_topology_fixture,
+    load_fixture,
     route_sessions,
 )
 
@@ -233,25 +233,31 @@ def test_topology_fixture_roundtrip(tmp_path):
     }
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(doc))
-    nodes, sessions = load_topology_fixture(path)
-    assert nodes == [Node(0, (0.1, 0.2), 0.0), Node(1, (0.9, 0.4), 3.0)]
-    assert sessions == [Session(0, 1, 5)]
+    fixture = load_fixture(path)
+    assert fixture.kind == "topology"
+    assert fixture.nodes == (Node(0, (0.1, 0.2), 0.0), Node(1, (0.9, 0.4), 3.0))
+    assert fixture.sessions == (Session(0, 1, 5),)
 
 
 @pytest.mark.parametrize(
-    "doc",
+    "doc",  # (fixture document, expected error message)
     [
-        {"nodes": [{"id": 1, "x": 0.1, "y": 0.2}], "sessions": []},  # ids not dense
-        {"nodes": [{"id": 0, "x": 1.5, "y": 0.2}], "sessions": []},  # off the unit square
-        {"nodes": [{"id": 0, "x": 0.1, "y": 0.2}, {"id": 1, "x": 0.2, "y": 0.3}],
-         "sessions": [{"source": 0, "sink": 0, "packets": 1}]},      # source == sink
-        {"nodes": [{"id": 0, "x": 0.1, "y": 0.2}],
-         "sessions": [{"source": 0, "sink": 4, "packets": 1}]},      # unknown endpoint
-        {"sessions": []},                                            # missing nodes
+        ({"nodes": [{"id": 1, "x": 0.1, "y": 0.2}], "sessions": []},
+         "ids must be dense"),                                       # ids not dense
+        ({"nodes": [{"id": 0, "x": 1.5, "y": 0.2}], "sessions": []},
+         "outside unit square"),                                     # off the unit square
+        ({"nodes": [{"id": 0, "x": 0.1, "y": 0.2}, {"id": 1, "x": 0.2, "y": 0.3}],
+          "sessions": [{"source": 0, "sink": 0, "packets": 1}]},
+         "source and sink must differ"),                             # source == sink
+        ({"nodes": [{"id": 0, "x": 0.1, "y": 0.2}],
+          "sessions": [{"source": 0, "sink": 4, "packets": 1}]},
+         "unknown node"),                                            # unknown endpoint
+        ({"sessions": []}, "no 'nodes'"),                            # missing nodes
     ],
 )
 def test_topology_fixture_validation(tmp_path, doc):
+    document, message = doc
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
-        load_topology_fixture(path)
+    path.write_text(json.dumps(document))
+    with pytest.raises(ValueError, match=message):
+        load_fixture(path)
