@@ -21,7 +21,6 @@ from softsched import (
     greedy_color,
     lp_oracle,
     no_schedule_slots,
-    supported_rates,
     verify_schedule,
 )
 
@@ -41,7 +40,7 @@ def main():
     value, y = lp_oracle(payoff)
     print(f"\nexact game value {value:.6f} -> fractional schedule length {1 / value:.3f}")
     print("exact component usage:", y)
-    print("per-link served fraction:", supported_rates(payoff, y))
+    print("per-link served fraction:", payoff.h @ y)
 
     sol = fp_solve(payoff, SolverConfig(delta=1e-6))
     print(f"\nfictitious play: {sol.iterations} iterations, "

@@ -27,13 +27,13 @@ from .game import (
     extract_schedule,
     fp_solve,
     lp_oracle,
-    supported_rates,
     verify_schedule,
 )
 from .harness import (
     ExperimentConfig,
     Fixture,
     ResultRecord,
+    RunError,
     SweepRow,
     load_fixture,
     run_instance,

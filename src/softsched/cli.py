@@ -70,6 +70,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             values = json.load(fh)
+        if not isinstance(values, dict):
+            raise ValueError(f"{args.config}: expected a JSON object of config fields, "
+                             f"got {type(values).__name__}")
         unknown = sorted(set(values) - set(names))
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {unknown}")

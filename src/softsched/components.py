@@ -40,11 +40,9 @@ def enumerate_maximal(g: ConflictGraph, cap: int = DEFAULT_COMPONENT_CAP) -> lis
     its complement. Output order is canonical: by size, then lexicographic
     by member list.
     """
-    # Complement-graph neighbourhoods: links that may share a slot with i.
-    compat = [
-        frozenset(j for j in range(g.n_links) if j != i and not g.adjacency[i, j])
-        for i in range(g.n_links)
-    ]
+    # Complement-graph neighbourhoods: links that may share a slot with i
+    # (the true diagonal keeps i itself out).
+    compat = [frozenset((~row).nonzero()[0].tolist()) for row in g.adjacency]
     found: list[tuple[int, ...]] = []
 
     def expand(chosen: list[int], candidates: set[int], excluded: set[int]):

@@ -20,6 +20,10 @@ import numpy as np
 
 from .topology import Link, Node, PropagationParams
 
+# Distances are clamped to this, so co-located nodes do not produce an
+# infinite received power.
+D_MIN = 1e-6
+
 
 @dataclass(frozen=True)
 class ConflictParams:
@@ -80,7 +84,7 @@ def build_conflict_graph(links: list[Link], nodes: list[Node],
     """Conflict matrix: shared node or failed interference margin, for all pairs at once.
 
     ``power[a, b]`` is the power in dB of a's transmitter at b's receiver,
-    ``tx_power_db - 10 * alpha * log10(max(d, d_min))`` (the path-loss
+    ``tx_power_db - 10 * alpha * log10(max(d, D_MIN))`` (the path-loss
     constant is unity, which cancels in the margin test), so its diagonal
     holds each link's own signal. Pair (a, b) fails the margin at b's
     receiver when ``own[b] <= power[a, b] + beta_db``; testing both
@@ -93,10 +97,10 @@ def build_conflict_graph(links: list[Link], nodes: list[Node],
     rx = np.array([link.rx for link in links])
     pos = np.array([node.position for node in nodes], dtype=float)
     tx_power = np.array([node.tx_power_db for node in nodes], dtype=float)
-    p = params.propagation
+    alpha = params.propagation.alpha
     gap = pos[rx][None, :, :] - pos[tx][:, None, :]
     dist = np.hypot(gap[..., 0], gap[..., 1])
-    power = tx_power[tx][:, None] - 10.0 * p.alpha * np.log10(np.maximum(dist, p.d_min))
+    power = tx_power[tx][:, None] - 10.0 * alpha * np.log10(np.maximum(dist, D_MIN))
     own = power.diagonal()
     margin_fails = own[None, :] <= power + params.beta_db
     shared_node = (

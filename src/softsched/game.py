@@ -37,8 +37,9 @@ class PayoffMatrix:
             raise ValueError(f"payoff matrix must be a nonempty 2-d array, got {self.h.shape}")
         if not ((self.h >= 0) & (self.h < math.inf)).all():  # also rejects NaN
             raise ValueError("payoff entries must be finite and nonnegative")
-        if not (self.h > 0).any(axis=1).all():
-            raise ValueError("every link (row) needs at least one component containing it")
+        uncovered = np.flatnonzero(~(self.h > 0).any(axis=1)).tolist()
+        if uncovered:
+            raise ValueError(f"links {uncovered} are not covered by any component")
         if not (self.h > 0).any(axis=0).all():
             raise ValueError("every component (column) must contain at least one link")
 
@@ -102,8 +103,6 @@ class GameSolution:
 
 def build_payoff(components: list[Component], r: RateVector) -> PayoffMatrix:
     """Assemble the payoff matrix for the given components and link rates."""
-    if not components:
-        raise ValueError("need at least one component")
     zero_rated = [i for i, rate in enumerate(r.rates) if rate == 0]
     if zero_rated:
         raise ValueError(f"links {zero_rated} have rate 0; payoff entries 1/r are undefined")
@@ -114,9 +113,6 @@ def build_payoff(components: list[Component], r: RateVector) -> PayoffMatrix:
             if not 0 <= i < n_links:
                 raise ValueError(f"component {j} references link {i} outside 0..{n_links - 1}")
             h[i, j] = 1.0 / r[i]
-    uncovered = [i for i in range(n_links) if not h[i].any()]
-    if uncovered:
-        raise ValueError(f"links {uncovered} are not covered by any component")
     return PayoffMatrix(h)
 
 
@@ -251,14 +247,6 @@ def lp_oracle(H: PayoffMatrix) -> tuple[float, np.ndarray]:
         raise RuntimeError(f"HiGHS could not solve the game: {res.message}")
     length = float(res.x.sum())
     return 1.0 / length, res.x / length
-
-
-def supported_rates(H: PayoffMatrix, y: np.ndarray) -> np.ndarray:
-    """Per-link served fraction (Hy)_i: supported rate over required rate."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (H.n_components,):
-        raise ValueError(f"strategy length {y.shape} does not match {H.n_components} components")
-    return H.h @ y
 
 
 @dataclass(frozen=True)

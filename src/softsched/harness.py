@@ -195,7 +195,6 @@ class SweepRow:
     mean_gain_vs_coloring: float | None
 
 
-
 # CSV columns are the dataclass fields, in declaration order.
 RESULTS_HEADER = ",".join(f.name for f in fields(SweepRow))
 DETAIL_HEADER = ",".join(f.name for f in fields(ResultRecord))
@@ -254,16 +253,9 @@ def _soft_slots(g: ConflictGraph, rates: RateVector, cfg: ExperimentConfig):
     return schedule.length, lower, upper, iterations, converged
 
 
-def _mode_records(cfg: ExperimentConfig, run_id: int, beta_db: float, g: ConflictGraph,
-                  rates: RateVector, total_packets: int) -> list[ResultRecord]:
-    base = dict(
-        run_id=run_id,
-        beta_db=beta_db,
-        n_nodes=cfg.n_nodes,
-        n_sessions=cfg.n_sessions,
-        total_packets=total_packets,
-        total_link_activations=rates.total(),
-    )
+def _mode_records(cfg: ExperimentConfig, g: ConflictGraph, rates: RateVector,
+                  **instance) -> list[ResultRecord]:
+    """One record per mode; ``instance`` holds the fields that are the same for every mode."""
     records = []
     for mode in cfg.modes:
         extra = {}
@@ -280,8 +272,9 @@ def _mode_records(cfg: ExperimentConfig, run_id: int, beta_db: float, g: Conflic
         records.append(
             ResultRecord(
                 mode=mode, slots=slots,
-                avg_slots_per_packet=slots / total_packets,
-                **base, **extra,
+                total_link_activations=rates.total(),
+                avg_slots_per_packet=slots / instance["total_packets"],
+                **instance, **extra,
             )
         )
     return records
@@ -289,87 +282,78 @@ def _mode_records(cfg: ExperimentConfig, run_id: int, beta_db: float, g: Conflic
 
 def run_instance(cfg: ExperimentConfig, run_id: int,
                  fixture: Fixture | None = None) -> list[ResultRecord]:
-    """One replication: one record per (beta, mode).
+    """One replication: one record per (beta, mode), betas ascending, modes in MODE_ORDER.
 
-    Deterministic for a fixed (cfg, run_id). A conflict fixture has no
-    geometry, so the beta sweep collapses to a single NaN entry and each
-    link's rate doubles as its packet demand.
+    Deterministic for a fixed (cfg, run_id). Records carry the instance's own
+    node and session counts. A conflict fixture has neither, so both are 0;
+    it has no geometry either, so the beta sweep collapses to a single NaN
+    entry and each link's rate doubles as its packet demand.
     """
-    try:
-        if fixture is not None and fixture.kind == "conflict":
-            rates = fixture.rates
-            return _mode_records(cfg, run_id, math.nan, fixture.graph, rates, rates.total())
+    if fixture is not None and fixture.kind == "conflict":
+        rates = fixture.rates
+        return _mode_records(cfg, fixture.graph, rates, run_id=run_id, beta_db=math.nan,
+                             n_nodes=0, n_sessions=0, total_packets=rates.total())
 
-        if fixture is not None:
-            nodes, sessions = list(fixture.nodes), list(fixture.sessions)
-        else:
-            nodes, sessions = _generate_instance(cfg, run_id)
-        params = PropagationParams(alpha=cfg.alpha)
-        paths = route_sessions(nodes, sessions, params)
-        links, rates = accumulate_rates(paths, sessions, nodes)
-        if not links:
-            raise ValueError("instance carries no traffic; nothing to schedule")
-        total_packets = sum(s.packets for s in sessions)
-        records = []
-        for beta in cfg.beta_values():
-            g = build_conflict_graph(links, nodes, ConflictParams(beta, params))
-            records.extend(_mode_records(cfg, run_id, beta, g, rates, total_packets))
-        return records
-    except Exception as exc:
-        raise type(exc)(f"run {run_id}: {exc}") from exc
+    if fixture is not None:
+        nodes, sessions = list(fixture.nodes), list(fixture.sessions)
+    else:
+        nodes, sessions = _generate_instance(cfg, run_id)
+    params = PropagationParams(alpha=cfg.alpha)
+    paths = route_sessions(nodes, sessions, params)
+    links, rates = accumulate_rates(paths, sessions)
+    if not links:
+        raise ValueError("instance carries no traffic; nothing to schedule")
+    instance = dict(run_id=run_id, n_nodes=len(nodes), n_sessions=len(sessions),
+                    total_packets=sum(s.packets for s in sessions))
+    records = []
+    for beta in cfg.beta_values():
+        g = build_conflict_graph(links, nodes, ConflictParams(beta, params))
+        records.extend(_mode_records(cfg, g, rates, beta_db=beta, **instance))
+    return records
+
+
+class RunError(RuntimeError):
+    """A replication failed; the exception it raised is the ``__cause__``."""
 
 
 def run_sweep(cfg: ExperimentConfig,
               fixture: Fixture | None = None) -> tuple[list[SweepRow], list[ResultRecord]]:
     """All replications plus the aggregated per-(beta, mode) table.
 
-    Aggregation iterates a deterministic ordered list of per-run records, so
-    the table is invariant to how replications would be executed.
+    A failed replication raises RunError naming its run id. Every run emits
+    its records in the same (beta, mode) order, so table row k aggregates
+    every per-run-th record from k: one per run, in run order, which fixes
+    the order of every sum. The soft row's gain pairs it with the next row,
+    coloring at the same beta.
     """
     records: list[ResultRecord] = []
     for run_id in range(cfg.runs):
-        records.extend(run_instance(cfg, run_id, fixture))
+        try:
+            records.extend(run_instance(cfg, run_id, fixture))
+        except Exception as exc:
+            raise RunError(f"run {run_id}: {exc}") from exc
 
-    # One pass groups the records by (beta, mode), each group in record order
-    # so every sum below adds up in the same order. NaN betas (conflict
-    # fixtures) all map to the single key math.nan, which a dict finds by
-    # identity although NaN != NaN.
-    groups: dict[float, dict[str, list[ResultRecord]]] = {}
-    for rec in records:
-        beta = math.nan if math.isnan(rec.beta_db) else rec.beta_db
-        groups.setdefault(beta, {mode: [] for mode in cfg.modes})[rec.mode].append(rec)
-
+    per_run = len(records) // cfg.runs
+    groups = [records[k::per_run] for k in range(per_run)]
     rows = []
-    for beta in sorted(groups, key=lambda b: (math.isnan(b), b)):
-        by_mode = groups[beta]
-        for mode in cfg.modes:
-            values = [rec.avg_slots_per_packet for rec in by_mode[mode]]
-            mean = sum(values) / len(values)
-            if len(values) >= 2:
-                spread = math.sqrt(
-                    sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-                )
-                stderr = spread / math.sqrt(len(values))
-            else:
-                stderr = 0.0
-            gain = None
-            if mode == "soft" and "coloring" in cfg.modes:
-                soft = {rec.run_id: rec.slots for rec in by_mode["soft"]}
-                hard = {rec.run_id: rec.slots for rec in by_mode["coloring"]}
-                gains = [1.0 - soft[rid] / hard[rid] for rid in sorted(soft)]
-                gain = sum(gains) / len(gains)
-            rows.append(
-                SweepRow(
-                    n_nodes=cfg.n_nodes,
-                    n_sessions=cfg.n_sessions,
-                    beta_db=beta,
-                    mode=mode,
-                    runs=cfg.runs,
-                    mean_avg_slots_per_packet=mean,
-                    stderr=stderr,
-                    mean_gain_vs_coloring=gain,
-                )
-            )
+    for k, group in enumerate(groups):
+        values = [rec.avg_slots_per_packet for rec in group]
+        mean = sum(values) / len(values)
+        if len(values) >= 2:
+            spread = math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
+            stderr = spread / math.sqrt(len(values))
+        else:
+            stderr = 0.0
+        first = group[0]
+        gain = None
+        if first.mode == "soft" and "coloring" in cfg.modes:
+            gains = [1.0 - soft.slots / hard.slots for soft, hard in zip(group, groups[k + 1])]
+            gain = sum(gains) / len(gains)
+        rows.append(SweepRow(
+            n_nodes=first.n_nodes, n_sessions=first.n_sessions, beta_db=first.beta_db,
+            mode=first.mode, runs=len(group), mean_avg_slots_per_packet=mean,
+            stderr=stderr, mean_gain_vs_coloring=gain,
+        ))
     return rows, records
 
 

@@ -28,16 +28,12 @@ class Node:
 class Link:
     """Directed transmission from node ``tx`` to node ``rx``."""
 
-    id: int
     tx: int
     rx: int
-    distance: float
 
     def __post_init__(self):
         if self.tx == self.rx:
-            raise ValueError(f"link {self.id}: tx and rx must differ (got {self.tx})")
-        if self.distance < 0:
-            raise ValueError(f"link {self.id}: negative distance {self.distance}")
+            raise ValueError(f"link tx and rx must differ (got {self.tx})")
 
 
 @dataclass(frozen=True)
@@ -57,20 +53,13 @@ class Session:
 
 @dataclass(frozen=True)
 class PropagationParams:
-    """Path-loss model: received power falls off as distance^-alpha.
-
-    ``d_min`` clamps the distance so co-located nodes do not produce an
-    infinite received power.
-    """
+    """Path-loss model: received power falls off as distance^-alpha."""
 
     alpha: float = 4.0
-    d_min: float = 1e-6
 
     def __post_init__(self):
         if not math.isfinite(self.alpha) or self.alpha <= 0:
             raise ValueError(f"alpha must be a positive finite real, got {self.alpha}")
-        if self.d_min <= 0:
-            raise ValueError(f"d_min must be positive, got {self.d_min}")
 
 
 @dataclass(frozen=True)
@@ -133,42 +122,29 @@ def route_sessions(nodes: list[Node], sessions: list[Session],
     transmit power needed to cover it. Ties break on hop count, then on the
     lexicographically smallest node sequence, so results are reproducible.
     """
-    if sessions and len(nodes) < 2:
-        raise ValueError("routing needs at least two nodes")
     for s in sessions:
         if not (0 <= s.source < len(nodes)) or not (0 <= s.sink < len(nodes)):
             raise ValueError(f"session endpoints {s.source}->{s.sink} outside node range")
-        if s.source == s.sink:
-            raise ValueError(f"session source equals sink ({s.source})")
     positions = [node.position for node in nodes]
     weights = [[math.dist(p, q) ** params.alpha for q in positions] for p in positions]
     return [_dijkstra(weights, s.source, s.sink) for s in sessions]
 
 
-def accumulate_rates(paths: list[list[int]], sessions: list[Session],
-                     nodes: list[Node]) -> tuple[list[Link], RateVector]:
+def accumulate_rates(paths: list[list[int]],
+                     sessions: list[Session]) -> tuple[list[Link], RateVector]:
     """Collapse routed sessions into the scheduled link list and its rate vector.
 
     A directed link is scheduled iff some positive-packet session traverses
-    it; its rate is the total packet count over those sessions. Link ids
-    follow first-traversal order, which downstream modules use as the
-    canonical link order.
+    it; its rate is the total packet count over those sessions. Links are
+    listed in first-traversal order, and a link's index in that list is its
+    id everywhere downstream.
     """
     if len(paths) != len(sessions):
         raise ValueError(f"{len(paths)} paths for {len(sessions)} sessions")
-    order: list[tuple[int, int]] = []
     totals: dict[tuple[int, int], int] = {}
     for path, sess in zip(paths, sessions):
         if sess.packets == 0:
             continue
-        for tx, rx in zip(path, path[1:]):
-            if (tx, rx) not in totals:
-                totals[(tx, rx)] = 0
-                order.append((tx, rx))
-            totals[(tx, rx)] += sess.packets
-    links = [
-        Link(idx, tx, rx, math.dist(nodes[tx].position, nodes[rx].position))
-        for idx, (tx, rx) in enumerate(order)
-    ]
-    return links, RateVector(tuple(totals[key] for key in order))
-
+        for hop in zip(path, path[1:]):
+            totals[hop] = totals.get(hop, 0) + sess.packets
+    return [Link(tx, rx) for tx, rx in totals], RateVector(tuple(totals.values()))

@@ -21,6 +21,7 @@ from softsched import (
     ScheduleCheck,
     SolverConfig,
 )
+from softsched.conflict import D_MIN
 
 # Three links where link 0 is compatible with both others but links 1 and 2
 # conflict. With rates (3, 1, 2) the best hard coloring needs 4 slots while
@@ -117,12 +118,12 @@ def vertex_enumeration_value(H):
 def received_power_db(tx: Node, rx_pos, params: PropagationParams) -> float:
     """Received power in dB at ``rx_pos`` from transmitter ``tx``.
 
-    tx_power_db - 10 * alpha * log10(max(d, d_min)); the proportionality
+    tx_power_db - 10 * alpha * log10(max(d, D_MIN)); the proportionality
     constant of the path-loss law is unity, which cancels in the dB
     comparisons the conflict test performs.
     """
     d = math.dist(tx.position, rx_pos)
-    return tx.tx_power_db - 10.0 * params.alpha * math.log10(max(d, params.d_min))
+    return tx.tx_power_db - 10.0 * params.alpha * math.log10(max(d, D_MIN))
 
 
 def physically_adjacent(a: Link, b: Link) -> bool:

@@ -131,7 +131,7 @@ def test_criterion_3_dominated_components_do_not_matter():
 def _pipeline_slots(nodes, sessions, beta, solver_cfg):
     params = PropagationParams(alpha=4.0)
     paths = route_sessions(nodes, sessions, params)
-    links, rates = accumulate_rates(paths, sessions, nodes)
+    links, rates = accumulate_rates(paths, sessions)
     g = build_conflict_graph(links, nodes, ConflictParams(beta, params))
     comps = enumerate_maximal(g)
     sol = fp_solve(build_payoff(comps, rates), solver_cfg)
@@ -169,7 +169,7 @@ def test_criterion_5_monotone_in_margin():
     for run_id in range(cfg.runs):
         nodes, sessions = _generate_instance(cfg, run_id)
         paths = route_sessions(nodes, sessions, params)
-        links, _ = accumulate_rates(paths, sessions, nodes)
+        links, _ = accumulate_rates(paths, sessions)
         previous = None
         for beta in betas:
             edges = build_conflict_graph(links, nodes, ConflictParams(beta, params)).edge_set()

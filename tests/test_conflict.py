@@ -30,37 +30,30 @@ from conftest import (
 )
 
 
-def _link(lid, tx, rx, nodes):
-    return Link(lid, tx, rx, math.dist(nodes[tx].position, nodes[rx].position))
-
-
 def _chain_nodes(coords, power=0.0):
     return [Node(i, (float(x), float(y)), power) for i, (x, y) in enumerate(coords)]
 
 
 def test_physically_adjacent_shared_node():
-    nodes = _chain_nodes([(0, 0), (0.1, 0), (0.2, 0), (0.3, 0), (0.4, 0)])
-    a = _link(0, 1, 2, nodes)
-    b = _link(1, 2, 3, nodes)
+    a = Link(1, 2)
+    b = Link(2, 3)
     assert physically_adjacent(a, b)
 
 
 def test_physically_adjacent_disjoint():
-    nodes = _chain_nodes([(0, 0), (0.1, 0), (0.2, 0), (0.3, 0), (0.4, 0)])
-    assert not physically_adjacent(_link(0, 1, 2, nodes), _link(1, 3, 4, nodes))
+    assert not physically_adjacent(Link(1, 2), Link(3, 4))
 
 
 def test_physically_adjacent_self():
-    nodes = _chain_nodes([(0, 0), (0.1, 0)])
-    a = _link(0, 0, 1, nodes)
+    a = Link(0, 1)
     assert physically_adjacent(a, a)
 
 
 # Two parallel vertical links one unit apart: each receiver hears its own
 # transmitter at +40 dB and the other at roughly -0.09 dB.
 _PARALLEL = _chain_nodes([(0, 0), (0, 0.1), (1, 0), (1, 0.1)])
-_PAR_A = _link(0, 0, 1, _PARALLEL)
-_PAR_B = _link(1, 2, 3, _PARALLEL)
+_PAR_A = Link(0, 1)
+_PAR_B = Link(2, 3)
 
 
 def test_interference_margin_not_violated():
@@ -77,9 +70,9 @@ def test_interference_minus_infinity_never_conflicts():
     params = ConflictParams(beta_db=-math.inf)
     rng = np.random.default_rng(4)
     nodes = [Node(i, (float(x), float(y))) for i, (x, y) in enumerate(rng.random((8, 2)))]
-    disjoint = [(_link(0, 0, 1, nodes), _link(1, 2, 3, nodes)),
-                (_link(0, 4, 5, nodes), _link(1, 6, 7, nodes)),
-                (_link(0, 1, 6, nodes), _link(1, 3, 0, nodes))]
+    disjoint = [(Link(0, 1), Link(2, 3)),
+                (Link(4, 5), Link(6, 7)),
+                (Link(1, 6), Link(3, 0))]
     for a, b in disjoint:
         assert not interference_adjacent(a, b, nodes, params)
 
@@ -88,8 +81,8 @@ def test_interference_symmetric():
     rng = np.random.default_rng(11)
     nodes = [Node(i, (float(x), float(y))) for i, (x, y) in enumerate(rng.random((6, 2)))]
     params = ConflictParams(beta_db=5.0)
-    a = _link(0, 0, 1, nodes)
-    b = _link(1, 2, 3, nodes)
+    a = Link(0, 1)
+    b = Link(2, 3)
     assert interference_adjacent(a, b, nodes, params) == interference_adjacent(
         b, a, nodes, params
     )
@@ -99,7 +92,7 @@ def test_margin_tie_counts_as_conflict():
     # Link a's transmitter is exactly as far from b's receiver as b's own
     # transmitter, so at beta = 0 the margin test sits at its threshold.
     nodes = _chain_nodes([(0.5, 0.0), (1.0, 0.0), (0.5, 0.5), (0.5, 0.25)])
-    links = [_link(0, 0, 1, nodes), _link(1, 2, 3, nodes)]
+    links = [Link(0, 1), Link(2, 3)]
     for beta, hit in ((0.0, True), (-1e-9, False)):
         params = ConflictParams(beta_db=beta)
         assert interference_adjacent(links[0], links[1], nodes, params) is hit
@@ -109,14 +102,14 @@ def test_margin_tie_counts_as_conflict():
 
 def test_chain_with_physical_rule_only():
     nodes = _chain_nodes([(0, 0), (0.25, 0), (0.5, 0), (0.75, 0)])
-    links = [_link(0, 0, 1, nodes), _link(1, 1, 2, nodes), _link(2, 2, 3, nodes)]
+    links = [Link(0, 1), Link(1, 2), Link(2, 3)]
     g = build_conflict_graph(links, nodes, ConflictParams(beta_db=-math.inf))
     assert g.edge_set() == {(0, 1), (1, 2)}
 
 
 def test_huge_margin_gives_complete_graph():
     nodes = _chain_nodes([(0, 0), (0.2, 0.9), (0.5, 0.1), (0.9, 0.8)])
-    links = [_link(0, 0, 1, nodes), _link(1, 2, 3, nodes), _link(2, 3, 0, nodes)]
+    links = [Link(0, 1), Link(2, 3), Link(3, 0)]
     g = build_conflict_graph(links, nodes, ConflictParams(beta_db=100.0))
     assert g.adjacency.all()
 
@@ -137,7 +130,7 @@ def _random_instance(seed, n_nodes=8, n_links=10):
     links = []
     while len(links) < n_links:
         tx, rx = rng.choice(n_nodes, size=2, replace=False)
-        links.append(_link(len(links), int(tx), int(rx), nodes))
+        links.append(Link(int(tx), int(rx)))
     return nodes, links
 
 
@@ -175,7 +168,7 @@ def _layouts(draw):
     node_id = st.integers(min_value=0, max_value=n_nodes - 1)
     pairs = draw(st.lists(st.tuples(node_id, node_id).filter(lambda p: p[0] != p[1]),
                           min_size=1, max_size=12))
-    return nodes, [_link(i, tx, rx, nodes) for i, (tx, rx) in enumerate(pairs)]
+    return nodes, [Link(tx, rx) for tx, rx in pairs]
 
 
 _BETAS = st.one_of(st.floats(min_value=-30.0, max_value=60.0),
@@ -235,7 +228,7 @@ def test_graph_equals_pairwise_reference_on_routed_instances():
         rng = np.random.default_rng(seed)
         sessions = [Session(int(s), int(t), 1)
                     for s, t in (rng.choice(20, size=2, replace=False) for _ in range(10))]
-        links, _ = accumulate_rates(route_sessions(nodes, sessions, params), sessions, nodes)
+        links, _ = accumulate_rates(route_sessions(nodes, sessions, params), sessions)
         for beta in range(31):
             conflict = ConflictParams(float(beta), params)
             assert np.array_equal(build_conflict_graph(links, nodes, conflict).adjacency,

@@ -17,7 +17,6 @@ from softsched import (
     extract_schedule,
     fp_solve,
     lp_oracle,
-    supported_rates,
     verify_schedule,
 )
 
@@ -83,7 +82,7 @@ def test_payoff_rejects_infinite_entry():
 
 
 def test_payoff_rejects_uncovered_link():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"links \[1\] are not covered"):
         build_payoff([Component((0,))], RateVector((1, 1)))
 
 
@@ -403,23 +402,6 @@ def test_oracle_scale_invariance(seed):
         assert np.allclose(y_scaled, y, atol=1e-9)
 
 
-# ---------------------------------------------------------------- derived quantities
-
-def test_supported_rates_three_link():
-    H = three_link_payoff()
-    assert np.allclose(supported_rates(H, np.array([1 / 3, 2 / 3])), [1 / 3, 1 / 3, 1 / 3])
-
-
-def test_supported_rates_unit_mass_selects_column():
-    H = three_link_payoff()
-    assert np.allclose(supported_rates(H, np.array([0.0, 1.0])), H.h[:, 1])
-
-
-def test_supported_rates_dimension_mismatch():
-    with pytest.raises(ValueError):
-        supported_rates(three_link_payoff(), np.array([1.0]))
-
-
 # ---------------------------------------------------------------- schedules
 
 def test_extract_three_link_schedule():
@@ -542,7 +524,7 @@ def test_theorem_reciprocal_schedule_length():
     for seed in (3, 11):
         _, _, r, H = random_payoff(seed, max_links=6, max_components=6)
         value, y = lp_oracle(H)
-        fractions = supported_rates(H, y)
+        fractions = H.h @ y
         slowest = fractions.min()
         assert slowest == pytest.approx(value, abs=1e-9)
         assert 1.0 / slowest == pytest.approx(1.0 / value, rel=1e-9)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import statistics
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from softsched import (
     ConflictParams,
     ExperimentConfig,
     PropagationParams,
+    RunError,
     SolverConfig,
     accumulate_rates,
     build_conflict_graph,
@@ -27,7 +29,8 @@ from softsched import (
     write_detail,
     write_results,
 )
-from softsched.cli import main
+import softsched.harness as harness
+from softsched.cli import _config_from_args, build_parser, main
 from softsched.harness import DETAIL_HEADER, RESULTS_HEADER, _generate_instance
 
 THREE_LINK_FIXTURE = "fixtures/three_link.json"
@@ -70,6 +73,91 @@ def test_topology_fixture_keeps_beta_sweep():
     assert strip == [dataclasses.replace(r, run_id=-1) for r in records]
 
 
+def _reference_table(cfg, records):
+    """The sweep table recomputed by grouping records on (beta, mode), NaN beta as None.
+
+    Each row is (n_nodes, n_sessions, beta, mode, runs, mean, stderr, gain),
+    with the gain paired with coloring by run id.
+    """
+    groups = {}
+    for rec in records:
+        beta = None if math.isnan(rec.beta_db) else rec.beta_db
+        groups.setdefault(beta, {}).setdefault(rec.mode, {})[rec.run_id] = rec
+    rows = []
+    for beta in sorted(groups, key=lambda b: -math.inf if b is None else b):
+        by_mode = groups[beta]
+        for mode in cfg.modes:
+            by_run = by_mode[mode]
+            values = [by_run[rid].avg_slots_per_packet for rid in sorted(by_run)]
+            stderr = statistics.stdev(values) / math.sqrt(len(values)) if len(values) > 1 else 0.0
+            gain = None
+            if mode == "soft" and "coloring" in cfg.modes:
+                hard = by_mode["coloring"]
+                gain = statistics.fmean(1.0 - by_run[rid].slots / hard[rid].slots for rid in by_run)
+            first = by_run[min(by_run)]
+            rows.append((first.n_nodes, first.n_sessions, beta, mode, len(values),
+                         statistics.fmean(values), stderr, gain))
+    return rows
+
+
+@pytest.mark.parametrize("modes", [("soft", "coloring", "none"), ("soft", "none"),
+                                   ("coloring", "none"), ("none",)])
+@pytest.mark.parametrize("fixture_path", [None, THREE_LINK_FIXTURE])
+def test_table_matches_records_grouped_by_beta_and_mode(modes, fixture_path):
+    cfg = small_cfg(runs=3, modes=modes)  # three betas for generated instances
+    fixture = load_fixture(fixture_path) if fixture_path else None
+    table, records = run_sweep(cfg, fixture)
+    expected = _reference_table(cfg, records)
+    assert len(table) == len(expected)
+    for row, (n_nodes, n_sessions, beta, mode, runs, mean, stderr, gain) in zip(table, expected):
+        assert (row.n_nodes, row.n_sessions, row.mode, row.runs) == (n_nodes, n_sessions, mode, runs)
+        assert (None if math.isnan(row.beta_db) else row.beta_db) == beta
+        assert row.mean_avg_slots_per_packet == pytest.approx(mean, rel=1e-12)
+        assert row.stderr == pytest.approx(stderr, rel=1e-9, abs=1e-15)
+        if gain is None:
+            assert row.mean_gain_vs_coloring is None
+        else:
+            assert row.mean_gain_vs_coloring == pytest.approx(gain, rel=1e-12, abs=1e-15)
+
+
+def test_fixture_rows_carry_the_fixture_sizes(tmp_path):
+    # A topology fixture reports its own node and session counts, not the
+    # configuration's; a conflict fixture has neither and reports 0 for both.
+    for path, prefix in ((RELAY_FIXTURE, "3,1,"), (THREE_LINK_FIXTURE, "0,0,")):
+        out, detail = tmp_path / "agg.csv", tmp_path / "runs.csv"
+        assert main(["--fixture", path, "--runs", "2", "--out", str(out),
+                     "--detail", str(detail)]) == 0
+        body = out.read_text().strip().split("\n")[1:]
+        assert body and all(line.startswith(prefix) for line in body), body
+        with open(detail, newline="") as fh:
+            sizes = {(row["n_nodes"], row["n_sessions"]) for row in csv.DictReader(fh)}
+        assert sizes == {tuple(prefix.split(",")[:2])}
+
+
+class _TwoArgumentError(Exception):
+    """Like numpy's _ArrayMemoryError: its constructor takes more than a message."""
+
+    def __init__(self, message, detail):
+        super().__init__(message)
+        self.detail = detail
+
+
+def test_failed_run_raises_run_error_with_the_original_cause(monkeypatch):
+    original = _TwoArgumentError("out of memory", 42)
+
+    def fail(*args, **kwargs):
+        raise original
+
+    monkeypatch.setattr(harness, "build_conflict_graph", fail)
+    with pytest.raises(RunError, match="^run 0: out of memory$") as info:
+        run_sweep(small_cfg())
+    assert info.value.__cause__ is original
+    # A single replication raises the original exception itself.
+    with pytest.raises(_TwoArgumentError) as info:
+        run_instance(small_cfg(), 1)
+    assert info.value is original
+
+
 def test_run_instance_deterministic():
     cfg = small_cfg()
     assert run_instance(cfg, 1) == run_instance(cfg, 1)
@@ -100,7 +188,7 @@ def test_fp_brackets_contain_exact_value_on_routed_instances(run_id, beta):
     cfg = ExperimentConfig()
     params = PropagationParams(alpha=cfg.alpha)
     nodes, sessions = _generate_instance(cfg, run_id)
-    links, rates = accumulate_rates(route_sessions(nodes, sessions, params), sessions, nodes)
+    links, rates = accumulate_rates(route_sessions(nodes, sessions, params), sessions)
     g = build_conflict_graph(links, nodes, ConflictParams(float(beta), params))
     H = build_payoff(enumerate_maximal(g), rates)
     value, _ = lp_oracle(H)
@@ -343,6 +431,18 @@ def test_cli_unknown_config_key(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"nodes": 6}))
     assert main(["--config", str(cfg_path)]) == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document", [["runs"], 5])
+def test_cli_rejects_config_that_is_not_an_object(tmp_path, capsys, document):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(document))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "agg.csv")]) == 1
+    err = capsys.readouterr().err
+    assert str(cfg_path) in err and "expected a JSON object" in err
+    args = build_parser().parse_args(["--config", str(cfg_path)])
+    with pytest.raises(ValueError, match="expected a JSON object"):
+        _config_from_args(args)
 
 
 def test_cli_error_exit_nonzero(tmp_path, capsys):
