@@ -13,8 +13,8 @@ from .components import (
 )
 from .conflict import (
     ConflictGraph,
-    ConflictParams,
     build_conflict_graph,
+    link_powers,
 )
 from .game import (
     FpState,

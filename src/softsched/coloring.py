@@ -28,24 +28,27 @@ def greedy_color(g: ConflictGraph, order: list[int]) -> Coloring:
 
     ``order`` must be a permutation of 0..L-1; the first link opens class 0,
     and a link that conflicts with every existing class opens a new one.
-    Each class keeps a mask of the links that conflict with any member (the
-    OR of the members' adjacency rows), so the test for a link is one lookup
-    per class; the order of tests and the classes are those of checking every
-    member pairwise.
+    Each adjacency row is packed into one Python int bitset, and each class
+    keeps the OR of its members' rows as the mask of links it blocks, so the
+    test for a link is one bit lookup per class; the order of tests and the
+    classes are those of checking every member pairwise.
     """
     if sorted(order) != list(range(g.n_links)):
         raise ValueError(f"order must be a permutation of 0..{g.n_links - 1}")
+    rows = [int.from_bytes(row, "little")
+            for row in np.packbits(g.adjacency, axis=1, bitorder="little")]
     classes: list[list[int]] = []
-    blocked: list[np.ndarray] = []
-    for link in order:
-        for cls, mask in zip(classes, blocked):
-            if not mask[link]:
-                cls.append(link)
-                mask |= g.adjacency[link]
+    blocked: list[int] = []
+    # int(): shifting a Python int wider than 63 bits by a numpy integer overflows.
+    for link in map(int, order):
+        for k, mask in enumerate(blocked):
+            if not mask >> link & 1:
+                classes[k].append(link)
+                blocked[k] = mask | rows[link]
                 break
         else:
             classes.append([link])
-            blocked.append(g.adjacency[link].copy())
+            blocked.append(rows[link])
     return Coloring(tuple(tuple(sorted(cls)) for cls in classes))
 
 
@@ -54,7 +57,7 @@ def coloring_slots(c: Coloring, r: RateVector) -> int:
     colored = sorted(link for cls in c.classes for link in cls)
     if colored != list(range(len(r))):
         raise ValueError("coloring does not cover the rate vector's links exactly")
-    return sum(max(r[link] for link in cls) for cls in c.classes)
+    return sum(max(map(r.rates.__getitem__, cls)) for cls in c.classes)
 
 
 def no_schedule_slots(r: RateVector) -> int:

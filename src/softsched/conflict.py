@@ -5,16 +5,16 @@ would hear the other transmitter within ``beta_db`` of its own signal. The
 margin test is pairwise; cumulative interference from several simultaneous
 transmitters is deliberately not modelled.
 
-``build_conflict_graph`` evaluates every pair at once: it computes one L x L
-matrix of received powers (each link's transmitter at each link's receiver)
-and thresholds it against the diagonal, the links' own signals, at
-``beta_db``.
+``link_powers`` runs once per replication: it computes one L x L matrix of
+received powers (each link's transmitter at each link's receiver), which
+``build_conflict_graph`` thresholds once per margin against the diagonal,
+the links' own signals, at ``beta_db``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,22 +23,6 @@ from .topology import Link, Node, PropagationParams
 # Distances are clamped to this, so co-located nodes do not produce an
 # infinite received power.
 D_MIN = 1e-6
-
-
-@dataclass(frozen=True)
-class ConflictParams:
-    """``beta_db`` is the acceptable interference margin in dB.
-
-    ``beta_db = -inf`` is a supported sentinel that disables the margin test
-    entirely, leaving only shared-node conflicts.
-    """
-
-    beta_db: float
-    propagation: PropagationParams = field(default_factory=PropagationParams)
-
-    def __post_init__(self):
-        if math.isnan(self.beta_db):
-            raise ValueError("beta_db must not be NaN")
 
 
 @dataclass(eq=False)
@@ -79,17 +63,15 @@ class ConflictGraph:
         return frozenset(zip(ii.tolist(), jj.tolist()))
 
 
-def build_conflict_graph(links: list[Link], nodes: list[Node],
-                         params: ConflictParams) -> ConflictGraph:
-    """Conflict matrix: shared node or failed interference margin, for all pairs at once.
+def link_powers(links: list[Link], nodes: list[Node],
+                propagation: PropagationParams = PropagationParams()):
+    """The part of the conflict test that ``beta_db`` does not change: (power, own, shared_node).
 
     ``power[a, b]`` is the power in dB of a's transmitter at b's receiver,
     ``tx_power_db - 10 * alpha * log10(max(d, D_MIN))`` (the path-loss
-    constant is unity, which cancels in the margin test), so its diagonal
-    holds each link's own signal. Pair (a, b) fails the margin at b's
-    receiver when ``own[b] <= power[a, b] + beta_db``; testing both
-    receivers makes the matrix symmetric, and raising beta_db can only add
-    conflicts.
+    constant is unity, which cancels in the margin test); ``own`` is its
+    diagonal, each link's own signal; ``shared_node[a, b]`` means links a and
+    b touch a common node.
     """
     if not links:
         raise ValueError("cannot build a conflict graph over an empty link list")
@@ -97,15 +79,27 @@ def build_conflict_graph(links: list[Link], nodes: list[Node],
     rx = np.array([link.rx for link in links])
     pos = np.array([node.position for node in nodes], dtype=float)
     tx_power = np.array([node.tx_power_db for node in nodes], dtype=float)
-    alpha = params.propagation.alpha
     gap = pos[rx][None, :, :] - pos[tx][:, None, :]
     dist = np.hypot(gap[..., 0], gap[..., 1])
-    power = tx_power[tx][:, None] - 10.0 * alpha * np.log10(np.maximum(dist, D_MIN))
-    own = power.diagonal()
-    margin_fails = own[None, :] <= power + params.beta_db
+    power = tx_power[tx][:, None] - 10.0 * propagation.alpha * np.log10(np.maximum(dist, D_MIN))
     shared_node = (
         (tx[:, None] == tx[None, :]) | (tx[:, None] == rx[None, :])
         | (rx[:, None] == tx[None, :]) | (rx[:, None] == rx[None, :])
     )
-    return ConflictGraph(len(links), shared_node | margin_fails | margin_fails.T)
+    return power, power.diagonal(), shared_node
 
+
+def build_conflict_graph(powers, beta_db: float) -> ConflictGraph:
+    """Conflict matrix at margin ``beta_db`` from ``link_powers``' output, for all pairs at once.
+
+    Pair (a, b) fails the margin at b's receiver when
+    ``own[b] <= power[a, b] + beta_db``; testing both receivers makes the
+    matrix symmetric, and raising beta_db can only add conflicts.
+    ``beta_db = -inf`` disables the margin test, leaving only shared-node
+    conflicts.
+    """
+    if math.isnan(beta_db):
+        raise ValueError("beta_db must not be NaN")
+    power, own, shared_node = powers
+    margin_fails = own[None, :] <= power + beta_db
+    return ConflictGraph(len(own), shared_node | margin_fails | margin_fails.T)

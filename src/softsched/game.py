@@ -245,8 +245,9 @@ def lp_oracle(H: PayoffMatrix) -> tuple[float, np.ndarray]:
     res = linprog(np.ones(H.n_components), A_ub=-H.h, b_ub=-np.ones(H.n_links), method="highs")
     if res.status != 0:
         raise RuntimeError(f"HiGHS could not solve the game: {res.message}")
-    length = float(res.x.sum())
-    return 1.0 / length, res.x / length
+    u = np.maximum(res.x, 0.0)  # HiGHS may return a zero entry as about -1e-15
+    length = float(u.sum())
+    return 1.0 / length, u / length
 
 
 @dataclass(frozen=True)

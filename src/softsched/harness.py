@@ -24,7 +24,7 @@ import numpy as np
 
 from .coloring import coloring_slots, greedy_color, no_schedule_slots
 from .components import enumerate_maximal
-from .conflict import ConflictGraph, ConflictParams, build_conflict_graph
+from .conflict import ConflictGraph, build_conflict_graph, link_powers
 from .game import SolverConfig, build_payoff, extract_schedule, fp_solve, lp_oracle, verify_schedule
 from .topology import (
     Node,
@@ -125,6 +125,8 @@ def _topology_fixture(data) -> Fixture:
     for n in nodes:
         if not (0.0 <= n.position[0] <= 1.0 and 0.0 <= n.position[1] <= 1.0):
             raise ValueError(f"node {n.id} position {n.position} outside unit square")
+        if not math.isfinite(n.tx_power_db):
+            raise ValueError(f"node {n.id} tx_power_db {n.tx_power_db} is not finite")
     sessions = [Session(*(_count(s[k], f"session {k}") for k in ("source", "sink", "packets")))
                 for s in data["sessions"]]
     for s in sessions:
@@ -301,13 +303,12 @@ def run_instance(cfg: ExperimentConfig, run_id: int,
     params = PropagationParams(alpha=cfg.alpha)
     paths = route_sessions(nodes, sessions, params)
     links, rates = accumulate_rates(paths, sessions)
-    if not links:
-        raise ValueError("instance carries no traffic; nothing to schedule")
     instance = dict(run_id=run_id, n_nodes=len(nodes), n_sessions=len(sessions),
                     total_packets=sum(s.packets for s in sessions))
+    powers = link_powers(links, nodes, params)
     records = []
     for beta in cfg.beta_values():
-        g = build_conflict_graph(links, nodes, ConflictParams(beta, params))
+        g = build_conflict_graph(powers, beta)
         records.extend(_mode_records(cfg, g, rates, beta_db=beta, **instance))
     return records
 

@@ -10,7 +10,6 @@ import pytest
 
 from softsched import (
     ConflictGraph,
-    ConflictParams,
     FpState,
     GameSolution,
     Link,
@@ -131,8 +130,8 @@ def physically_adjacent(a: Link, b: Link) -> bool:
     return bool({a.tx, a.rx} & {b.tx, b.rx})
 
 
-def interference_adjacent(a: Link, b: Link, nodes: list[Node],
-                          params: ConflictParams) -> bool:
+def interference_adjacent(a: Link, b: Link, nodes: list[Node], beta_db: float,
+                          p: PropagationParams = PropagationParams()) -> bool:
     """Margin test for node-disjoint links a and b.
 
     At b's receiver, a's transmitter is the interferer; at a's receiver, b's
@@ -140,24 +139,23 @@ def interference_adjacent(a: Link, b: Link, nodes: list[Node],
     exceed the interference by more than beta_db. Testing both receivers
     makes the relation symmetric.
     """
-    p = params.propagation
     own_b = received_power_db(nodes[b.tx], nodes[b.rx].position, p)
     other_at_b = received_power_db(nodes[a.tx], nodes[b.rx].position, p)
-    if own_b <= other_at_b + params.beta_db:
+    if own_b <= other_at_b + beta_db:
         return True
     own_a = received_power_db(nodes[a.tx], nodes[a.rx].position, p)
     other_at_a = received_power_db(nodes[b.tx], nodes[a.rx].position, p)
-    return own_a <= other_at_a + params.beta_db
+    return own_a <= other_at_a + beta_db
 
 
-def pairwise_conflict_graph(links, nodes, params) -> ConflictGraph:
+def pairwise_conflict_graph(links, nodes, beta_db, p=PropagationParams()) -> ConflictGraph:
     """Conflict graph by applying the scalar pair tests to every link pair."""
     n = len(links)
     adj = np.eye(n, dtype=bool)
     for i in range(n):
         for j in range(i + 1, n):
             adj[i, j] = adj[j, i] = physically_adjacent(links[i], links[j]) or (
-                interference_adjacent(links[i], links[j], nodes, params)
+                interference_adjacent(links[i], links[j], nodes, beta_db, p)
             )
     return ConflictGraph(n, adj)
 

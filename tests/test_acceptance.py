@@ -12,7 +12,6 @@ import pytest
 
 from softsched import (
     Component,
-    ConflictParams,
     ExperimentConfig,
     PropagationParams,
     RateVector,
@@ -25,6 +24,7 @@ from softsched import (
     extract_schedule,
     fp_solve,
     greedy_color,
+    link_powers,
     load_fixture,
     lp_oracle,
     no_schedule_slots,
@@ -132,7 +132,7 @@ def _pipeline_slots(nodes, sessions, beta, solver_cfg):
     params = PropagationParams(alpha=4.0)
     paths = route_sessions(nodes, sessions, params)
     links, rates = accumulate_rates(paths, sessions)
-    g = build_conflict_graph(links, nodes, ConflictParams(beta, params))
+    g = build_conflict_graph(link_powers(links, nodes, params), beta)
     comps = enumerate_maximal(g)
     sol = fp_solve(build_payoff(comps, rates), solver_cfg)
     sched = extract_schedule(comps, rates, sol.y, sol.value_lower)
@@ -170,9 +170,10 @@ def test_criterion_5_monotone_in_margin():
         nodes, sessions = _generate_instance(cfg, run_id)
         paths = route_sessions(nodes, sessions, params)
         links, _ = accumulate_rates(paths, sessions)
+        powers = link_powers(links, nodes, params)
         previous = None
         for beta in betas:
-            edges = build_conflict_graph(links, nodes, ConflictParams(beta, params)).edge_set()
+            edges = build_conflict_graph(powers, beta).edge_set()
             if previous is not None:
                 assert previous <= edges
             previous = edges

@@ -101,12 +101,16 @@ def test_coloring_never_beats_no_reuse_backwards(n, p, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    n=st.integers(min_value=1, max_value=14),
+    # Up to 80 links, so the row bitsets cross the byte and 64-bit boundaries.
+    n=st.integers(min_value=1, max_value=80),
     p=st.floats(min_value=0.0, max_value=1.0),
     seed=st.integers(min_value=0, max_value=10_000),
+    numpy_order=st.booleans(),
 )
-def test_greedy_matches_first_fit_reference(n, p, seed):
+def test_greedy_matches_first_fit_reference(n, p, seed, numpy_order):
     rng = np.random.default_rng(seed)
     g = random_conflict_graph(rng, n, p)
-    order = [int(v) for v in rng.permutation(n)]
+    order = rng.permutation(n)
+    if not numpy_order:
+        order = [int(v) for v in order]
     assert greedy_color(g, order).classes == first_fit_classes(g, order)

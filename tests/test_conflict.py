@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from softsched import (
     ConflictGraph,
-    ConflictParams,
     Link,
     Node,
     PropagationParams,
@@ -17,6 +16,7 @@ from softsched import (
     accumulate_rates,
     build_conflict_graph,
     generate_nodes,
+    link_powers,
     load_fixture,
     route_sessions,
 )
@@ -57,35 +57,29 @@ _PAR_B = Link(2, 3)
 
 
 def test_interference_margin_not_violated():
-    params = ConflictParams(beta_db=20.0, propagation=PropagationParams(alpha=4.0))
-    assert not interference_adjacent(_PAR_A, _PAR_B, _PARALLEL, params)
+    assert not interference_adjacent(_PAR_A, _PAR_B, _PARALLEL, 20.0, PropagationParams(alpha=4.0))
 
 
 def test_interference_huge_margin_conflicts():
-    params = ConflictParams(beta_db=100.0, propagation=PropagationParams(alpha=4.0))
-    assert interference_adjacent(_PAR_A, _PAR_B, _PARALLEL, params)
+    assert interference_adjacent(_PAR_A, _PAR_B, _PARALLEL, 100.0, PropagationParams(alpha=4.0))
 
 
 def test_interference_minus_infinity_never_conflicts():
-    params = ConflictParams(beta_db=-math.inf)
     rng = np.random.default_rng(4)
     nodes = [Node(i, (float(x), float(y))) for i, (x, y) in enumerate(rng.random((8, 2)))]
     disjoint = [(Link(0, 1), Link(2, 3)),
                 (Link(4, 5), Link(6, 7)),
                 (Link(1, 6), Link(3, 0))]
     for a, b in disjoint:
-        assert not interference_adjacent(a, b, nodes, params)
+        assert not interference_adjacent(a, b, nodes, -math.inf)
 
 
 def test_interference_symmetric():
     rng = np.random.default_rng(11)
     nodes = [Node(i, (float(x), float(y))) for i, (x, y) in enumerate(rng.random((6, 2)))]
-    params = ConflictParams(beta_db=5.0)
     a = Link(0, 1)
     b = Link(2, 3)
-    assert interference_adjacent(a, b, nodes, params) == interference_adjacent(
-        b, a, nodes, params
-    )
+    assert interference_adjacent(a, b, nodes, 5.0) == interference_adjacent(b, a, nodes, 5.0)
 
 
 def test_margin_tie_counts_as_conflict():
@@ -94,34 +88,33 @@ def test_margin_tie_counts_as_conflict():
     nodes = _chain_nodes([(0.5, 0.0), (1.0, 0.0), (0.5, 0.5), (0.5, 0.25)])
     links = [Link(0, 1), Link(2, 3)]
     for beta, hit in ((0.0, True), (-1e-9, False)):
-        params = ConflictParams(beta_db=beta)
-        assert interference_adjacent(links[0], links[1], nodes, params) is hit
-        edges = build_conflict_graph(links, nodes, params).edge_set()
+        assert interference_adjacent(links[0], links[1], nodes, beta) is hit
+        edges = build_conflict_graph(link_powers(links, nodes), beta).edge_set()
         assert edges == ({(0, 1)} if hit else set())
 
 
 def test_chain_with_physical_rule_only():
     nodes = _chain_nodes([(0, 0), (0.25, 0), (0.5, 0), (0.75, 0)])
     links = [Link(0, 1), Link(1, 2), Link(2, 3)]
-    g = build_conflict_graph(links, nodes, ConflictParams(beta_db=-math.inf))
+    g = build_conflict_graph(link_powers(links, nodes), -math.inf)
     assert g.edge_set() == {(0, 1), (1, 2)}
 
 
 def test_huge_margin_gives_complete_graph():
     nodes = _chain_nodes([(0, 0), (0.2, 0.9), (0.5, 0.1), (0.9, 0.8)])
     links = [Link(0, 1), Link(2, 3), Link(3, 0)]
-    g = build_conflict_graph(links, nodes, ConflictParams(beta_db=100.0))
+    g = build_conflict_graph(link_powers(links, nodes), 100.0)
     assert g.adjacency.all()
 
 
 def test_empty_link_list_rejected():
     with pytest.raises(ValueError):
-        build_conflict_graph([], [], ConflictParams(beta_db=0.0))
+        link_powers([], [])
 
 
 def test_nan_margin_rejected():
     with pytest.raises(ValueError):
-        ConflictParams(beta_db=math.nan)
+        build_conflict_graph(link_powers([_PAR_A, _PAR_B], _PARALLEL), math.nan)
 
 
 def _random_instance(seed, n_nodes=8, n_links=10):
@@ -139,7 +132,7 @@ def _random_instance(seed, n_nodes=8, n_links=10):
        beta=st.floats(min_value=-30.0, max_value=60.0))
 def test_graph_symmetric_reflexive(seed, beta):
     nodes, links = _random_instance(seed)
-    g = build_conflict_graph(links, nodes, ConflictParams(beta_db=beta))
+    g = build_conflict_graph(link_powers(links, nodes), beta)
     assert np.array_equal(g.adjacency, g.adjacency.T)
     assert g.adjacency.diagonal().all()
 
@@ -150,9 +143,8 @@ def test_graph_symmetric_reflexive(seed, beta):
 def test_uniform_power_offset_cancels(seed, offset):
     nodes, links = _random_instance(seed)
     shifted = [Node(n.id, n.position, n.tx_power_db + offset) for n in nodes]
-    params = ConflictParams(beta_db=10.0)
-    g = build_conflict_graph(links, nodes, params)
-    g_shifted = build_conflict_graph(links, shifted, params)
+    g = build_conflict_graph(link_powers(links, nodes), 10.0)
+    g_shifted = build_conflict_graph(link_powers(links, shifted), 10.0)
     assert np.array_equal(g.adjacency, g_shifted.adjacency)
 
 
@@ -176,14 +168,13 @@ _BETAS = st.one_of(st.floats(min_value=-30.0, max_value=60.0),
 _EPS = np.finfo(float).eps
 
 
-def _margin_is_near_tie(a, b, nodes, params):
+def _margin_is_near_tie(a, b, nodes, beta, p):
     """True when a receiver's margin test for links a and b sits at its threshold.
 
     There the matrix build and the scalar reference may round to different
     sides: numpy's hypot and log10 may differ from math.dist and math.log10
     by an ulp. The tolerance allows tens of ulps on every term of the test.
     """
-    beta, p = params.beta_db, params.propagation
     if not math.isfinite(beta):
         return False
     for victim, interferer in ((b, a), (a, b)):
@@ -199,11 +190,11 @@ def _margin_is_near_tie(a, b, nodes, params):
 @given(layout=_layouts(), beta=_BETAS, alpha=st.floats(min_value=2.0, max_value=6.0))
 def test_graph_matches_pairwise_reference(layout, beta, alpha):
     nodes, links = layout
-    params = ConflictParams(beta, PropagationParams(alpha=alpha))
-    got = build_conflict_graph(links, nodes, params).adjacency
-    want = pairwise_conflict_graph(links, nodes, params).adjacency
+    p = PropagationParams(alpha=alpha)
+    got = build_conflict_graph(link_powers(links, nodes, p), beta).adjacency
+    want = pairwise_conflict_graph(links, nodes, beta, p).adjacency
     for a, b in zip(*np.nonzero(got != want)):
-        assert _margin_is_near_tie(links[a], links[b], nodes, params), (a, b)
+        assert _margin_is_near_tie(links[a], links[b], nodes, beta, p), (a, b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -212,16 +203,16 @@ def test_graph_matches_pairwise_reference(layout, beta, alpha):
 def test_conflicts_monotone_in_margin(layout, betas, alpha):
     # A sweep's graphs form a chain: each margin's edges contain the last's.
     nodes, links = layout
-    edges = [build_conflict_graph(links, nodes,
-                                  ConflictParams(beta, PropagationParams(alpha=alpha))).edge_set()
-             for beta in sorted(betas)]
+    powers = link_powers(links, nodes, PropagationParams(alpha=alpha))
+    edges = [build_conflict_graph(powers, beta).edge_set() for beta in sorted(betas)]
     assert all(lo <= hi for lo, hi in zip(edges, edges[1:]))
 
 
 def test_graph_equals_pairwise_reference_on_routed_instances():
     # Sweep-sized instances (20 nodes, 10 routed sessions) at every integer
-    # beta of the default sweep: here no margin sits at a tie, so the graphs
-    # must be identical, which keeps sweep output byte-identical.
+    # beta of the default sweep, with the powers built once per instance as
+    # run_instance does: here no margin sits at a tie, so the graphs must be
+    # identical, which keeps sweep output byte-identical.
     params = PropagationParams(alpha=4.0)
     for seed in range(3):
         nodes = generate_nodes(20, seed)
@@ -229,10 +220,11 @@ def test_graph_equals_pairwise_reference_on_routed_instances():
         sessions = [Session(int(s), int(t), 1)
                     for s, t in (rng.choice(20, size=2, replace=False) for _ in range(10))]
         links, _ = accumulate_rates(route_sessions(nodes, sessions, params), sessions)
+        powers = link_powers(links, nodes, params)
         for beta in range(31):
-            conflict = ConflictParams(float(beta), params)
-            assert np.array_equal(build_conflict_graph(links, nodes, conflict).adjacency,
-                                  pairwise_conflict_graph(links, nodes, conflict).adjacency)
+            want = pairwise_conflict_graph(links, nodes, float(beta), params)
+            assert np.array_equal(build_conflict_graph(powers, float(beta)).adjacency,
+                                  want.adjacency)
 
 
 def test_conflict_fixture_roundtrip(tmp_path):

@@ -352,6 +352,9 @@ def test_oracle_has_no_size_limit():
 @example(H=PayoffMatrix(np.array([[0.5], [0.25], [0.5]])))
 @example(H=PayoffMatrix(np.ones((6, 8))))
 @example(H=PayoffMatrix(np.eye(6) * 1e-3))  # basis determinant 1e-18
+@example(H=PayoffMatrix(np.array([  # HiGHS returns one zero entry of y as -1.2e-15
+    [0, 2, 3, 0, 0, 3], [0, 2, 0, 1, 0, 1], [0, 1, 1, 1, 3, 3],
+    [0, 2, 0, 0, 0, 1], [1, 1, 1, 1, 0, 1], [0, 2, 3, 0, 0, 1]], dtype=float)))
 def test_oracle_matches_vertex_enumeration(H):
     value, y = lp_oracle(H)
     assert abs(value - vertex_enumeration_value(H)) <= 1e-12

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softsched import (
-    ConflictParams,
     ExperimentConfig,
     PropagationParams,
     RunError,
@@ -21,6 +20,7 @@ from softsched import (
     build_payoff,
     enumerate_maximal,
     fp_solve,
+    link_powers,
     load_fixture,
     lp_oracle,
     route_sessions,
@@ -189,7 +189,7 @@ def test_fp_brackets_contain_exact_value_on_routed_instances(run_id, beta):
     params = PropagationParams(alpha=cfg.alpha)
     nodes, sessions = _generate_instance(cfg, run_id)
     links, rates = accumulate_rates(route_sessions(nodes, sessions, params), sessions)
-    g = build_conflict_graph(links, nodes, ConflictParams(float(beta), params))
+    g = build_conflict_graph(link_powers(links, nodes, params), float(beta))
     H = build_payoff(enumerate_maximal(g), rates)
     value, _ = lp_oracle(H)
     sol = fp_solve(H, SolverConfig(delta=cfg.delta), log_bounds=True)

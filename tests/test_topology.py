@@ -246,6 +246,10 @@ def test_topology_fixture_roundtrip(tmp_path):
           "sessions": [{"source": 0, "sink": 4, "packets": 1}]},
          "unknown node"),                                            # unknown endpoint
         ({"sessions": []}, "no 'nodes'"),                            # missing nodes
+        *(({"nodes": [{"id": 0, "x": 0.1, "y": 0.2, "tx_power_db": power}],
+            "sessions": []},
+           "node 0 tx_power_db .* is not finite")                    # non-finite power
+          for power in (math.nan, math.inf, -math.inf)),
     ],
 )
 def test_topology_fixture_validation(tmp_path, doc):
