@@ -35,12 +35,14 @@ class PayoffMatrix:
         self.h = np.asarray(self.h, dtype=float)
         if self.h.ndim != 2 or 0 in self.h.shape:
             raise ValueError(f"payoff matrix must be a nonempty 2-d array, got {self.h.shape}")
-        if not ((self.h >= 0) & (self.h < math.inf)).all():  # also rejects NaN
+        if not (self.h.min() >= 0 and self.h.max() < math.inf):  # also rejects NaN
             raise ValueError("payoff entries must be finite and nonnegative")
-        uncovered = np.flatnonzero(~(self.h > 0).any(axis=1)).tolist()
-        if uncovered:
+        positive = self.h > 0
+        covered = positive.any(axis=1)
+        if not covered.all():
+            uncovered = np.flatnonzero(~covered).tolist()
             raise ValueError(f"links {uncovered} are not covered by any component")
-        if not (self.h > 0).any(axis=0).all():
+        if not positive.any(axis=0).all():
             raise ValueError("every component (column) must contain at least one link")
 
     @property
@@ -101,19 +103,25 @@ class GameSolution:
     bounds_log: list[tuple[float, float]] | None = None
 
 
+def _membership(components: list[Component], n_links: int) -> np.ndarray:
+    """Component-by-link 0/1 matrix: m[j, i] is 1 when link i is in component j."""
+    members = [comp.members for comp in components]
+    for j, links in enumerate(members):
+        if links[0] < 0 or links[-1] >= n_links:  # members are sorted
+            i = next(i for i in links if not 0 <= i < n_links)
+            raise ValueError(f"component {j} references link {i} outside 0..{n_links - 1}")
+    m = np.zeros(len(members) * n_links, dtype=np.intp)
+    m[[j * n_links + i for j, links in enumerate(members) for i in links]] = 1
+    return m.reshape(len(members), n_links)
+
+
 def build_payoff(components: list[Component], r: RateVector) -> PayoffMatrix:
     """Assemble the payoff matrix for the given components and link rates."""
     zero_rated = [i for i, rate in enumerate(r.rates) if rate == 0]
     if zero_rated:
         raise ValueError(f"links {zero_rated} have rate 0; payoff entries 1/r are undefined")
-    n_links = len(r)
-    h = np.zeros((n_links, len(components)))
-    for j, comp in enumerate(components):
-        for i in comp.members:
-            if not 0 <= i < n_links:
-                raise ValueError(f"component {j} references link {i} outside 0..{n_links - 1}")
-            h[i, j] = 1.0 / r[i]
-    return PayoffMatrix(h)
+    rates = np.array(r.rates, dtype=float)
+    return PayoffMatrix(_membership(components, len(r)).T / rates[:, None])
 
 
 def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
@@ -155,6 +163,18 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
     of about ten nodes, and loses where links sit in hundreds of components
     (see CHANGES.md).
 
+    Most iterations repeat the previous pick. After an iteration whose
+    column j misses the bottleneck link i, x_acc[i] is unchanged, so i is
+    picked again; row i adds nothing to y_acc[j], so j stays the leader
+    until a column that contains i overtakes it, or ties it from a lower
+    index. An inner loop runs those repeats of (i, j): each adds row i to
+    y_acc with the same test, and takes its bounds from the unchanged
+    y_acc[j] and x_acc[i]. Nothing in the run reads x_acc elsewhere or the
+    pick counts, so the run defers them: at its end every entry of x_acc
+    gets column j's adds, the same adds in the same order, and the counts
+    and the least upper bound's row counts are filled in. The iteration in
+    which column j is overtaken goes on as an ordinary one.
+
     Each float add is one the dense update makes, and the adds skipped are
     of 0.0, which change nothing; so the trajectory, bounds and iteration
     count are those of a dense loop, bit for bit.
@@ -163,6 +183,7 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
     converged=False and the bounds still valid.
     """
     cfg = cfg or SolverConfig()
+    max_iterations, delta = cfg.max_iterations, cfg.delta
     h = H.h
     n_links, n_comps = h.shape
     col_entries: list[dict[int, float] | None] = [None] * n_comps
@@ -184,17 +205,22 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
     upper_min = math.inf
     i_next = x_acc.index(min(x_acc))
     j_k = 0  # the first maximum of the all-zero y_acc
-    while k < cfg.max_iterations:
-        k += 1
-        i_k = i_next
-        row_counts[i_k] += 1
-        best_j = j_k
-        best = y_acc[j_k]
-        for j, value in row_entries[i_k]:
-            value += y_acc[j]
-            y_acc[j] = value
-            if value > best or (value == best and j < best_j):
-                best, best_j = value, j
+    picked = False  # whether iteration k's link pick and y_acc update are done
+    while True:
+        if not picked:
+            if k == max_iterations:
+                break
+            k += 1
+            i_k = i_next
+            row_counts[i_k] += 1
+            best_j = j_k
+            best = y_acc[j_k]
+            for j, value in row_entries[i_k]:
+                value += y_acc[j]
+                y_acc[j] = value
+                if value >= best and (value > best or j < best_j):
+                    best, best_j = value, j
+        picked = False
         j_k = best_j
         upper = best / k
         if upper < upper_min:
@@ -211,8 +237,47 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
         lower = x_acc[i_next] / (k + 1)
         if log is not None:
             log.append((lower, upper))
-        if upper_min - lower <= cfg.delta:
+        if upper_min - lower <= delta:
             converged = True
+            break
+        if i_k in entries:
+            continue
+
+        # Repeats of the pick (i_k, j_k), until a column containing i_k catches up with j_k
+        row, x_i = row_entries[i_k], x_acc[i_k]
+        k_run, k_snap = k, 0
+        for k in range(k + 1, max_iterations + 1):
+            for j, value in row:
+                value += y_acc[j]
+                y_acc[j] = value
+                if value >= best and (value > best or j < best_j):
+                    best, best_j = value, j
+            if best_j != j_k:
+                picked = True  # iteration k goes on from its component pick
+                break
+            upper = best / k  # y_acc[j_k], unchanged in the run
+            if upper < upper_min:
+                upper_min, k_snap = upper, k
+            lower = x_i / (k + 1)
+            if log is not None:
+                log.append((lower, upper))
+            if upper_min - lower <= delta:
+                converged = True
+                break
+        repeats = k - k_run - picked
+        col_counts[j_k] += repeats
+        for i, value in entries.items():
+            acc = x_acc[i]
+            for _ in range(repeats):
+                acc += value
+            x_acc[i] = acc
+        if k_snap:  # the least upper bound fell inside the run
+            row_counts[i_k] += k_snap - k_run
+            k_min, row_counts_min = k_snap, row_counts.copy()
+            row_counts[i_k] += k - k_snap
+        else:
+            row_counts[i_k] += k - k_run
+        if converged:
             break
 
     row_counts = np.array(row_counts, dtype=np.int64)
@@ -296,31 +361,28 @@ def extract_schedule(components: list[Component], r: RateVector, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     if y.shape != (len(components),):
         raise ValueError(f"strategy length {y.shape} does not match {len(components)} components")
-    n_links = len(r)
+
+    m = _membership(components, len(r))
+    rates = np.asarray(r.rates)
 
     target = math.ceil(1.0 / value_lower - 1e-9)
     quotas = y * target
     counts = np.floor(quotas).astype(int)
     leftover = target - int(counts.sum())
     by_remainder = np.argsort(-(quotas - counts), kind="stable")  # ties: lower index
-    for j in by_remainder[:leftover]:
-        counts[j] += 1
+    counts[by_remainder[:leftover]] += 1
 
-    served = np.zeros(n_links, dtype=int)
-    for j, comp in enumerate(components):
-        if counts[j]:
-            served[list(comp.members)] += counts[j]
-
-    rates = np.asarray(r.rates)
-    while (served < rates).any():
-        under = served < rates
-        coverage = [sum(under[i] for i in comp.members) for comp in components]
-        j = int(np.argmax(coverage))
+    served = counts @ m
+    under = served < rates
+    while under.any():
+        coverage = m @ under
+        j = int(np.argmax(coverage))  # ties: lower index
         if coverage[j] == 0:
             missing = int(np.flatnonzero(under)[0])
             raise ValueError(f"no component covers underserved link {missing}")
         counts[j] += 1
-        served[list(components[j].members)] += 1
+        served += m[j]
+        under = served < rates
 
     # Lists: the trim touches a few entries per component, too few for numpy.
     counts, served, rates = counts.tolist(), served.tolist(), rates.tolist()
@@ -332,7 +394,7 @@ def extract_schedule(components: list[Component], r: RateVector, y: np.ndarray,
             for i in members:
                 served[i] -= drop
 
-    slots = tuple(j for j, n in enumerate(counts) for _ in range(n))
+    slots = tuple(np.repeat(np.arange(len(components)), counts).tolist())
     return Schedule(slots, tuple(served), tuple(components))
 
 
@@ -341,10 +403,18 @@ def verify_schedule(s: Schedule, g: ConflictGraph, r: RateVector) -> ScheduleChe
 
     Each distinct component is checked once, at its first slot, and serves
     its links once per slot it fills. Components are visited in order of
-    first slot, so a conflict is reported at the first slot that has one.
+    first slot, so a conflict, or an index outside the component list, is
+    reported at the first slot that has one.
     """
+    n_comps = len(s.components)
     served = np.zeros(len(r), dtype=int)
     for comp_idx, n_slots in Counter(s.slots).items():
+        if not 0 <= comp_idx < n_comps:
+            return ScheduleCheck(
+                False,
+                f"slot {s.slots.index(comp_idx)} names component {comp_idx}, "
+                f"outside 0..{n_comps - 1}",
+            )
         members = s.components[comp_idx].members
         for a, b in itertools.combinations(members, 2):
             if g.adjacency[a, b]:

@@ -268,6 +268,9 @@ def verify_schedule_reference(s, g, r):
     """Schedule check that tests every member pair of every slot's component."""
     served = np.zeros(len(r), dtype=int)
     for slot_idx, comp_idx in enumerate(s.slots):
+        if comp_idx not in range(len(s.components)):
+            return ScheduleCheck(False, f"slot {slot_idx} names component {comp_idx}, "
+                                        f"outside 0..{len(s.components) - 1}")
         members = s.components[comp_idx].members
         for a_pos, a in enumerate(members):
             for b in members[a_pos + 1:]:

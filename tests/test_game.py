@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,17 @@ def test_payoff_rejects_uncovered_link():
 def test_payoff_rejects_empty_component_list():
     with pytest.raises(ValueError):
         build_payoff([], RateVector((1,)))
+
+
+@pytest.mark.parametrize("members, link", [((0, 3), 3), ((-1, 0), -1)])
+def test_component_link_outside_range_rejected(members, link):
+    # extract_schedule used to index past the end, or wrap -1 to the last link.
+    comps = [Component((0,)), Component(members)]
+    message = re.escape(f"component 1 references link {link} outside 0..2")
+    with pytest.raises(ValueError, match=message):
+        build_payoff(comps, THREE_LINK_RATES)
+    with pytest.raises(ValueError, match=message):
+        extract_schedule(comps, THREE_LINK_RATES, np.array([0.5, 0.5]), 1 / 3)
 
 
 # ---------------------------------------------------------------- fictitious play
@@ -246,6 +258,61 @@ def test_fp_matches_dense_reference(H, max_iterations, delta, log_bounds):
     cfg = SolverConfig(delta=delta, max_iterations=max_iterations)
     assert_same_solution(fp_solve(H, cfg, log_bounds=log_bounds),
                          fp_reference(H, cfg, log_bounds=log_bounds))
+
+
+@st.composite
+def membership_payoffs(draw):
+    """Games shaped as build_payoff makes them: row i is link i's 0/1 membership row over r_i."""
+    n_links = draw(st.integers(1, 12))
+    n_comps = draw(st.integers(1, 30))
+    cells = draw(st.lists(st.booleans(), min_size=n_links * n_comps,
+                          max_size=n_links * n_comps))
+    member = np.array(cells).reshape(n_links, n_comps)
+    for i in np.flatnonzero(~member.any(axis=1)):
+        member[i, i % n_comps] = True
+    for j in np.flatnonzero(~member.any(axis=0)):
+        member[j % n_links, j] = True
+    rates = draw(st.lists(st.integers(1, 20), min_size=n_links, max_size=n_links))
+    return PayoffMatrix(member / np.array(rates, dtype=float)[:, None])
+
+
+# Links 0 and 1 with rates 4 and 1, each alone in its component. Iterations
+# 2-4 pick (0, 1), and component 1 misses link 0; at iteration 5 row 0 lifts
+# component 0 to 1.0, the untouched leader's value, from the lower index.
+RUN_GAME = PayoffMatrix(np.array([[0.25, 0.0], [0.0, 1.0]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    H=membership_payoffs(),
+    max_iterations=st.integers(1, 3000),
+    delta=st.sampled_from([1e-3, 1e-2]),
+    log_bounds=st.booleans(),
+)
+@example(H=RUN_GAME, max_iterations=3, delta=1e-3, log_bounds=True)
+@example(H=RUN_GAME, max_iterations=100, delta=0.25, log_bounds=True)
+@example(H=RUN_GAME, max_iterations=5, delta=1e-3, log_bounds=False)
+def test_fp_matches_dense_reference_on_membership_games(H, max_iterations, delta, log_bounds):
+    cfg = SolverConfig(delta=delta, max_iterations=max_iterations)
+    assert_same_solution(fp_solve(H, cfg, log_bounds=log_bounds),
+                         fp_reference(H, cfg, log_bounds=log_bounds))
+
+
+@pytest.mark.parametrize("delta, max_iterations, iterations, converged, last_pick", [
+    (1e-3, 3, 3, False, (0, 1)),  # cut by max_iterations inside the run of (0, 1)
+    (0.25, 100, 4, True, (0, 1)),  # the gap falls to 0.2 at iteration 4, inside the run
+    (1e-3, 5, 5, False, (0, 0)),  # the run ends on a tie from the lower index
+])
+def test_fp_repeated_pick_run_endings(delta, max_iterations, iterations, converged, last_pick):
+    second = fp_reference(RUN_GAME, SolverConfig(delta=delta, max_iterations=2)).state
+    assert (second.last_row, second.last_col) == (0, 1) and RUN_GAME.h[0, 1] == 0
+    cfg = SolverConfig(delta=delta, max_iterations=max_iterations)
+    want = fp_reference(RUN_GAME, cfg, log_bounds=True)
+    assert (want.iterations, want.converged) == (iterations, converged)
+    assert (want.state.last_row, want.state.last_col) == last_pick
+    for log_bounds in (False, True):
+        assert_same_solution(fp_solve(RUN_GAME, cfg, log_bounds=log_bounds),
+                             fp_reference(RUN_GAME, cfg, log_bounds=log_bounds))
 
 
 @settings(max_examples=200, deadline=None)
@@ -458,19 +525,28 @@ def test_extract_random_instances_verify(seed):
     assert sched.length >= math.ceil(1.0 / value - 1e-9)
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_extract_matches_reference(data):
-    n_links = data.draw(st.integers(1, 6))
+@st.composite
+def rounding_inputs(draw):
+    """Components, rates, a mixed strategy and a value bound for extract_schedule."""
+    n_links = draw(st.integers(1, 6))
     members = st.lists(st.integers(0, n_links - 1), min_size=1, max_size=n_links, unique=True)
     comps = [Component(tuple(sorted(m)))
-             for m in data.draw(st.lists(members, min_size=1, max_size=6))]
-    r = RateVector(tuple(data.draw(st.lists(st.integers(0, 6), min_size=n_links,
-                                            max_size=n_links))))
-    weights = data.draw(st.lists(st.integers(0, 5), min_size=len(comps), max_size=len(comps))
-                        .filter(any))
-    y = np.array(weights) / sum(weights)
-    value_lower = 1 / data.draw(st.floats(1.0, 40.0))
+             for m in draw(st.lists(members, min_size=1, max_size=6))]
+    r = RateVector(tuple(draw(st.lists(st.integers(0, 6), min_size=n_links,
+                                       max_size=n_links))))
+    weights = draw(st.lists(st.integers(0, 5), min_size=len(comps), max_size=len(comps))
+                   .filter(any))
+    return comps, r, np.array(weights) / sum(weights), 1 / draw(st.floats(1.0, 40.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=rounding_inputs())
+# All mass on component 0, which misses link 2: repair adds component 1 twice.
+@example(inputs=(THREE_LINK_COMPONENTS, THREE_LINK_RATES, np.array([1.0, 0.0]), 1 / 3))
+# One slot each leaves link 0 short; both components cover it, and component 0 must win.
+@example(inputs=(THREE_LINK_COMPONENTS, RateVector((3, 1, 1)), np.array([0.5, 0.5]), 0.5))
+def test_extract_matches_reference(inputs):
+    comps, r, y, value_lower = inputs
     try:
         want = extract_schedule_reference(comps, r, y, value_lower)
     except ValueError as exc:
@@ -496,6 +572,17 @@ def test_verify_flags_underserved_link():
     assert "link 0" in check.violation
 
 
+@pytest.mark.parametrize("slots, violation", [
+    ((0, -1), "slot 1 names component -1, outside 0..1"),
+    ((1, 0, 2, 2), "slot 2 names component 2, outside 0..1"),
+])
+def test_verify_flags_slot_outside_component_list(slots, violation):
+    sched = Schedule(slots=slots, served=(0, 0, 0), components=tuple(THREE_LINK_COMPONENTS))
+    check = verify_schedule(sched, three_link_graph(), RateVector((0, 0, 0)))
+    assert not check
+    assert check.violation == violation
+
+
 def test_verify_reports_first_conflicting_slot_in_any_order():
     # Component 2 conflicts; it first fills slot 2 and again slot 4.
     g = three_link_graph()
@@ -515,7 +602,7 @@ def test_verify_matches_reference(data):
     members = st.lists(st.integers(0, n_links - 1), min_size=1, max_size=n_links, unique=True)
     comps = tuple(Component(tuple(sorted(m)))
                   for m in data.draw(st.lists(members, min_size=1, max_size=5)))
-    slots = tuple(data.draw(st.lists(st.integers(0, len(comps) - 1), max_size=12)))
+    slots = tuple(data.draw(st.lists(st.integers(-1, len(comps)), max_size=12)))
     r = RateVector(tuple(data.draw(st.lists(st.integers(0, 4), min_size=n_links,
                                             max_size=n_links))))
     sched = Schedule(slots=slots, served=(0,) * n_links, components=comps)

@@ -33,6 +33,8 @@ import softsched.harness as harness
 from softsched.cli import _config_from_args, build_parser, main
 from softsched.harness import DETAIL_HEADER, RESULTS_HEADER, _generate_instance
 
+from conftest import extract_schedule_reference, fp_reference
+
 THREE_LINK_FIXTURE = "fixtures/three_link.json"
 RELAY_FIXTURE = "fixtures/relay_topology.json"  # three collinear nodes, one 0->2 session
 
@@ -163,6 +165,49 @@ def test_run_instance_deterministic():
     assert run_instance(cfg, 1) == run_instance(cfg, 1)
     # different run ids draw different instances
     assert run_instance(cfg, 0) != run_instance(cfg, 1)
+
+
+def _replication(cfg, run_id):
+    """One generated run's received powers, rates and the counts every record carries."""
+    params = PropagationParams(alpha=cfg.alpha)
+    nodes, sessions = _generate_instance(cfg, run_id)
+    links, rates = accumulate_rates(route_sessions(nodes, sessions, params), sessions)
+    instance = dict(run_id=run_id, n_nodes=len(nodes), n_sessions=len(sessions),
+                    total_packets=sum(s.packets for s in sessions))
+    return link_powers(links, nodes, params), rates, instance
+
+
+@pytest.mark.parametrize("run_id", range(4))
+def test_saturating_margins_reuse_the_previous_records(monkeypatch, run_id):
+    # Margins of 20-60 dB saturate: neighbouring ones often give one graph.
+    cfg = ExperimentConfig(beta_min_db=20.0, beta_max_db=60.0, beta_step_db=5.0, runs=1)
+    powers, rates, instance = _replication(cfg, run_id)
+    graphs = [build_conflict_graph(powers, beta) for beta in cfg.beta_values()]
+    want = [rec for beta, g in zip(cfg.beta_values(), graphs)
+            for rec in harness._mode_records(cfg, g, rates, beta_db=beta, **instance)]
+    solves = []
+    monkeypatch.setattr(harness, "fp_solve", lambda *args: solves.append(args) or fp_solve(*args))
+    assert run_instance(cfg, run_id) == want
+    # Graphs only gain conflicts as the margin grows, so equal graphs are neighbours.
+    distinct = {g.adjacency.tobytes() for g in graphs}
+    assert len(solves) == len(distinct) < len(graphs)
+
+
+def test_sweep_csvs_match_reference_solver_and_rounding(tmp_path, monkeypatch):
+    # Paper-default instances: the dense fictitious play and the slot-by-slot
+    # trim of tests/conftest.py give the same bytes as the library's fast paths.
+    cfg = ExperimentConfig(runs=3, seed=11)
+
+    def sweep_bytes(tag):
+        table, records = run_sweep(cfg)
+        write_results(table, tmp_path / f"{tag}.csv")
+        write_detail(records, tmp_path / f"{tag}-detail.csv")
+        return [(tmp_path / name).read_bytes() for name in (f"{tag}.csv", f"{tag}-detail.csv")]
+
+    fast = sweep_bytes("fast")
+    monkeypatch.setattr(harness, "fp_solve", fp_reference)
+    monkeypatch.setattr(harness, "extract_schedule", extract_schedule_reference)
+    assert sweep_bytes("reference") == fast
 
 
 def test_too_many_sessions_rejected():
