@@ -87,6 +87,8 @@ def main(argv=None) -> int:
                     help="measuring time per workload and phase (default: perfbench's own)")
     ap.add_argument("--trace", type=int, choices=[0, 1])
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error(f"--pairs must be at least 1, got {args.pairs}")
 
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for i in range(args.pairs):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 
@@ -54,6 +55,15 @@ class PayoffMatrix:
         return self.h.shape[1]
 
 
+def _count(value, name: str, least: int | None = 0) -> int:
+    """A whole-number setting or fixture field, checked rather than rounded: 2.0 is 2."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1
+            or least is not None and value < least):
+        at_least = "" if least is None else f" of at least {least}"
+        raise ValueError(f"{name} must be a whole number{at_least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     delta: float = 1e-3
@@ -62,8 +72,7 @@ class SolverConfig:
     def __post_init__(self):
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        object.__setattr__(self, "max_iterations", _count(self.max_iterations, "max_iterations", 1))
 
 
 @dataclass
@@ -135,49 +144,39 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
     is a one-player payoff profile, so its worst entry bounds the game
     value: min(x_acc) / (k + 1) from below and max(y_acc) / k from above.
     Every iterate's bound holds (Robinson 1951), and the upper one
-    oscillates, so the solve keeps the least upper bound seen so far with
-    the link player's pick counts of its iteration. It stops once that
-    least upper bound is within delta of the current lower bound. x is
-    those saved counts over their iteration number and value_upper their
-    bound; y and value_lower come from the last iteration. So the returned
-    strategies certify the bracket: min(H @ y) equals value_lower and
-    max(x @ H) equals value_upper. bounds_log, when asked for, holds each
-    iteration's own (lower, upper) pair, not the running minimum; state
-    is that of the last iteration.
+    oscillates, so the solve keeps the least upper bound seen so far and its
+    iteration. It stops once that least upper bound is within delta of the
+    current lower bound. x is the link player's pick counts up to that
+    iteration over its number and value_upper its bound; y and value_lower
+    come from the last iteration. So the returned strategies certify the
+    bracket: min(H @ y) equals value_lower and max(x @ H) equals
+    value_upper. bounds_log, when asked for, holds each iteration's own
+    (lower, upper) pair, not the running minimum; state is that of the last
+    iteration.
 
-    Both accumulators are updated sparsely. x_acc (one entry per link) is a
-    Python list: a picked column adds only its nonzero entries, built on the
-    column's first pick and cached, since FP picks few of the columns. The
-    argmin over x_acc is recomputed only when the current bottleneck link is
-    in the picked column. Skipping it otherwise is exact: entries only grow,
-    so the entries before the bottleneck stay strictly above its unchanged
-    value and those after it stay at or above it.
-
-    y_acc (one entry per component) is a Python list too: a picked row adds
-    only to the components that contain its link, with each row's nonzero
-    entries built once, and the new argmax is searched among those
-    components and the current leader, largest value first and lowest index
-    on ties. An untouched entry did not grow, so it can at most equal the
-    leader, and then only from a higher index. Python pays for each touched
+    Both accumulators are updated sparsely, as Python lists. y_acc (one
+    entry per component) takes only the components that contain the picked
+    link, with each row's nonzero entries built once, and the new argmax is
+    searched among those components and the current leader, largest value
+    first and lowest index on ties. An untouched entry did not grow, so it
+    can at most equal the leader, and then only from a higher index; so a new
+    leader always contains the picked link. Python pays for each touched
     entry where numpy pays per call, so this wins on short rows, as in games
     of about ten nodes, and loses where links sit in hundreds of components
     (see CHANGES.md).
 
-    Most iterations repeat the previous pick. After an iteration whose
-    column j misses the bottleneck link i, x_acc[i] is unchanged, so i is
-    picked again; row i adds nothing to y_acc[j], so j stays the leader
-    until a column that contains i overtakes it, or ties it from a lower
-    index. An inner loop runs those repeats of (i, j): each adds row i to
-    y_acc with the same test, and takes its bounds from the unchanged
-    y_acc[j] and x_acc[i]. Nothing in the run reads x_acc elsewhere or the
-    pick counts, so the run defers them: at its end every entry of x_acc
-    gets column j's adds, the same adds in the same order, and the counts
-    and the least upper bound's row counts are filled in. The iteration in
-    which column j is overtaken goes on as an ordinary one.
-
-    Each float add is one the dense update makes, and the adds skipped are
-    of 0.0, which change nothing; so the trajectory, bounds and iteration
-    count are those of a dense loop, bit for bit.
+    x_acc (one entry per link) takes a picked column's nonzero entries,
+    built on the column's first pick and cached. A column that contains the
+    bottleneck link, as a new leader always does, is added at once and the
+    argmin recomputed. A leader that misses it is held: its adds leave the
+    bottleneck's entry as it is and only raise the others, so the same link
+    is the argmin and is picked again, and its row cannot raise the held
+    column, which leads until another overtakes it. Nothing reads x_acc's
+    other entries until then, so the held picks are counted and added when
+    the leader changes or the loop ends, one float add at a time per entry,
+    in the dense loop's order. The adds left out are of 0.0, which change
+    nothing; so the trajectory, bounds and iteration count are those of a
+    dense loop, bit for bit.
 
     Hitting max_iterations is not an error: the solution comes back with
     converged=False and the bounds still valid.
@@ -187,104 +186,64 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
     h = H.h
     n_links, n_comps = h.shape
     col_entries: list[dict[int, float] | None] = [None] * n_comps
-    row_entries = []
-    for row in h:
-        comps = np.flatnonzero(row)
-        row_entries.append(list(zip(comps.tolist(), row[comps].tolist())))
+    links, comps = np.nonzero(h)  # row-major, so each row's entries are consecutive
+    entries = zip(comps.tolist(), h[links, comps].tolist())
+    row_entries = [list(itertools.islice(entries, n))
+                   for n in np.bincount(links, minlength=n_links).tolist()]
 
     # + 0.0 turns -0.0 into 0.0, as the dense loop's first add does
     x_acc = (h[:, 0] + 0.0).tolist()
-    col_counts = [0] * n_comps
-    col_counts[0] = 1
     y_acc = [0.0] * n_comps
-    row_counts = [0] * n_links
+    col_counts = [0] * n_comps
+    picks = []  # the link player's pick at each iteration
     log: list[tuple[float, float]] | None = [] if log_bounds else None
 
-    k = 0
     converged = False
     upper_min = math.inf
-    i_next = x_acc.index(min(x_acc))
-    j_k = 0  # the first maximum of the all-zero y_acc
-    picked = False  # whether iteration k's link pick and y_acc update are done
-    while True:
-        if not picked:
-            if k == max_iterations:
-                break
-            k += 1
-            i_k = i_next
-            row_counts[i_k] += 1
-            best_j = j_k
-            best = y_acc[j_k]
-            for j, value in row_entries[i_k]:
-                value += y_acc[j]
-                y_acc[j] = value
-                if value >= best and (value > best or j < best_j):
-                    best, best_j = value, j
-        picked = False
-        j_k = best_j
+    x_min = min(x_acc)
+    i = x_acc.index(x_min)  # the bottleneck link, the link player's next pick
+    best, best_j = 0.0, 0  # y_acc's maximum and its first index
+    j_k = k_add = 0  # the leader, picked at iterations k_add..k; column 0 opens at 0
+    hold_j = -1  # j_k while it misses link i, else -1
+    for k in range(1, max_iterations + 1):
+        picks.append(i)
+        for j, value in row_entries[i]:
+            value += y_acc[j]
+            y_acc[j] = value
+            if value >= best and (value > best or j < best_j):
+                best, best_j = value, j
         upper = best / k
         if upper < upper_min:
-            upper_min, k_min, row_counts_min = upper, k, row_counts.copy()
-        col_counts[j_k] += 1
-        entries = col_entries[j_k]
-        if entries is None:
-            links = np.flatnonzero(h[:, j_k])
-            entries = col_entries[j_k] = dict(zip(links.tolist(), h[links, j_k].tolist()))
-        for i, value in entries.items():
-            x_acc[i] += value
-        if i_k in entries:
-            i_next = x_acc.index(min(x_acc))
-        lower = x_acc[i_next] / (k + 1)
+            upper_min, k_min = upper, k
+        if best_j != hold_j:  # column best_j contains link i: add it now
+            col_counts[j_k] += k - k_add
+            if k - 1 > k_add:  # the picks of j_k held since k_add
+                _add_repeatedly(x_acc, entries, k - 1 - k_add)
+            j_k, k_add = best_j, k
+            entries = col_entries[j_k]
+            if entries is None:
+                links = np.flatnonzero(h[:, j_k])
+                entries = col_entries[j_k] = dict(zip(links.tolist(), h[links, j_k].tolist()))
+            for link, value in entries.items():
+                x_acc[link] += value
+            x_min = min(x_acc)
+            i = x_acc.index(x_min)
+            hold_j = -1 if i in entries else j_k
+        lower = x_min / (k + 1)
         if log is not None:
             log.append((lower, upper))
         if upper_min - lower <= delta:
             converged = True
             break
-        if i_k in entries:
-            continue
+    col_counts[j_k] += k + 1 - k_add
+    _add_repeatedly(x_acc, entries, k - k_add)
 
-        # Repeats of the pick (i_k, j_k), until a column containing i_k catches up with j_k
-        row, x_i = row_entries[i_k], x_acc[i_k]
-        k_run, k_snap = k, 0
-        for k in range(k + 1, max_iterations + 1):
-            for j, value in row:
-                value += y_acc[j]
-                y_acc[j] = value
-                if value >= best and (value > best or j < best_j):
-                    best, best_j = value, j
-            if best_j != j_k:
-                picked = True  # iteration k goes on from its component pick
-                break
-            upper = best / k  # y_acc[j_k], unchanged in the run
-            if upper < upper_min:
-                upper_min, k_snap = upper, k
-            lower = x_i / (k + 1)
-            if log is not None:
-                log.append((lower, upper))
-            if upper_min - lower <= delta:
-                converged = True
-                break
-        repeats = k - k_run - picked
-        col_counts[j_k] += repeats
-        for i, value in entries.items():
-            acc = x_acc[i]
-            for _ in range(repeats):
-                acc += value
-            x_acc[i] = acc
-        if k_snap:  # the least upper bound fell inside the run
-            row_counts[i_k] += k_snap - k_run
-            k_min, row_counts_min = k_snap, row_counts.copy()
-            row_counts[i_k] += k - k_snap
-        else:
-            row_counts[i_k] += k - k_run
-        if converged:
-            break
-
-    row_counts = np.array(row_counts, dtype=np.int64)
+    picks = np.fromiter(picks, np.intp, k)
     col_counts = np.array(col_counts, dtype=np.int64)
-    state = FpState(np.array(x_acc), np.array(y_acc), row_counts, col_counts, k, i_k, j_k)
+    state = FpState(np.array(x_acc), np.array(y_acc), np.bincount(picks, minlength=n_links),
+                    col_counts, k, int(picks[-1]), j_k)
     return GameSolution(
-        x=np.array(row_counts_min, dtype=np.int64) / k_min,
+        x=np.bincount(picks[:k_min], minlength=n_links) / k_min,
         y=col_counts / (k + 1),
         value_lower=lower,
         value_upper=upper_min,
@@ -293,6 +252,15 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
         state=state,
         bounds_log=log,
     )
+
+
+def _add_repeatedly(acc: list[float], entries: dict[int, float], times: int) -> None:
+    """Add each entry to acc `times` times, one float add at a time, as `times` dense updates do."""
+    for i, value in entries.items():
+        total = acc[i]
+        for _ in range(times):
+            total += value
+        acc[i] = total
 
 
 def lp_oracle(H: PayoffMatrix) -> tuple[float, np.ndarray]:

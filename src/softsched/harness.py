@@ -25,7 +25,15 @@ import numpy as np
 from .coloring import coloring_slots, greedy_color, no_schedule_slots
 from .components import enumerate_maximal
 from .conflict import ConflictGraph, build_conflict_graph, link_powers
-from .game import SolverConfig, build_payoff, extract_schedule, fp_solve, lp_oracle, verify_schedule
+from .game import (
+    SolverConfig,
+    _count,
+    build_payoff,
+    extract_schedule,
+    fp_solve,
+    lp_oracle,
+    verify_schedule,
+)
 from .topology import (
     Node,
     PropagationParams,
@@ -56,10 +64,8 @@ class ExperimentConfig:
     modes: tuple[str, ...] = MODE_ORDER
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError(f"runs must be at least 1, got {self.runs}")
-        if self.n_sessions < 1:
-            raise ValueError(f"n_sessions must be at least 1, got {self.n_sessions}")
+        for name, least in (("runs", 1), ("n_nodes", 1), ("n_sessions", 1), ("seed", None)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, least))
         betas = (self.beta_min_db, self.beta_max_db, self.beta_step_db)
         if not all(math.isfinite(b) for b in betas):
             raise ValueError(f"beta bounds and step must be finite, got {betas}")
@@ -74,7 +80,8 @@ class ExperimentConfig:
         if not self.poisson_mean > 0:
             raise ValueError(f"poisson_mean must be positive, got {self.poisson_mean}")
         # The solver and path-loss settings are checked where they are defined.
-        SolverConfig(self.delta, self.max_iterations)
+        solver = SolverConfig(self.delta, self.max_iterations)
+        object.__setattr__(self, "max_iterations", solver.max_iterations)
         PropagationParams(alpha=self.alpha)
         if isinstance(self.modes, str):
             raise ValueError(f"modes must be a list of mode names, not the string {self.modes!r}")
@@ -107,13 +114,6 @@ class Fixture:
     sessions: tuple[Session, ...] | None = None
     graph: ConflictGraph | None = None
     rates: RateVector | None = None
-
-
-def _count(value, name: str, least: int = 0) -> int:
-    """A fixture's whole-number field, checked rather than rounded."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 or value < least:
-        raise ValueError(f"{name} must be a whole number of at least {least}, got {value!r}")
-    return int(value)
 
 
 def _topology_fixture(data) -> Fixture:

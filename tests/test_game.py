@@ -23,6 +23,7 @@ from softsched import (
 
 from conftest import (
     THREE_LINK_RATES,
+    assert_same_solution,
     brute_force_components,
     brute_force_maximal,
     extract_schedule_reference,
@@ -203,27 +204,6 @@ def test_fp_gap_running_minimum_hits_delta():
     gaps = [u - l for u, (l, _) in zip(upper_min, sol.bounds_log)]
     assert all(gap > 1e-3 for gap in gaps[:-1])
     assert gaps[-1] <= 1e-3
-
-
-def assert_same_solution(got, want):
-    """Field-for-field equality, floats bit for bit."""
-    for name in ("x", "y"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert got.value_lower.hex() == want.value_lower.hex()
-    assert got.value_upper.hex() == want.value_upper.hex()
-    assert (got.iterations, got.converged) == (want.iterations, want.converged)
-    for name in ("x_acc", "y_acc", "row_counts", "col_counts"):
-        a, b = getattr(got.state, name), getattr(want.state, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert (got.state.k, got.state.last_row, got.state.last_col) == (
-        want.state.k, want.state.last_row, want.state.last_col)
-    assert type(got.state.last_row) is int and type(got.state.last_col) is int
-    if want.bounds_log is None:
-        assert got.bounds_log is None
-    else:
-        assert [(l.hex(), u.hex()) for l, u in got.bounds_log] == [
-            (l.hex(), u.hex()) for l, u in want.bounds_log]
 
 
 @st.composite

@@ -6,6 +6,7 @@ import statistics
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,7 @@ import softsched.harness as harness
 from softsched.cli import _config_from_args, build_parser, main
 from softsched.harness import DETAIL_HEADER, RESULTS_HEADER, _generate_instance
 
-from conftest import extract_schedule_reference, fp_reference
+from conftest import assert_same_solution, extract_schedule_reference, fp_reference
 
 THREE_LINK_FIXTURE = "fixtures/three_link.json"
 RELAY_FIXTURE = "fixtures/relay_topology.json"  # three collinear nodes, one 0->2 session
@@ -196,6 +197,8 @@ def test_saturating_margins_reuse_the_previous_records(monkeypatch, run_id):
 def test_sweep_csvs_match_reference_solver_and_rounding(tmp_path, monkeypatch):
     # Paper-default instances: the dense fictitious play and the slot-by-slot
     # trim of tests/conftest.py give the same bytes as the library's fast paths.
+    # The CSVs leave out x and the solver state, so every game the sweep solves
+    # is also compared with the dense reference field by field.
     cfg = ExperimentConfig(runs=3, seed=11)
 
     def sweep_bytes(tag):
@@ -204,7 +207,17 @@ def test_sweep_csvs_match_reference_solver_and_rounding(tmp_path, monkeypatch):
         write_detail(records, tmp_path / f"{tag}-detail.csv")
         return [(tmp_path / name).read_bytes() for name in (f"{tag}.csv", f"{tag}-detail.csv")]
 
+    solved = []
+
+    def checked_fp_solve(H, solver_cfg):
+        sol = fp_solve(H, solver_cfg)
+        assert_same_solution(sol, fp_reference(H, solver_cfg))
+        solved.append(H.h.shape)
+        return sol
+
+    monkeypatch.setattr(harness, "fp_solve", checked_fp_solve)
     fast = sweep_bytes("fast")
+    assert len(solved) > 10 and max(shape[1] for shape in solved) > 10
     monkeypatch.setattr(harness, "fp_solve", fp_reference)
     monkeypatch.setattr(harness, "extract_schedule", extract_schedule_reference)
     assert sweep_bytes("reference") == fast
@@ -332,6 +345,21 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**bad)
+
+
+def test_config_counts_are_whole_numbers():
+    # Whole-valued floats and numpy integers are taken as ints; bools,
+    # fractions and strings are rejected with the field's name.
+    cfg = ExperimentConfig(runs=np.int64(3), n_nodes=4.0, n_sessions=2.0, seed=np.int32(-7),
+                           max_iterations=50.0)
+    counts = (cfg.runs, cfg.n_nodes, cfg.n_sessions, cfg.seed, cfg.max_iterations)
+    assert counts == (3, 4, 2, -7, 50) and all(type(v) is int for v in counts)
+    assert cfg == ExperimentConfig(runs=3, n_nodes=4, n_sessions=2, seed=-7, max_iterations=50)
+    assert type(SolverConfig(max_iterations=np.uint8(9)).max_iterations) is int
+    for name in ("runs", "n_nodes", "n_sessions", "seed", "max_iterations"):
+        for bad in (True, 1.5, "2", math.nan, math.inf, None):
+            with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+                ExperimentConfig(**{name: bad})
 
 
 def test_modes_canonicalized():
@@ -513,6 +541,12 @@ def test_cli_rejects_reversed_beta_range(tmp_path, capsys):
         (["--delta", "-1", "--modes", "coloring"], None, "delta must be positive"),
         (["--poisson-mean", "nan"], None, "poisson_mean must be positive"),
         ([], {"modes": "none"}, "not the string 'none'"),
+        ([], {"runs": True}, "runs must be a whole number of at least 1, got True"),
+        ([], {"runs": 2.5}, "runs must be a whole number of at least 1, got 2.5"),
+        ([], {"n_nodes": 10.5}, "n_nodes must be a whole number of at least 1, got 10.5"),
+        ([], {"n_sessions": 2.5}, "n_sessions must be a whole number of at least 1, got 2.5"),
+        ([], {"seed": 1.5}, "seed must be a whole number, got 1.5"),
+        ([], {"max_iterations": 100.5}, "max_iterations must be a whole number of at least 1"),
     ],
 )
 def test_cli_rejects_bad_settings_before_running(tmp_path, capsys, args, config, message):
@@ -521,7 +555,9 @@ def test_cli_rejects_bad_settings_before_running(tmp_path, capsys, args, config,
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         args = args + ["--config", str(cfg_path)]
-    assert main(args + ["--runs", "1", "--out", str(out)]) == 1
+    if "runs" not in (config or {}):
+        args = args + ["--runs", "1"]
+    assert main(args + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert message in err
     assert "run 0" not in err
