@@ -5,7 +5,14 @@ component enumeration -> link-vs-component matrix game -> integer slot
 schedule, with greedy coloring and no-scheduling baselines alongside.
 """
 
-from .coloring import Coloring, coloring_slots, greedy_color, no_schedule_slots
+from .coloring import (
+    Coloring,
+    class_slots,
+    coloring_slots,
+    first_fit_stack,
+    greedy_color,
+    no_schedule_slots,
+)
 from .components import (
     Component,
     ResourceLimitError,
@@ -14,6 +21,7 @@ from .components import (
 from .conflict import (
     ConflictGraph,
     build_conflict_graph,
+    conflict_stack,
     link_powers,
 )
 from .game import (

@@ -4,6 +4,11 @@ Hard coloring assigns each link to exactly one color class; all links of a
 class fire together, so a class must be repeated as many slots as its
 largest per-link rate. The greedy scheme is order-dependent, which is why
 the processing order is an explicit argument.
+
+``first_fit_stack`` colors a whole B x L x L stack of conflict matrices in
+one pass, the margins of a sweep side by side, and ``class_slots`` turns
+its colors into each margin's slot count; ``greedy_color`` and
+``coloring_slots`` are the same two steps for one graph.
 """
 
 from __future__ import annotations
@@ -23,33 +28,46 @@ class Coloring:
     classes: tuple[tuple[int, ...], ...]
 
 
+def first_fit_stack(stack: np.ndarray) -> np.ndarray:
+    """First-fit colors in link order for every matrix of a B x L x L stack, as a B x L array.
+
+    Link i takes the lowest color that none of links 0..i-1 it conflicts
+    with holds. The loop runs over links with numpy across the B matrices:
+    a link's earlier conflicts scatter their colors into a forbidden mask of
+    i + 1 colors, which always has a free one, and ``argmin`` finds the
+    first. Colors open in increasing order, so color k is the k-th class.
+    """
+    n_graphs, n_links = stack.shape[:2]
+    colors = np.zeros((n_graphs, n_links), dtype=np.intp)
+    for i in range(1, n_links):
+        graph, earlier = np.nonzero(stack[:, i, :i])
+        forbidden = np.zeros((n_graphs, i + 1), dtype=bool)
+        forbidden[graph, colors[graph, earlier]] = True
+        colors[:, i] = forbidden.argmin(axis=1)
+    return colors
+
+
+def class_slots(colors: np.ndarray, r: RateVector) -> list[int]:
+    """Slots of each row of a B x L color array: sum over its classes of the largest class rate."""
+    peak = np.zeros(colors.shape, dtype=np.int64)
+    rates = np.asarray(r.rates, dtype=np.int64)
+    np.maximum.at(peak, (np.arange(len(colors))[:, None], colors), rates)
+    return peak.sum(axis=1).tolist()
+
+
 def greedy_color(g: ConflictGraph, order: list[int]) -> Coloring:
     """First-fit coloring: each link joins the lowest class it does not conflict with.
 
     ``order`` must be a permutation of 0..L-1; the first link opens class 0,
     and a link that conflicts with every existing class opens a new one.
-    Each adjacency row is packed into one Python int bitset, and each class
-    keeps the OR of its members' rows as the mask of links it blocks, so the
-    test for a link is one bit lookup per class; the order of tests and the
-    classes are those of checking every member pairwise.
+    This is ``first_fit_stack`` on the adjacency permuted into ``order``.
     """
     if sorted(order) != list(range(g.n_links)):
         raise ValueError(f"order must be a permutation of 0..{g.n_links - 1}")
-    rows = [int.from_bytes(row, "little")
-            for row in np.packbits(g.adjacency, axis=1, bitorder="little")]
-    classes: list[list[int]] = []
-    blocked: list[int] = []
-    # int(): shifting a Python int wider than 63 bits by a numpy integer overflows.
-    for link in map(int, order):
-        for k, mask in enumerate(blocked):
-            if not mask >> link & 1:
-                classes[k].append(link)
-                blocked[k] = mask | rows[link]
-                break
-        else:
-            classes.append([link])
-            blocked.append(rows[link])
-    return Coloring(tuple(tuple(sorted(cls)) for cls in classes))
+    order = np.asarray(order, dtype=np.intp)
+    colors = first_fit_stack(g.adjacency[np.ix_(order, order)][None])[0]
+    return Coloring(tuple(tuple(np.sort(order[colors == k]).tolist())
+                          for k in range(colors.max(initial=-1) + 1)))
 
 
 def coloring_slots(c: Coloring, r: RateVector) -> int:
@@ -57,7 +75,10 @@ def coloring_slots(c: Coloring, r: RateVector) -> int:
     colored = sorted(link for cls in c.classes for link in cls)
     if colored != list(range(len(r))):
         raise ValueError("coloring does not cover the rate vector's links exactly")
-    return sum(max(map(r.rates.__getitem__, cls)) for cls in c.classes)
+    colors = np.zeros((1, len(r)), dtype=np.intp)
+    for k, cls in enumerate(c.classes):
+        colors[0, list(cls)] = k
+    return class_slots(colors, r)[0]
 
 
 def no_schedule_slots(r: RateVector) -> int:

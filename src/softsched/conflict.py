@@ -6,14 +6,14 @@ margin test is pairwise; cumulative interference from several simultaneous
 transmitters is deliberately not modelled.
 
 ``link_powers`` runs once per replication: it computes one L x L matrix of
-received powers (each link's transmitter at each link's receiver), which
-``build_conflict_graph`` thresholds once per margin against the diagonal,
-the links' own signals, at ``beta_db``.
+received powers (each link's transmitter at each link's receiver).
+``conflict_stack`` thresholds it against the diagonal, the links' own
+signals, at every margin of a sweep in one broadcast, giving a B x L x L
+boolean stack; ``build_conflict_graph`` is that stack at a single margin.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,17 +89,24 @@ def link_powers(links: list[Link], nodes: list[Node],
     return power, power.diagonal(), shared_node
 
 
-def build_conflict_graph(powers, beta_db: float) -> ConflictGraph:
-    """Conflict matrix at margin ``beta_db`` from ``link_powers``' output, for all pairs at once.
+def conflict_stack(powers, betas_db) -> np.ndarray:
+    """Conflict matrices from ``link_powers``' output at every margin in ``betas_db``, as B x L x L.
 
     Pair (a, b) fails the margin at b's receiver when
-    ``own[b] <= power[a, b] + beta_db``; testing both receivers makes the
+    ``own[b] <= power[a, b] + beta_db``; testing both receivers makes each
     matrix symmetric, and raising beta_db can only add conflicts.
     ``beta_db = -inf`` disables the margin test, leaving only shared-node
     conflicts.
     """
-    if math.isnan(beta_db):
+    betas = np.asarray(betas_db, dtype=float)
+    if np.isnan(betas).any():
         raise ValueError("beta_db must not be NaN")
     power, own, shared_node = powers
-    margin_fails = own[None, :] <= power + beta_db
-    return ConflictGraph(len(own), shared_node | margin_fails | margin_fails.T)
+    margin_fails = own <= power + betas[:, None, None]
+    return shared_node | margin_fails | margin_fails.transpose(0, 2, 1)
+
+
+def build_conflict_graph(powers, beta_db: float) -> ConflictGraph:
+    """Conflict graph at the single margin ``beta_db``: one layer of ``conflict_stack``."""
+    stack = conflict_stack(powers, [beta_db])
+    return ConflictGraph(stack.shape[1], stack[0])

@@ -10,21 +10,33 @@ requested scheduling modes:
   none      one activation per slot, no spatial reuse
 
 Replications use seed streams derived from (root seed, run id), so results
-are reproducible and order-independent.
+are reproducible and order-independent. A replication thresholds its
+received powers at every margin in one ``conflict_stack`` call and colors
+the whole stack in one ``first_fit_stack`` pass; only the soft mode looks
+at one margin's graph at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .coloring import coloring_slots, greedy_color, no_schedule_slots
+# build_conflict_graph, greedy_color and coloring_slots are not called here;
+# they stay importable from this module, where perfbench's tracer looks them up.
+from .coloring import (  # noqa: F401
+    class_slots,
+    coloring_slots,
+    first_fit_stack,
+    greedy_color,
+    no_schedule_slots,
+)
 from .components import enumerate_maximal
-from .conflict import ConflictGraph, build_conflict_graph, link_powers
+from .conflict import ConflictGraph, build_conflict_graph, conflict_stack, link_powers  # noqa: F401
 from .game import (
     SolverConfig,
     _count,
@@ -66,6 +78,18 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, least in (("runs", 1), ("n_nodes", 1), ("n_sessions", 1), ("seed", None)):
             object.__setattr__(self, name, _count(getattr(self, name), name, least))
+        pairs = self.n_nodes * (self.n_nodes - 1)
+        if self.n_sessions > pairs:
+            raise ValueError(
+                f"n_sessions {self.n_sessions} exceeds the {pairs} distinct source-sink "
+                f"pairs of {self.n_nodes} nodes"
+            )
+        for name in ("beta_min_db", "beta_max_db", "beta_step_db", "alpha", "poisson_mean",
+                     "delta"):
+            value = getattr(self, name)
+            # bool is an int, so True would otherwise run as 1.0.
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         betas = (self.beta_min_db, self.beta_max_db, self.beta_step_db)
         if not all(math.isfinite(b) for b in betas):
             raise ValueError(f"beta bounds and step must be finite, got {betas}")
@@ -222,11 +246,6 @@ def _generate_instance(cfg: ExperimentConfig, run_id: int) -> tuple[list[Node], 
     ordered_pairs = [
         (i, j) for i in range(cfg.n_nodes) for j in range(cfg.n_nodes) if i != j
     ]
-    if cfg.n_sessions > len(ordered_pairs):
-        raise ValueError(
-            f"{cfg.n_sessions} sessions requested but only {len(ordered_pairs)} "
-            f"distinct source-sink pairs exist for {cfg.n_nodes} nodes"
-        )
     pair_rng = np.random.default_rng(pair_seed)
     picks = pair_rng.choice(len(ordered_pairs), size=cfg.n_sessions, replace=False)
     packet_rng = np.random.default_rng(packet_seed)
@@ -255,20 +274,24 @@ def _soft_slots(g: ConflictGraph, rates: RateVector, cfg: ExperimentConfig):
     return schedule.length, lower, upper, iterations, converged
 
 
-def _mode_records(cfg: ExperimentConfig, g: ConflictGraph, rates: RateVector,
-                  **instance) -> list[ResultRecord]:
-    """One record per mode; ``instance`` holds the fields that are the same for every mode."""
+def _mode_records(cfg: ExperimentConfig, adjacency: np.ndarray, rates: RateVector,
+                  coloring: int | None, **instance) -> list[ResultRecord]:
+    """One record per mode at one margin; ``coloring`` is that margin's coloring slot count.
+
+    ``instance`` holds the fields that are the same for every mode.
+    """
     records = []
     for mode in cfg.modes:
         extra = {}
         if mode == "soft":
+            g = ConflictGraph(len(adjacency), adjacency)
             slots, lower, upper, iterations, converged = _soft_slots(g, rates, cfg)
             extra = dict(
                 value_lower=lower, value_upper=upper,
                 fp_iterations=iterations, converged=converged,
             )
         elif mode == "coloring":
-            slots = coloring_slots(greedy_color(g, list(range(g.n_links))), rates)
+            slots = coloring
         else:
             slots = no_schedule_slots(rates)
         records.append(
@@ -291,38 +314,43 @@ def run_instance(cfg: ExperimentConfig, run_id: int,
     it has no geometry either, so the beta sweep collapses to a single NaN
     entry and each link's rate doubles as its packet demand.
 
-    A margin whose conflict graph equals the previous margin's copies that
-    margin's records with its own beta_db instead of solving again. This is
-    exact: apart from beta_db, every mode's record is a function of the
-    configuration, the graph, the rates and the instance's counts alone,
-    and each solver is deterministic. Neighbouring margins often give the same graph, most
-    often the complete graph at the top of the sweep.
+    Every margin's conflict matrix comes from one ``conflict_stack`` call,
+    and one ``first_fit_stack`` pass gives every margin's coloring (greedy,
+    in link-index order). A margin whose matrix equals the previous
+    margin's copies that margin's records with its own beta_db instead of
+    solving again. This is exact: apart from beta_db, every mode's record
+    is a function of the configuration, the graph, the rates and the
+    instance's counts alone, and each solver is deterministic. Neighbouring
+    margins often give the same graph, most often the complete graph at the
+    top of the sweep.
     """
     if fixture is not None and fixture.kind == "conflict":
         rates = fixture.rates
-        return _mode_records(cfg, fixture.graph, rates, run_id=run_id, beta_db=math.nan,
-                             n_nodes=0, n_sessions=0, total_packets=rates.total())
-
-    if fixture is not None:
-        nodes, sessions = list(fixture.nodes), list(fixture.sessions)
+        betas, stack = (math.nan,), fixture.graph.adjacency[None]
+        instance = dict(run_id=run_id, n_nodes=0, n_sessions=0, total_packets=rates.total())
     else:
-        nodes, sessions = _generate_instance(cfg, run_id)
-    params = PropagationParams(alpha=cfg.alpha)
-    paths = route_sessions(nodes, sessions, params)
-    links, rates = accumulate_rates(paths, sessions)
-    instance = dict(run_id=run_id, n_nodes=len(nodes), n_sessions=len(sessions),
-                    total_packets=sum(s.packets for s in sessions))
-    powers = link_powers(links, nodes, params)
-    records, previous = [], None
-    for beta in cfg.beta_values():
-        g = build_conflict_graph(powers, beta)
-        graph = g.adjacency.tobytes()  # every margin's graph has the same shape
-        if graph != previous:
-            cell = _mode_records(cfg, g, rates, beta_db=beta, **instance)
+        if fixture is not None:
+            nodes, sessions = list(fixture.nodes), list(fixture.sessions)
         else:
+            nodes, sessions = _generate_instance(cfg, run_id)
+        params = PropagationParams(alpha=cfg.alpha)
+        paths = route_sessions(nodes, sessions, params)
+        links, rates = accumulate_rates(paths, sessions)
+        instance = dict(run_id=run_id, n_nodes=len(nodes), n_sessions=len(sessions),
+                        total_packets=sum(s.packets for s in sessions))
+        betas = cfg.beta_values()
+        stack = conflict_stack(link_powers(links, nodes, params), betas)
+    coloring = [None] * len(betas)
+    if "coloring" in cfg.modes:
+        coloring = class_slots(first_fit_stack(stack), rates)
+    repeats = (stack[1:] == stack[:-1]).all(axis=(1, 2))
+    records = []
+    for b, beta in enumerate(betas):
+        if b and repeats[b - 1]:
             cell = [replace(rec, beta_db=beta) for rec in cell]
+        else:
+            cell = _mode_records(cfg, stack[b], rates, coloring[b], beta_db=beta, **instance)
         records.extend(cell)
-        previous = graph
     return records
 
 

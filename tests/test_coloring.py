@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from softsched import (
     ConflictGraph,
     RateVector,
+    class_slots,
     coloring_slots,
+    first_fit_stack,
     greedy_color,
     no_schedule_slots,
 )
@@ -33,10 +35,12 @@ def test_three_link_alternate_order():
 
 
 def test_complete_graph_all_singletons():
-    g = ConflictGraph(4, np.ones((4, 4), dtype=bool))
-    for order in ([0, 1, 2, 3], [3, 1, 0, 2]):
+    # 70 links need more colors than a 64-bit mask has bits.
+    for n, order in ((4, [0, 1, 2, 3]), (4, [3, 1, 0, 2]), (70, list(range(69, -1, -1)))):
+        g = ConflictGraph(n, np.ones((n, n), dtype=bool))
         c = greedy_color(g, order)
-        assert sorted(c.classes) == [(0,), (1,), (2,), (3,)]
+        assert c.classes == tuple((link,) for link in order)
+        assert coloring_slots(c, RateVector(tuple(range(n)))) == sum(range(n))
 
 
 def test_order_must_be_permutation():
@@ -101,7 +105,7 @@ def test_coloring_never_beats_no_reuse_backwards(n, p, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    # Up to 80 links, so the row bitsets cross the byte and 64-bit boundaries.
+    # Up to 80 links, so dense graphs need more than 64 colors.
     n=st.integers(min_value=1, max_value=80),
     p=st.floats(min_value=0.0, max_value=1.0),
     seed=st.integers(min_value=0, max_value=10_000),
@@ -114,3 +118,25 @@ def test_greedy_matches_first_fit_reference(n, p, seed, numpy_order):
     if not numpy_order:
         order = [int(v) for v in order]
     assert greedy_color(g, order).classes == first_fit_classes(g, order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    # Up to 80 links: dense graphs need more than 64 colors.
+    n=st.integers(min_value=1, max_value=80),
+    ps=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_stack_first_fit_matches_reference_at_every_layer(n, ps, seed):
+    rng = np.random.default_rng(seed)
+    graphs = [random_conflict_graph(rng, n, p) for p in ps]
+    r = RateVector(tuple(int(v) for v in rng.integers(0, 10, n)))
+    colors = first_fit_stack(np.stack([g.adjacency for g in graphs]))
+    assert colors.shape == (len(graphs), n)
+    slots = class_slots(colors, r)
+    for g, row, got in zip(graphs, colors, slots):
+        want = first_fit_classes(g, range(n))
+        assert tuple(tuple(np.flatnonzero(row == k).tolist())
+                     for k in range(row.max() + 1)) == want
+        assert got == sum(max(r[link] for link in cls) for cls in want)
+        assert type(got) is int

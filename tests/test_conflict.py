@@ -15,6 +15,7 @@ from softsched import (
     Session,
     accumulate_rates,
     build_conflict_graph,
+    conflict_stack,
     generate_nodes,
     link_powers,
     load_fixture,
@@ -206,6 +207,30 @@ def test_conflicts_monotone_in_margin(layout, betas, alpha):
     powers = link_powers(links, nodes, PropagationParams(alpha=alpha))
     edges = [build_conflict_graph(powers, beta).edge_set() for beta in sorted(betas)]
     assert all(lo <= hi for lo, hi in zip(edges, edges[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       n_nodes=st.integers(min_value=2, max_value=20),
+       n_links=st.integers(min_value=1, max_value=80),
+       betas=st.lists(_BETAS, min_size=1, max_size=8))
+def test_stack_is_every_margin_graph_and_nests(seed, n_nodes, n_links, betas):
+    # One broadcast over a sweep's margins gives each margin's single graph,
+    # and the layers of an ascending sweep only gain conflicts.
+    nodes, links = _random_instance(seed, n_nodes, n_links)
+    powers = link_powers(links, nodes)
+    betas = sorted(betas)
+    stack = conflict_stack(powers, betas)
+    assert stack.shape == (len(betas), n_links, n_links) and stack.dtype == bool
+    for beta, layer in zip(betas, stack):
+        assert np.array_equal(layer, build_conflict_graph(powers, beta).adjacency)
+    assert not (stack[:-1] & ~stack[1:]).any()
+
+
+def test_stack_rejects_any_nan_margin():
+    powers = link_powers([_PAR_A, _PAR_B], _PARALLEL)
+    with pytest.raises(ValueError, match="NaN"):
+        conflict_stack(powers, [0.0, math.nan, 10.0])
 
 
 def test_graph_equals_pairwise_reference_on_routed_instances():

@@ -19,8 +19,10 @@ from softsched import (
     accumulate_rates,
     build_conflict_graph,
     build_payoff,
+    coloring_slots,
     enumerate_maximal,
     fp_solve,
+    greedy_color,
     link_powers,
     load_fixture,
     lp_oracle,
@@ -32,7 +34,7 @@ from softsched import (
 )
 import softsched.harness as harness
 from softsched.cli import _config_from_args, build_parser, main
-from softsched.harness import DETAIL_HEADER, RESULTS_HEADER, _generate_instance
+from softsched.harness import DETAIL_HEADER, RESULTS_HEADER, _generate_instance, _mode_records
 
 from conftest import assert_same_solution, extract_schedule_reference, fp_reference
 
@@ -151,7 +153,7 @@ def test_failed_run_raises_run_error_with_the_original_cause(monkeypatch):
     def fail(*args, **kwargs):
         raise original
 
-    monkeypatch.setattr(harness, "build_conflict_graph", fail)
+    monkeypatch.setattr(harness, "conflict_stack", fail)
     with pytest.raises(RunError, match="^run 0: out of memory$") as info:
         run_sweep(small_cfg())
     assert info.value.__cause__ is original
@@ -168,14 +170,55 @@ def test_run_instance_deterministic():
     assert run_instance(cfg, 0) != run_instance(cfg, 1)
 
 
-def _replication(cfg, run_id):
-    """One generated run's received powers, rates and the counts every record carries."""
+def _replication(cfg, run_id, fixture=None):
+    """One run's received powers, rates and the counts every record carries."""
     params = PropagationParams(alpha=cfg.alpha)
-    nodes, sessions = _generate_instance(cfg, run_id)
+    if fixture is None:
+        nodes, sessions = _generate_instance(cfg, run_id)
+    else:
+        nodes, sessions = list(fixture.nodes), list(fixture.sessions)
     links, rates = accumulate_rates(route_sessions(nodes, sessions, params), sessions)
     instance = dict(run_id=run_id, n_nodes=len(nodes), n_sessions=len(sessions),
                     total_packets=sum(s.packets for s in sessions))
     return link_powers(links, nodes, params), rates, instance
+
+
+def _greedy_slots(g, rates):
+    return coloring_slots(greedy_color(g, list(range(g.n_links))), rates)
+
+
+@pytest.mark.parametrize("fixture_path", [None, RELAY_FIXTURE, THREE_LINK_FIXTURE])
+def test_coloring_records_match_per_margin_greedy_color(monkeypatch, fixture_path):
+    # One first-fit pass over the margin stack gives each margin's coloring.
+    cfg = ExperimentConfig(n_nodes=20, n_sessions=10, beta_min_db=0.0, beta_max_db=60.0,
+                           beta_step_db=2.0, runs=1, modes=("coloring", "none"))
+    fixture = load_fixture(fixture_path) if fixture_path else None
+    for run_id in range(3):
+        if fixture is not None and fixture.kind == "conflict":
+            betas, graphs, rates = [math.nan], [fixture.graph], fixture.rates
+        else:
+            powers, rates, _ = _replication(cfg, run_id, fixture)
+            betas = cfg.beta_values()
+            graphs = [build_conflict_graph(powers, beta) for beta in betas]
+        cells = []
+        monkeypatch.setattr(harness, "_mode_records",
+                            lambda *a, **k: cells.append(a) or _mode_records(*a, **k))
+        records = run_instance(cfg, run_id, fixture)
+        monkeypatch.undo()
+        assert len(records) == 2 * len(betas)
+        coloring = [rec for rec in records if rec.mode == "coloring"]
+        for g, beta, rec in zip(graphs, betas, coloring):
+            assert rec.slots == _greedy_slots(g, rates)
+            assert rec.beta_db == beta or math.isnan(beta)
+        # A margin whose graph repeats the previous one's copies its records.
+        distinct = [k for k, g in enumerate(graphs)
+                    if k == 0 or not np.array_equal(g.adjacency, graphs[k - 1].adjacency)]
+        assert len(cells) == len(distinct)
+        for k in set(range(len(graphs))) - set(distinct):
+            assert records[2 * k:2 * k + 2] == [dataclasses.replace(rec, beta_db=betas[k])
+                                                for rec in records[2 * k - 2:2 * k]]
+        if fixture is None:
+            assert len(distinct) < len(graphs)
 
 
 @pytest.mark.parametrize("run_id", range(4))
@@ -185,7 +228,8 @@ def test_saturating_margins_reuse_the_previous_records(monkeypatch, run_id):
     powers, rates, instance = _replication(cfg, run_id)
     graphs = [build_conflict_graph(powers, beta) for beta in cfg.beta_values()]
     want = [rec for beta, g in zip(cfg.beta_values(), graphs)
-            for rec in harness._mode_records(cfg, g, rates, beta_db=beta, **instance)]
+            for rec in harness._mode_records(cfg, g.adjacency, rates, _greedy_slots(g, rates),
+                                             beta_db=beta, **instance)]
     solves = []
     monkeypatch.setattr(harness, "fp_solve", lambda *args: solves.append(args) or fp_solve(*args))
     assert run_instance(cfg, run_id) == want
@@ -224,9 +268,10 @@ def test_sweep_csvs_match_reference_solver_and_rounding(tmp_path, monkeypatch):
 
 
 def test_too_many_sessions_rejected():
-    cfg = small_cfg(n_nodes=3, n_sessions=7)  # only 6 ordered pairs
-    with pytest.raises(ValueError):
-        run_instance(cfg, 0)
+    # Only 6 ordered pairs; the config is refused before any run.
+    with pytest.raises(ValueError, match="^n_sessions 7 exceeds the 6 distinct"):
+        small_cfg(n_nodes=3, n_sessions=7)
+    assert small_cfg(n_nodes=3, n_sessions=6).n_sessions == 6
 
 
 def test_mode_ordering_invariant_small():
@@ -360,6 +405,17 @@ def test_config_counts_are_whole_numbers():
         for bad in (True, 1.5, "2", math.nan, math.inf, None):
             with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
                 ExperimentConfig(**{name: bad})
+
+
+def test_config_reals_reject_bools_and_strings():
+    # True is an int, so it used to run as 1.0.
+    for name in ("beta_min_db", "beta_max_db", "beta_step_db", "alpha", "poisson_mean", "delta"):
+        for bad in (True, False, "1.0", None):
+            with pytest.raises(ValueError, match=f"^{name} must be a real number, got {bad!r}$"):
+                ExperimentConfig(**{name: bad})
+    cfg = ExperimentConfig(beta_min_db=np.float64(1.0), beta_max_db=2, beta_step_db=1,
+                           alpha=np.int64(3))
+    assert cfg.beta_values() == (1.0, 2.0)
 
 
 def test_modes_canonicalized():
@@ -547,6 +603,8 @@ def test_cli_rejects_reversed_beta_range(tmp_path, capsys):
         ([], {"n_sessions": 2.5}, "n_sessions must be a whole number of at least 1, got 2.5"),
         ([], {"seed": 1.5}, "seed must be a whole number, got 1.5"),
         ([], {"max_iterations": 100.5}, "max_iterations must be a whole number of at least 1"),
+        (["--nodes", "3", "--sessions", "10"], None, "n_sessions 10 exceeds"),
+        ([], {"delta": True}, "delta must be a real number, got True"),
     ],
 )
 def test_cli_rejects_bad_settings_before_running(tmp_path, capsys, args, config, message):
