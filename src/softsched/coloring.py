@@ -52,7 +52,7 @@ def class_slots(colors: np.ndarray, r: RateVector) -> list[int]:
     peak = np.zeros(colors.shape, dtype=np.int64)
     rates = np.asarray(r.rates, dtype=np.int64)
     np.maximum.at(peak, (np.arange(len(colors))[:, None], colors), rates)
-    return peak.sum(axis=1).tolist()
+    return [sum(row) for row in peak.tolist()]  # Python ints: an int64 sum could wrap
 
 
 def greedy_color(g: ConflictGraph, order: list[int]) -> Coloring:

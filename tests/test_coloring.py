@@ -55,6 +55,12 @@ def test_zero_rates_need_zero_slots():
     assert coloring_slots(c, RateVector((0, 0, 0))) == 0
 
 
+def test_slot_sums_do_not_wrap():
+    # Two conflicting links of rate 2**62 need 2**63 slots, one past int64.
+    g = ConflictGraph(2, np.ones((2, 2), dtype=bool))
+    assert coloring_slots(greedy_color(g, [0, 1]), RateVector((2**62, 2**62))) == 2**63
+
+
 def test_no_schedule_slots():
     assert no_schedule_slots(RateVector((3, 1, 2))) == 6
     assert no_schedule_slots(RateVector((1,))) == 1
