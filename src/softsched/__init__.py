@@ -7,7 +7,6 @@ schedule, with greedy coloring and no-scheduling baselines alongside.
 
 from .coloring import (
     Coloring,
-    class_slots,
     coloring_slots,
     first_fit_stack,
     greedy_color,

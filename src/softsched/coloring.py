@@ -6,9 +6,8 @@ largest per-link rate. The greedy scheme is order-dependent, which is why
 the processing order is an explicit argument.
 
 ``first_fit_stack`` colors a whole B x L x L stack of conflict matrices in
-one pass, the margins of a sweep side by side, and ``class_slots`` turns
-its colors into each margin's slot count; ``greedy_color`` and
-``coloring_slots`` are the same two steps for one graph.
+one pass, the margins of a sweep side by side; ``greedy_color`` is that pass
+on one graph in a given order.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ class Coloring:
     classes: tuple[tuple[int, ...], ...]
 
 
-def first_fit_stack(stack: np.ndarray) -> np.ndarray:
-    """First-fit colors in link order for every matrix of a B x L x L stack, as a B x L array.
+def first_fit_stack(stack: np.ndarray) -> list[Coloring]:
+    """First-fit coloring in link order of every matrix of a B x L x L stack.
 
     Link i takes the lowest color that none of links 0..i-1 it conflicts
     with holds. The loop runs over links with numpy across the B matrices:
@@ -44,15 +43,13 @@ def first_fit_stack(stack: np.ndarray) -> np.ndarray:
         forbidden = np.zeros((n_graphs, i + 1), dtype=bool)
         forbidden[graph, colors[graph, earlier]] = True
         colors[:, i] = forbidden.argmin(axis=1)
-    return colors
-
-
-def class_slots(colors: np.ndarray, r: RateVector) -> list[int]:
-    """Slots of each row of a B x L color array: sum over its classes of the largest class rate."""
-    peak = np.zeros(colors.shape, dtype=np.int64)
-    rates = np.asarray(r.rates, dtype=np.int64)
-    np.maximum.at(peak, (np.arange(len(colors))[:, None], colors), rates)
-    return [sum(row) for row in peak.tolist()]  # Python ints: an int64 sum could wrap
+    colorings = []
+    for row in colors.tolist():
+        classes = [[] for _ in range(max(row, default=-1) + 1)]
+        for link, k in enumerate(row):
+            classes[k].append(link)
+        colorings.append(Coloring(tuple(map(tuple, classes))))
+    return colorings
 
 
 def greedy_color(g: ConflictGraph, order: list[int]) -> Coloring:
@@ -65,9 +62,9 @@ def greedy_color(g: ConflictGraph, order: list[int]) -> Coloring:
     if sorted(order) != list(range(g.n_links)):
         raise ValueError(f"order must be a permutation of 0..{g.n_links - 1}")
     order = np.asarray(order, dtype=np.intp)
-    colors = first_fit_stack(g.adjacency[np.ix_(order, order)][None])[0]
-    return Coloring(tuple(tuple(np.sort(order[colors == k]).tolist())
-                          for k in range(colors.max(initial=-1) + 1)))
+    (c,) = first_fit_stack(g.adjacency[np.ix_(order, order)][None])
+    link = order.tolist()
+    return Coloring(tuple(tuple(sorted(link[i] for i in cls)) for cls in c.classes))
 
 
 def coloring_slots(c: Coloring, r: RateVector) -> int:
@@ -75,10 +72,7 @@ def coloring_slots(c: Coloring, r: RateVector) -> int:
     colored = sorted(link for cls in c.classes for link in cls)
     if colored != list(range(len(r))):
         raise ValueError("coloring does not cover the rate vector's links exactly")
-    colors = np.zeros((1, len(r)), dtype=np.intp)
-    for k, cls in enumerate(c.classes):
-        colors[0, list(cls)] = k
-    return class_slots(colors, r)[0]
+    return sum(max(map(r.rates.__getitem__, cls)) for cls in c.classes)
 
 
 def no_schedule_slots(r: RateVector) -> int:

@@ -12,8 +12,8 @@ requested scheduling modes:
 Replications use seed streams derived from (root seed, run id), so results
 are reproducible and order-independent. A replication thresholds its
 received powers at every margin in one ``conflict_stack`` call and colors
-the whole stack in one ``first_fit_stack`` pass; only the soft mode looks
-at one margin's graph at a time.
+the whole stack in one ``first_fit_stack`` pass; the soft mode builds its
+margin's graph with ``build_conflict_graph``.
 """
 
 from __future__ import annotations
@@ -26,17 +26,17 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-# build_conflict_graph, greedy_color and coloring_slots are not called here;
-# they stay importable from this module, where perfbench's tracer looks them up.
+# greedy_color is not called here; perfbench's tracer looks it up in this
+# module with the stage functions that are.
 from .coloring import (  # noqa: F401
-    class_slots,
+    Coloring,
     coloring_slots,
     first_fit_stack,
     greedy_color,
     no_schedule_slots,
 )
 from .components import enumerate_maximal
-from .conflict import ConflictGraph, build_conflict_graph, conflict_stack, link_powers  # noqa: F401
+from .conflict import ConflictGraph, build_conflict_graph, conflict_stack, link_powers
 from .game import (
     SolverConfig,
     _count,
@@ -274,24 +274,25 @@ def _soft_slots(g: ConflictGraph, rates: RateVector, cfg: ExperimentConfig):
     return schedule.length, lower, upper, iterations, converged
 
 
-def _mode_records(cfg: ExperimentConfig, adjacency: np.ndarray, rates: RateVector,
-                  coloring: int | None, **instance) -> list[ResultRecord]:
-    """One record per mode at one margin; ``coloring`` is that margin's coloring slot count.
+def _mode_records(cfg: ExperimentConfig, g: ConflictGraph | None, rates: RateVector,
+                  coloring: Coloring | None, **instance) -> list[ResultRecord]:
+    """One record per mode at one margin.
 
+    The soft mode solves on the margin's graph ``g`` and the coloring mode
+    counts the slots of its ``coloring``; each is None when its mode is off.
     ``instance`` holds the fields that are the same for every mode.
     """
     records = []
     for mode in cfg.modes:
         extra = {}
         if mode == "soft":
-            g = ConflictGraph(len(adjacency), adjacency)
             slots, lower, upper, iterations, converged = _soft_slots(g, rates, cfg)
             extra = dict(
                 value_lower=lower, value_upper=upper,
                 fp_iterations=iterations, converged=converged,
             )
         elif mode == "coloring":
-            slots = coloring
+            slots = coloring_slots(coloring, rates)
         else:
             slots = no_schedule_slots(rates)
         records.append(
@@ -318,14 +319,15 @@ def run_instance(cfg: ExperimentConfig, run_id: int,
     and one ``first_fit_stack`` pass gives every margin's coloring (greedy,
     in link-index order). A margin whose matrix equals the previous
     margin's copies that margin's records with its own beta_db instead of
-    solving again. This is exact: apart from beta_db, every mode's record
-    is a function of the configuration, the graph, the rates and the
-    instance's counts alone, and each solver is deterministic. Neighbouring
-    margins often give the same graph, most often the complete graph at the
-    top of the sweep.
+    solving again; the others build their graph with
+    ``build_conflict_graph`` when the soft mode is on. This is exact: apart
+    from beta_db, every mode's record is a function of the configuration,
+    the graph, the rates and the instance's counts alone, and each solver is
+    deterministic. Neighbouring margins often give the same graph, most
+    often the complete graph at the top of the sweep.
     """
     if fixture is not None and fixture.kind == "conflict":
-        rates = fixture.rates
+        rates, powers = fixture.rates, None
         betas, stack = (math.nan,), fixture.graph.adjacency[None]
         instance = dict(run_id=run_id, n_nodes=0, n_sessions=0, total_packets=rates.total())
     else:
@@ -339,17 +341,21 @@ def run_instance(cfg: ExperimentConfig, run_id: int,
         instance = dict(run_id=run_id, n_nodes=len(nodes), n_sessions=len(sessions),
                         total_packets=sum(s.packets for s in sessions))
         betas = cfg.beta_values()
-        stack = conflict_stack(link_powers(links, nodes, params), betas)
-    coloring = [None] * len(betas)
+        powers = link_powers(links, nodes, params)
+        stack = conflict_stack(powers, betas)
+    colorings = [None] * len(betas)
     if "coloring" in cfg.modes:
-        coloring = class_slots(first_fit_stack(stack), rates)
+        colorings = first_fit_stack(stack)
     repeats = (stack[1:] == stack[:-1]).all(axis=(1, 2))
     records = []
     for b, beta in enumerate(betas):
         if b and repeats[b - 1]:
             cell = [replace(rec, beta_db=beta) for rec in cell]
         else:
-            cell = _mode_records(cfg, stack[b], rates, coloring[b], beta_db=beta, **instance)
+            g = None
+            if "soft" in cfg.modes:
+                g = fixture.graph if powers is None else build_conflict_graph(powers, beta)
+            cell = _mode_records(cfg, g, rates, colorings[b], beta_db=beta, **instance)
         records.extend(cell)
     return records
 

@@ -228,7 +228,7 @@ def test_saturating_margins_reuse_the_previous_records(monkeypatch, run_id):
     powers, rates, instance = _replication(cfg, run_id)
     graphs = [build_conflict_graph(powers, beta) for beta in cfg.beta_values()]
     want = [rec for beta, g in zip(cfg.beta_values(), graphs)
-            for rec in harness._mode_records(cfg, g.adjacency, rates, _greedy_slots(g, rates),
+            for rec in harness._mode_records(cfg, g, rates, greedy_color(g, range(g.n_links)),
                                              beta_db=beta, **instance)]
     solves = []
     monkeypatch.setattr(harness, "fp_solve", lambda *args: solves.append(args) or fp_solve(*args))
@@ -342,6 +342,16 @@ def test_conflict_fixture_sweep_has_one_nan_row_per_mode():
     assert all(math.isnan(row.beta_db) and row.runs == 3 for row in table)
     # The fixture is the same every run, so the soft gain is 1 - 3/5 each time.
     assert table[0].mean_gain_vs_coloring == pytest.approx(0.4)
+
+
+def test_conflict_fixture_counts_rates_past_int64_exactly(tmp_path):
+    # Fixture rates are unbounded whole numbers; slot counts stay exact Python ints.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n_links": 2, "conflicts": [[0, 1]], "rates": [2**63, 1]}))
+    _, records = run_sweep(ExperimentConfig(runs=1, modes=("coloring", "none")),
+                           load_fixture(path))
+    assert [(rec.mode, rec.slots) for rec in records] == [("coloring", 2**63 + 1),
+                                                          ("none", 2**63 + 1)]
 
 
 def test_gain_column_only_on_soft_rows():
