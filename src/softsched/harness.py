@@ -156,6 +156,8 @@ def _topology_fixture(data) -> Fixture:
     for s in sessions:
         if not (0 <= s.source < len(nodes) and 0 <= s.sink < len(nodes)):
             raise ValueError(f"session {s.source}->{s.sink} references unknown node")
+    if not any(s.packets for s in sessions):
+        raise ValueError("no session carries a packet, so no link would be scheduled")
     return Fixture("topology", nodes=tuple(nodes), sessions=tuple(sessions))
 
 
@@ -175,8 +177,8 @@ def load_fixture(path) -> Fixture:
 
     Topology: {"nodes": [{id, x, y, tx_power_db?}], "sessions": [{source, sink, packets}]}.
     Conflict graph: {"n_links": L, "conflicts": [[i, j], ...], "rates": [L rates]}.
-    Counts must be whole numbers and rates at least 1; a malformed fixture
-    raises ValueError naming the path.
+    Counts must be whole numbers, rates at least 1 and some session's
+    packets at least 1; a malformed fixture raises ValueError naming the path.
     """
     with open(path) as fh:
         try:

@@ -8,7 +8,6 @@ needs to forward all packets routed through it.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -91,27 +90,55 @@ def generate_nodes(n: int, seed: int) -> list[Node]:
     return [Node(i, (float(x), float(y))) for i, (x, y) in enumerate(coords)]
 
 
+def _path(prev: list[int], v: int) -> list[int]:
+    """Node sequence from the source to ``v``, read back through predecessors."""
+    out = [v]
+    while prev[v] >= 0:
+        v = prev[v]
+        out.append(v)
+    return out[::-1]
+
+
 def _dijkstra(weights: list[list[float]], source: int, sink: int) -> list[int]:
-    # Priority = (total d^alpha, hop count, node sequence). The tuple order
-    # makes ties deterministic: fewer hops first, then the lexicographically
-    # smallest node sequence.
+    """Least (total d^alpha, hop count, node sequence) path over the full mesh.
+
+    Dijkstra's array form: each node keeps its best (cost, hops) and a
+    predecessor, and one pass over the open nodes relaxes the edges of the
+    node just settled and picks the next node to settle. Sequences are
+    rebuilt from predecessors only when (cost, hops) tie exactly. Nodes
+    settle in the order in which a lazy heap of (cost, hops, path) entries
+    would pop them, so the routes are the heap's: float addition is
+    monotone (w >= 0 gives cost + w >= cost), so no extension of a path
+    beats the path itself; the key is isotone (appending the same node to
+    two paths with equal hops keeps their order), so a node's best key is
+    the best extension of a settled node; and, as in the heap, only settled
+    nodes are extended. Every cost is summed from the source in the same
+    order, so even the float values match.
+    """
     n = len(weights)
-    heap: list[tuple[float, int, tuple[int, ...]]] = [(0.0, 0, (source,))]
-    settled = set()
-    while heap:
-        cost, hops, path = heapq.heappop(heap)
-        u = path[-1]
-        if u in settled:
-            continue
-        settled.add(u)
-        if u == sink:
-            return list(path)
-        w_u = weights[u]
-        for v in range(n):
-            if v == u or v in settled:
-                continue
-            heapq.heappush(heap, (cost + w_u[v], hops + 1, path + (v,)))
-    raise RuntimeError(f"no path from {source} to {sink}")  # unreachable on a full mesh
+    cost = [math.inf] * n
+    hops = [n] * n  # more than any simple path, so every real label beats it
+    prev = [-1] * n
+    cost[source], hops[source] = 0.0, 0
+    open_nodes = [v for v in range(n) if v != source]
+    u = source
+    while u != sink:
+        c_u, h, w_u = cost[u], hops[u] + 1, weights[u]
+        best, best_cost, best_hops = -1, math.inf, n + 1
+        for v in open_nodes:
+            c, c_v = c_u + w_u[v], cost[v]
+            if c < c_v or c == c_v and (h < hops[v] or h == hops[v]
+                                        and _path(prev, u) < _path(prev, prev[v])):
+                cost[v] = c_v = c
+                hops[v] = h
+                prev[v] = u
+            if c_v < best_cost or c_v == best_cost and (
+                    hops[v] < best_hops or hops[v] == best_hops
+                    and _path(prev, v) < _path(prev, best)):
+                best, best_cost, best_hops = v, c_v, hops[v]
+        open_nodes.remove(best)
+        u = best
+    return _path(prev, sink)
 
 
 def route_sessions(nodes: list[Node], sessions: list[Session],
@@ -121,6 +148,10 @@ def route_sessions(nodes: list[Node], sessions: list[Session],
     The hop weight is d^alpha, so the chosen path minimises the total
     transmit power needed to cover it. Ties break on hop count, then on the
     lexicographically smallest node sequence, so results are reproducible.
+    ``_dijkstra`` finds that path with plain lists instead of a heap; it
+    settles nodes in the heap's order because float addition is monotone,
+    the (cost, hops, sequence) key is isotone and only settled nodes are
+    extended, so every route is the one a heap of whole paths would give.
     """
     for s in sessions:
         if not (0 <= s.source < len(nodes)) or not (0 <= s.sink < len(nodes)):

@@ -664,6 +664,12 @@ _THREE_NODES = [{"id": 0, "x": 0.0, "y": 0.0}, {"id": 1, "x": 0.5, "y": 0.0},
         ({"nodes": [{"id": 0, "y": 0.0}], "sessions": []}, "missing field 'x'"),
         ({"nodes": _THREE_NODES, "sessions": [{"source": 0, "sink": 2}]},
          "missing field 'packets'"),
+        # A topology without packets used to load, and then run 0 failed on
+        # an empty link list.
+        ({"nodes": _THREE_NODES, "sessions": []}, "no session carries a packet"),
+        ({"nodes": _THREE_NODES, "sessions": [{"source": 0, "sink": 2, "packets": 0},
+                                              {"source": 2, "sink": 1, "packets": 0}]},
+         "no session carries a packet"),
     ],
 )
 def test_cli_rejects_fixture_with_bad_field(tmp_path, capsys, doc, field):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softsched import (
+    ExperimentConfig,
     Node,
     PropagationParams,
     Session,
@@ -16,6 +17,7 @@ from softsched import (
     load_fixture,
     route_sessions,
 )
+from softsched.harness import _generate_instance
 
 from conftest import dijkstra_reference, received_power_db
 
@@ -145,15 +147,51 @@ def test_route_matches_exhaustive_minimum(seed):
 @given(data=st.data())
 def test_route_matches_reference_with_cost_ties(data):
     # Coordinates on a coarse grid repeat distances, and repeated positions
-    # give zero-cost hops, so many paths tie exactly on cost.
-    n = data.draw(st.integers(2, 8))
+    # give zero-cost hops, so many paths tie exactly on cost. At alpha 700 a
+    # 0.25 hop underflows to exactly 0.0, so hop count and sequence decide.
+    n = data.draw(st.integers(2, 20))
     coord = st.sampled_from([0.0, 0.25, 0.5, 1.0])
     nodes = [Node(i, (data.draw(coord), data.draw(coord))) for i in range(n)]
-    alpha = data.draw(st.sampled_from([1.0, 2.0, 2.5, 4.0]))
+    alpha = data.draw(st.sampled_from([1.0, 2.0, 2.5, 4.0, 700.0]))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
     sessions = [Session(a, b, 1) for a, b in data.draw(st.lists(pairs, min_size=1, max_size=6))]
     got = route_sessions(nodes, sessions, PropagationParams(alpha=alpha))
     assert got == [dijkstra_reference(nodes, s.source, s.sink, alpha) for s in sessions]
+
+
+def _route(positions, source, sink, alpha):
+    nodes = [Node(i, p) for i, p in enumerate(positions)]
+    return route_sessions(nodes, [Session(source, sink, 1)], PropagationParams(alpha=alpha))[0]
+
+
+def test_route_cost_and_hop_tie_takes_smaller_sequence():
+    # Both relays cost 2 * 0.5^4 over 2 hops; (0, 1, 3) < (0, 2, 3).
+    square = [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)]
+    assert _route(square, 0, 3, 4.0) == [0, 1, 3]
+    # Relay 2 is nearer the source, so it settles first and labels node 3
+    # first; relay 1 ties it (0.5^4 + 0.25^4 either way) and must replace it.
+    rectangle = [(0.0, 0.0), (0.0, 0.5), (0.25, 0.0), (0.25, 0.5)]
+    assert _route(rectangle, 0, 3, 4.0) == [0, 1, 3]
+
+
+def test_route_zero_cost_hop_loses_the_tie_on_hops():
+    # Node 1 sits on the source, so relaying through it costs no more than
+    # the direct hop; the direct hop wins on hop count although (0, 1, 2) < (0, 2).
+    assert _route([(0.0, 0.0), (0.0, 0.0), (0.5, 0.0)], 0, 2, 4.0) == [0, 2]
+    # At alpha 700 every hop of at most 0.25 underflows to 0.0.
+    assert _route([(0.0, 0.0), (0.125, 0.0), (0.25, 0.0)], 0, 2, 700.0) == [0, 2]
+    # But a direct hop of 0.5 costs 2^-700 > 0, so the zero-cost relay wins.
+    assert _route([(0.0, 0.0), (0.25, 0.0), (0.5, 0.0)], 0, 2, 700.0) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("n_nodes", [20, 10])
+def test_generated_instances_route_as_the_reference(n_nodes):
+    cfg = ExperimentConfig(n_nodes=n_nodes, n_sessions=10, seed=n_nodes)
+    for run_id in range(25):
+        nodes, sessions = _generate_instance(cfg, run_id)
+        got = route_sessions(nodes, sessions, PropagationParams(alpha=cfg.alpha))
+        assert got == [dijkstra_reference(nodes, s.source, s.sink, cfg.alpha)
+                       for s in sessions]
 
 
 def test_accumulate_single_session():
