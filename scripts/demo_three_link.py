@@ -56,7 +56,7 @@ def main():
     for order in ([0, 1, 2], [0, 2, 1]):
         c = greedy_color(g, order)
         print(f"\ngreedy coloring, order {order}: classes {c.classes} "
-              f"-> {coloring_slots(c, rates)} slots")
+              f"-> {coloring_slots(c.colors, rates)} slots")
     print("no scheduling:", no_schedule_slots(rates), "slots")
 
 

@@ -11,8 +11,9 @@ requested scheduling modes:
 
 Replications use seed streams derived from (root seed, run id), so results
 are reproducible and order-independent. A replication thresholds its
-received powers at every margin in one ``conflict_stack`` call and colors
-the whole stack in one ``first_fit_stack`` pass; the soft mode builds its
+received powers at every margin in one ``conflict_stack`` call, colors the
+whole stack in one ``first_fit_stack`` pass and counts every margin's
+coloring slots in one ``coloring_slots`` call; the soft mode builds its
 margin's graph with ``build_conflict_graph``.
 """
 
@@ -28,13 +29,7 @@ import numpy as np
 
 # greedy_color is not called here; perfbench's tracer looks it up in this
 # module with the stage functions that are.
-from .coloring import (  # noqa: F401
-    Coloring,
-    coloring_slots,
-    first_fit_stack,
-    greedy_color,
-    no_schedule_slots,
-)
+from .coloring import coloring_slots, first_fit_stack, greedy_color, no_schedule_slots  # noqa: F401
 from .components import enumerate_maximal
 from .conflict import ConflictGraph, build_conflict_graph, conflict_stack, link_powers
 from .game import (
@@ -101,8 +96,9 @@ class ExperimentConfig:
             )
         if self.solver not in ("fp", "exact"):
             raise ValueError(f"solver must be 'fp' or 'exact', got {self.solver!r}")
-        if not self.poisson_mean > 0:
-            raise ValueError(f"poisson_mean must be positive, got {self.poisson_mean}")
+        # Zero draws are redrawn, and below 1e-3 fewer than 0.1% of draws are positive.
+        if not self.poisson_mean >= 1e-3:
+            raise ValueError(f"poisson_mean must be positive and >= 1e-3, got {self.poisson_mean}")
         # The solver and path-loss settings are checked where they are defined.
         solver = SolverConfig(self.delta, self.max_iterations)
         object.__setattr__(self, "max_iterations", solver.max_iterations)
@@ -277,11 +273,12 @@ def _soft_slots(g: ConflictGraph, rates: RateVector, cfg: ExperimentConfig):
 
 
 def _mode_records(cfg: ExperimentConfig, g: ConflictGraph | None, rates: RateVector,
-                  coloring: Coloring | None, **instance) -> list[ResultRecord]:
+                  hard_slots: int | None, **instance) -> list[ResultRecord]:
     """One record per mode at one margin.
 
     The soft mode solves on the margin's graph ``g`` and the coloring mode
-    counts the slots of its ``coloring``; each is None when its mode is off.
+    reports ``hard_slots``, the slot count of the margin's greedy coloring;
+    each is None when its mode is off.
     ``instance`` holds the fields that are the same for every mode.
     """
     records = []
@@ -294,7 +291,7 @@ def _mode_records(cfg: ExperimentConfig, g: ConflictGraph | None, rates: RateVec
                 fp_iterations=iterations, converged=converged,
             )
         elif mode == "coloring":
-            slots = coloring_slots(coloring, rates)
+            slots = hard_slots
         else:
             slots = no_schedule_slots(rates)
         records.append(
@@ -318,15 +315,15 @@ def run_instance(cfg: ExperimentConfig, run_id: int,
     entry and each link's rate doubles as its packet demand.
 
     Every margin's conflict matrix comes from one ``conflict_stack`` call,
-    and one ``first_fit_stack`` pass gives every margin's coloring (greedy,
-    in link-index order). A margin whose matrix equals the previous
-    margin's copies that margin's records with its own beta_db instead of
-    solving again; the others build their graph with
-    ``build_conflict_graph`` when the soft mode is on. This is exact: apart
-    from beta_db, every mode's record is a function of the configuration,
-    the graph, the rates and the instance's counts alone, and each solver is
-    deterministic. Neighbouring margins often give the same graph, most
-    often the complete graph at the top of the sweep.
+    one ``first_fit_stack`` pass gives every margin's coloring (greedy, in
+    link-index order) and one ``coloring_slots`` call counts them all. A
+    margin whose matrix equals the previous margin's copies that margin's
+    records with its own beta_db instead of solving again; the others build
+    their graph with ``build_conflict_graph`` when the soft mode is on. This
+    is exact: apart from beta_db, every mode's record is a function of the
+    configuration, the graph, the rates and the instance's counts alone, and
+    each solver is deterministic. Neighbouring margins often give the same
+    graph, most often the complete graph at the top of the sweep.
     """
     if fixture is not None and fixture.kind == "conflict":
         rates, powers = fixture.rates, None
@@ -345,9 +342,8 @@ def run_instance(cfg: ExperimentConfig, run_id: int,
         betas = cfg.beta_values()
         powers = link_powers(links, nodes, params)
         stack = conflict_stack(powers, betas)
-    colorings = [None] * len(betas)
-    if "coloring" in cfg.modes:
-        colorings = first_fit_stack(stack)
+    hard_slots = (coloring_slots(first_fit_stack(stack), rates) if "coloring" in cfg.modes
+                  else [None] * len(betas))
     repeats = (stack[1:] == stack[:-1]).all(axis=(1, 2))
     records = []
     for b, beta in enumerate(betas):
@@ -357,7 +353,7 @@ def run_instance(cfg: ExperimentConfig, run_id: int,
             g = None
             if "soft" in cfg.modes:
                 g = fixture.graph if powers is None else build_conflict_graph(powers, beta)
-            cell = _mode_records(cfg, g, rates, colorings[b], beta_db=beta, **instance)
+            cell = _mode_records(cfg, g, rates, hard_slots[b], beta_db=beta, **instance)
         records.extend(cell)
     return records
 

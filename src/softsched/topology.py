@@ -104,16 +104,16 @@ def _dijkstra(weights: list[list[float]], source: int, sink: int) -> list[int]:
 
     Dijkstra's array form: each node keeps its best (cost, hops) and a
     predecessor, and one pass over the open nodes relaxes the edges of the
-    node just settled and picks the next node to settle. Sequences are
-    rebuilt from predecessors only when (cost, hops) tie exactly. Nodes
-    settle in the order in which a lazy heap of (cost, hops, path) entries
-    would pop them, so the routes are the heap's: float addition is
-    monotone (w >= 0 gives cost + w >= cost), so no extension of a path
-    beats the path itself; the key is isotone (appending the same node to
-    two paths with equal hops keeps their order), so a node's best key is
-    the best extension of a settled node; and, as in the heap, only settled
-    nodes are extended. Every cost is summed from the source in the same
-    order, so even the float values match.
+    node just settled and settles the open node of least (cost, hops), the
+    lowest index on ties. Sequences are rebuilt from predecessors only when
+    a relaxation ties on (cost, hops). Routes are those of a lazy heap of
+    (cost, hops, path) entries, which settles tied nodes in sequence order
+    instead: float addition is monotone (w >= 0 gives cost + w >= cost), so
+    no extension beats its path, and tied nodes cannot improve each other;
+    the key is isotone (appending the same node to two paths with equal hops
+    keeps their order), so a node's best key is the best extension of a
+    settled node; and only settled nodes are extended. Every cost is summed
+    from the source in the same order, so even the float values match.
     """
     n = len(weights)
     cost = [math.inf] * n
@@ -132,9 +132,7 @@ def _dijkstra(weights: list[list[float]], source: int, sink: int) -> list[int]:
                 cost[v] = c_v = c
                 hops[v] = h
                 prev[v] = u
-            if c_v < best_cost or c_v == best_cost and (
-                    hops[v] < best_hops or hops[v] == best_hops
-                    and _path(prev, v) < _path(prev, best)):
+            if c_v < best_cost or c_v == best_cost and hops[v] < best_hops:
                 best, best_cost, best_hops = v, c_v, hops[v]
         open_nodes.remove(best)
         u = best
@@ -148,10 +146,9 @@ def route_sessions(nodes: list[Node], sessions: list[Session],
     The hop weight is d^alpha, so the chosen path minimises the total
     transmit power needed to cover it. Ties break on hop count, then on the
     lexicographically smallest node sequence, so results are reproducible.
-    ``_dijkstra`` finds that path with plain lists instead of a heap; it
-    settles nodes in the heap's order because float addition is monotone,
-    the (cost, hops, sequence) key is isotone and only settled nodes are
-    extended, so every route is the one a heap of whole paths would give.
+    ``_dijkstra`` finds that path with plain lists instead of a heap. It
+    settles nodes in a heap's order up to ties on (cost, hops), whose nodes
+    cannot improve each other's label, so every route is the heap's.
     """
     for s in sessions:
         if not (0 <= s.source < len(nodes)) or not (0 <= s.sink < len(nodes)):

@@ -61,8 +61,8 @@ def test_criterion_1_worked_example_exact():
     assert slots == {"soft": 3, "coloring": 5, "none": 6}
 
     g = three_link_graph()
-    assert coloring_slots(greedy_color(g, [0, 1, 2]), THREE_LINK_RATES) == 5
-    assert coloring_slots(greedy_color(g, [0, 2, 1]), THREE_LINK_RATES) == 4
+    assert coloring_slots(greedy_color(g, [0, 1, 2]).colors, THREE_LINK_RATES) == 5
+    assert coloring_slots(greedy_color(g, [0, 2, 1]).colors, THREE_LINK_RATES) == 4
     assert no_schedule_slots(THREE_LINK_RATES) == 6
 
     value, y = lp_oracle(build_payoff(enumerate_maximal(g), THREE_LINK_RATES))
@@ -138,7 +138,7 @@ def _pipeline_slots(nodes, sessions, beta, solver_cfg):
     sched = extract_schedule(comps, rates, sol.y, sol.value_lower)
     check = verify_schedule(sched, g, rates)
     soft = sched.length
-    hard = coloring_slots(greedy_color(g, list(range(len(links)))), rates)
+    hard = coloring_slots(greedy_color(g, list(range(len(links)))).colors, rates)
     none = no_schedule_slots(rates)
     return soft, hard, none, check
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softsched import (
+    Coloring,
     ConflictGraph,
     RateVector,
     coloring_slots,
@@ -24,13 +25,13 @@ from conftest import (
 def test_three_link_default_order():
     c = greedy_color(three_link_graph(), [0, 1, 2])
     assert c.classes == ((0, 1), (2,))
-    assert coloring_slots(c, THREE_LINK_RATES) == 5
+    assert coloring_slots(c.colors, THREE_LINK_RATES) == 5
 
 
 def test_three_link_alternate_order():
     c = greedy_color(three_link_graph(), [0, 2, 1])
     assert c.classes == ((0, 2), (1,))
-    assert coloring_slots(c, THREE_LINK_RATES) == 4
+    assert coloring_slots(c.colors, THREE_LINK_RATES) == 4
 
 
 def test_complete_graph_all_singletons():
@@ -39,7 +40,7 @@ def test_complete_graph_all_singletons():
         g = ConflictGraph(n, np.ones((n, n), dtype=bool))
         c = greedy_color(g, order)
         assert c.classes == tuple((link,) for link in order)
-        assert coloring_slots(c, RateVector(tuple(range(n)))) == sum(range(n))
+        assert coloring_slots(c.colors, RateVector(tuple(range(n)))) == sum(range(n))
 
 
 def test_order_must_be_permutation():
@@ -51,13 +52,13 @@ def test_order_must_be_permutation():
 
 def test_zero_rates_need_zero_slots():
     c = greedy_color(three_link_graph(), [0, 1, 2])
-    assert coloring_slots(c, RateVector((0, 0, 0))) == 0
+    assert coloring_slots(c.colors, RateVector((0, 0, 0))) == 0
 
 
 def test_slot_sums_do_not_wrap():
     # Two conflicting links of rate 2**62 need 2**63 slots, one past int64.
     g = ConflictGraph(2, np.ones((2, 2), dtype=bool))
-    assert coloring_slots(greedy_color(g, [0, 1]), RateVector((2**62, 2**62))) == 2**63
+    assert coloring_slots(greedy_color(g, [0, 1]).colors, RateVector((2**62, 2**62))) == 2**63
 
 
 def test_no_schedule_slots():
@@ -69,7 +70,13 @@ def test_no_schedule_slots():
 def test_slots_require_full_coverage():
     c = greedy_color(three_link_graph(), [0, 1, 2])
     with pytest.raises(ValueError):
-        coloring_slots(c, RateVector((1, 1)))
+        coloring_slots(c.colors, RateVector((1, 1)))
+    # One rate would otherwise broadcast over both links.
+    with pytest.raises(ValueError):
+        coloring_slots((0, 1), RateVector((1,)))
+    # A negative class index would otherwise count in the last class.
+    with pytest.raises(ValueError):
+        coloring_slots((0, -1, 0), THREE_LINK_RATES)
 
 
 @settings(max_examples=50, deadline=None)
@@ -103,9 +110,9 @@ def test_coloring_never_beats_no_reuse_backwards(n, p, seed):
     g = random_conflict_graph(rng, n, p)
     r = RateVector(tuple(int(v) for v in rng.integers(1, 10, n)))
     c = greedy_color(g, list(range(n)))
-    assert coloring_slots(c, r) <= no_schedule_slots(r)
+    assert coloring_slots(c.colors, r) <= no_schedule_slots(r)
     if all(len(cls) == 1 for cls in c.classes):
-        assert coloring_slots(c, r) == no_schedule_slots(r)
+        assert coloring_slots(c.colors, r) == no_schedule_slots(r)
 
 
 @settings(max_examples=100, deadline=None)
@@ -135,5 +142,30 @@ def test_greedy_matches_first_fit_reference(n, p, seed, numpy_order):
 def test_stack_first_fit_matches_reference_at_every_layer(n, ps, seed):
     rng = np.random.default_rng(seed)
     graphs = [random_conflict_graph(rng, n, p) for p in ps]
-    colorings = first_fit_stack(np.stack([g.adjacency for g in graphs]))
-    assert [c.classes for c in colorings] == [first_fit_classes(g, range(n)) for g in graphs]
+    colors = first_fit_stack(np.stack([g.adjacency for g in graphs]))
+    assert colors.shape == (len(graphs), n) and colors.dtype == np.intp
+    assert ([Coloring(tuple(row)).classes for row in colors.tolist()]
+            == [first_fit_classes(g, range(n)) for g in graphs])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=80),
+    ps=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
+    seed=st.integers(min_value=0, max_value=10_000),
+    # Rates up to 2**64: a sum of them does not fit an int64.
+    rates=st.lists(st.integers(min_value=0, max_value=2**64), min_size=81, max_size=81),
+)
+def test_stack_slots_match_reference_sums_at_every_layer(n, ps, seed, rates):
+    rng = np.random.default_rng(seed)
+    graphs = [random_conflict_graph(rng, n, p) for p in ps]
+    colors = first_fit_stack(np.stack([g.adjacency for g in graphs]))
+    r = RateVector(tuple(rates[:n]))
+    want = [sum(max(r[link] for link in cls) for cls in first_fit_classes(g, range(n)))
+            for g in graphs]
+    got = coloring_slots(colors, r)
+    assert got == want and all(type(v) is int for v in got)
+    assert [coloring_slots(row, r) for row in colors] == want
+    for wrong in (n - 1, n + 1):
+        with pytest.raises(ValueError):
+            coloring_slots(colors, RateVector(tuple(rates[:wrong])))

@@ -184,7 +184,7 @@ def _replication(cfg, run_id, fixture=None):
 
 
 def _greedy_slots(g, rates):
-    return coloring_slots(greedy_color(g, list(range(g.n_links))), rates)
+    return coloring_slots(greedy_color(g, list(range(g.n_links))).colors, rates)
 
 
 @pytest.mark.parametrize("fixture_path", [None, RELAY_FIXTURE, THREE_LINK_FIXTURE])
@@ -228,7 +228,7 @@ def test_saturating_margins_reuse_the_previous_records(monkeypatch, run_id):
     powers, rates, instance = _replication(cfg, run_id)
     graphs = [build_conflict_graph(powers, beta) for beta in cfg.beta_values()]
     want = [rec for beta, g in zip(cfg.beta_values(), graphs)
-            for rec in harness._mode_records(cfg, g, rates, greedy_color(g, range(g.n_links)),
+            for rec in harness._mode_records(cfg, g, rates, _greedy_slots(g, rates),
                                              beta_db=beta, **instance)]
     solves = []
     monkeypatch.setattr(harness, "fp_solve", lambda *args: solves.append(args) or fp_solve(*args))
@@ -615,6 +615,7 @@ def test_cli_rejects_reversed_beta_range(tmp_path, capsys):
         ([], {"max_iterations": 100.5}, "max_iterations must be a whole number of at least 1"),
         (["--nodes", "3", "--sessions", "10"], None, "n_sessions 10 exceeds"),
         ([], {"delta": True}, "delta must be a real number, got True"),
+        (["--poisson-mean", "1e-12"], None, "poisson_mean must be positive and >= 1e-3"),
     ],
 )
 def test_cli_rejects_bad_settings_before_running(tmp_path, capsys, args, config, message):
