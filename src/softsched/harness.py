@@ -14,7 +14,8 @@ are reproducible and order-independent. A replication thresholds its
 received powers at every margin in one ``conflict_stack`` call, colors the
 whole stack in one ``first_fit_stack`` pass and counts every margin's
 coloring slots in one ``coloring_slots`` call; the soft mode builds its
-margin's graph with ``build_conflict_graph``.
+margin's graph with ``build_conflict_graph`` and solves it only where that
+graph differs from the previous margin's. One loop then builds every record.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ import json
 import math
 import numbers
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 # greedy_color is not called here; perfbench's tracer looks it up in this
 # module with the stage functions that are.
-from .coloring import coloring_slots, first_fit_stack, greedy_color, no_schedule_slots  # noqa: F401
+from .coloring import coloring_slots, first_fit_stack, greedy_color  # noqa: F401
 from .components import enumerate_maximal
 from .conflict import ConflictGraph, build_conflict_graph, conflict_stack, link_powers
 from .game import (
@@ -254,55 +255,27 @@ def _generate_instance(cfg: ExperimentConfig, run_id: int) -> tuple[list[Node], 
     return nodes, sessions
 
 
-def _soft_slots(g: ConflictGraph, rates: RateVector, cfg: ExperimentConfig):
+def _soft_slots(g: ConflictGraph, rates: RateVector, solver: SolverConfig | None) -> dict:
+    """The soft record's fields on graph ``g``: FP under ``solver``, or the LP when it is None."""
     comps = enumerate_maximal(g)
     payoff = build_payoff(comps, rates)
-    if cfg.solver == "exact":
+    if solver is None:
         value, y = lp_oracle(payoff)
         lower = upper = value
         iterations, converged = 0, True
     else:
-        sol = fp_solve(payoff, SolverConfig(delta=cfg.delta, max_iterations=cfg.max_iterations))
+        sol = fp_solve(payoff, solver)
         y, lower, upper = sol.y, sol.value_lower, sol.value_upper
         iterations, converged = sol.iterations, sol.converged
-    schedule = extract_schedule(comps, rates, y, lower)
+    # A budget that runs out before every link is covered leaves FP's lower
+    # bound at 0. The no-reuse schedule's value, 1 / sum of rates, is a
+    # certified lower bound too, so rounding starts from the larger of the two.
+    schedule = extract_schedule(comps, rates, y, max(lower, 1 / rates.total()))
     check = verify_schedule(schedule, g, rates)
     if not check:
         raise RuntimeError(f"extracted schedule failed verification: {check.violation}")
-    return schedule.length, lower, upper, iterations, converged
-
-
-def _mode_records(cfg: ExperimentConfig, g: ConflictGraph | None, rates: RateVector,
-                  hard_slots: int | None, **instance) -> list[ResultRecord]:
-    """One record per mode at one margin.
-
-    The soft mode solves on the margin's graph ``g`` and the coloring mode
-    reports ``hard_slots``, the slot count of the margin's greedy coloring;
-    each is None when its mode is off.
-    ``instance`` holds the fields that are the same for every mode.
-    """
-    records = []
-    for mode in cfg.modes:
-        extra = {}
-        if mode == "soft":
-            slots, lower, upper, iterations, converged = _soft_slots(g, rates, cfg)
-            extra = dict(
-                value_lower=lower, value_upper=upper,
-                fp_iterations=iterations, converged=converged,
-            )
-        elif mode == "coloring":
-            slots = hard_slots
-        else:
-            slots = no_schedule_slots(rates)
-        records.append(
-            ResultRecord(
-                mode=mode, slots=slots,
-                total_link_activations=rates.total(),
-                avg_slots_per_packet=slots / instance["total_packets"],
-                **instance, **extra,
-            )
-        )
-    return records
+    return dict(slots=schedule.length, value_lower=lower, value_upper=upper,
+                fp_iterations=iterations, converged=converged)
 
 
 def run_instance(cfg: ExperimentConfig, run_id: int,
@@ -316,14 +289,14 @@ def run_instance(cfg: ExperimentConfig, run_id: int,
 
     Every margin's conflict matrix comes from one ``conflict_stack`` call,
     one ``first_fit_stack`` pass gives every margin's coloring (greedy, in
-    link-index order) and one ``coloring_slots`` call counts them all. A
-    margin whose matrix equals the previous margin's copies that margin's
-    records with its own beta_db instead of solving again; the others build
-    their graph with ``build_conflict_graph`` when the soft mode is on. This
-    is exact: apart from beta_db, every mode's record is a function of the
-    configuration, the graph, the rates and the instance's counts alone, and
-    each solver is deterministic. Neighbouring margins often give the same
-    graph, most often the complete graph at the top of the sweep.
+    link-index order) and one ``coloring_slots`` call counts them all; the
+    no-reuse count is the rates' sum at every margin. The soft mode builds
+    its margin's graph with ``build_conflict_graph`` and solves it, except
+    where the matrix equals the previous margin's: then the previous soft
+    fields are reused, which is exact because the solvers are deterministic
+    functions of the graph, the rates and the configuration. Neighbouring
+    margins often give the same graph, most often the complete graph at the
+    top of the sweep.
     """
     if fixture is not None and fixture.kind == "conflict":
         rates, powers = fixture.rates, None
@@ -342,19 +315,22 @@ def run_instance(cfg: ExperimentConfig, run_id: int,
         betas = cfg.beta_values()
         powers = link_powers(links, nodes, params)
         stack = conflict_stack(powers, betas)
-    hard_slots = (coloring_slots(first_fit_stack(stack), rates) if "coloring" in cfg.modes
-                  else [None] * len(betas))
+    total = rates.total()
+    hard = coloring_slots(first_fit_stack(stack), rates) if "coloring" in cfg.modes else None
+    solver = None if cfg.solver == "exact" else SolverConfig(cfg.delta, cfg.max_iterations)
     repeats = (stack[1:] == stack[:-1]).all(axis=(1, 2))
     records = []
     for b, beta in enumerate(betas):
-        if b and repeats[b - 1]:
-            cell = [replace(rec, beta_db=beta) for rec in cell]
-        else:
-            g = None
-            if "soft" in cfg.modes:
-                g = fixture.graph if powers is None else build_conflict_graph(powers, beta)
-            cell = _mode_records(cfg, g, rates, hard_slots[b], beta_db=beta, **instance)
-        records.extend(cell)
+        if "soft" in cfg.modes and not (b and repeats[b - 1]):
+            g = fixture.graph if powers is None else build_conflict_graph(powers, beta)
+            soft = _soft_slots(g, rates, solver)
+        for mode in cfg.modes:
+            extra = soft if mode == "soft" else dict(slots=hard[b] if mode == "coloring" else total)
+            records.append(ResultRecord(
+                mode=mode, beta_db=beta, total_link_activations=total,
+                avg_slots_per_packet=extra["slots"] / instance["total_packets"],
+                **instance, **extra,
+            ))
     return records
 
 

@@ -16,11 +16,24 @@ from softsched import (
     Node,
     PropagationParams,
     RateVector,
+    ResultRecord,
     Schedule,
     ScheduleCheck,
     SolverConfig,
+    accumulate_rates,
+    build_conflict_graph,
+    build_payoff,
+    coloring_slots,
+    enumerate_maximal,
+    extract_schedule,
+    fp_solve,
+    greedy_color,
+    link_powers,
+    lp_oracle,
+    route_sessions,
 )
 from softsched.conflict import D_MIN
+from softsched.harness import _generate_instance
 
 # Three links where link 0 is compatible with both others but links 1 and 2
 # conflict. With rates (3, 1, 2) the best hard coloring needs 4 slots while
@@ -306,6 +319,60 @@ def verify_schedule_reference(s, g, r):
                 False, f"link {i} served {int(served[i])} times but requires {r[i]}"
             )
     return ScheduleCheck(True)
+
+
+def run_instance_reference(cfg, run_id, fixture=None):
+    """``run_instance`` with nothing shared between margins.
+
+    Each margin builds its own graph with ``build_conflict_graph`` and
+    solves the soft game on it; coloring is ``greedy_color`` in index order
+    on that graph and no reuse is the rates' sum. Every soft schedule must
+    pass ``verify_schedule_reference``.
+    """
+    if fixture is not None and fixture.kind == "conflict":
+        rates, margins = fixture.rates, [(math.nan, fixture.graph)]
+        instance = dict(run_id=run_id, n_nodes=0, n_sessions=0, total_packets=rates.total())
+    else:
+        if fixture is None:
+            nodes, sessions = _generate_instance(cfg, run_id)
+        else:
+            nodes, sessions = list(fixture.nodes), list(fixture.sessions)
+        params = PropagationParams(alpha=cfg.alpha)
+        links, rates = accumulate_rates(route_sessions(nodes, sessions, params), sessions)
+        powers = link_powers(links, nodes, params)
+        margins = [(beta, build_conflict_graph(powers, beta)) for beta in cfg.beta_values()]
+        instance = dict(run_id=run_id, n_nodes=len(nodes), n_sessions=len(sessions),
+                        total_packets=sum(s.packets for s in sessions))
+    records = []
+    for beta, g in margins:
+        for mode in cfg.modes:
+            extra = {}
+            if mode == "soft":
+                comps = enumerate_maximal(g)
+                H = build_payoff(comps, rates)
+                if cfg.solver == "exact":
+                    value, y = lp_oracle(H)
+                    extra = dict(value_lower=value, value_upper=value, fp_iterations=0,
+                                 converged=True)
+                else:
+                    sol = fp_solve(H, SolverConfig(cfg.delta, cfg.max_iterations))
+                    y = sol.y
+                    extra = dict(value_lower=sol.value_lower, value_upper=sol.value_upper,
+                                 fp_iterations=sol.iterations, converged=sol.converged)
+                lower = max(extra["value_lower"], 1 / rates.total())
+                schedule = extract_schedule(comps, rates, y, lower)
+                check = verify_schedule_reference(schedule, g, rates)
+                assert check, check.violation
+                slots = schedule.length
+            elif mode == "coloring":
+                slots = coloring_slots(greedy_color(g, list(range(g.n_links))).colors, rates)
+            else:
+                slots = rates.total()
+            records.append(ResultRecord(
+                mode=mode, beta_db=beta, slots=slots, total_link_activations=rates.total(),
+                avg_slots_per_packet=slots / instance["total_packets"], **instance, **extra,
+            ))
+    return records
 
 
 def dijkstra_reference(nodes, source, sink, alpha):

@@ -19,10 +19,8 @@ from softsched import (
     accumulate_rates,
     build_conflict_graph,
     build_payoff,
-    coloring_slots,
     enumerate_maximal,
     fp_solve,
-    greedy_color,
     link_powers,
     load_fixture,
     lp_oracle,
@@ -34,9 +32,15 @@ from softsched import (
 )
 import softsched.harness as harness
 from softsched.cli import _config_from_args, build_parser, main
-from softsched.harness import DETAIL_HEADER, RESULTS_HEADER, _generate_instance, _mode_records
+from softsched.harness import DETAIL_HEADER, RESULTS_HEADER, _generate_instance
 
-from conftest import assert_same_solution, extract_schedule_reference, fp_reference
+from conftest import (
+    assert_same_solution,
+    extract_schedule_reference,
+    fp_reference,
+    run_instance_reference,
+    verify_schedule_reference,
+)
 
 THREE_LINK_FIXTURE = "fixtures/three_link.json"
 RELAY_FIXTURE = "fixtures/relay_topology.json"  # three collinear nodes, one 0->2 session
@@ -170,101 +174,108 @@ def test_run_instance_deterministic():
     assert run_instance(cfg, 0) != run_instance(cfg, 1)
 
 
-def _replication(cfg, run_id, fixture=None):
-    """One run's received powers, rates and the counts every record carries."""
-    params = PropagationParams(alpha=cfg.alpha)
-    if fixture is None:
-        nodes, sessions = _generate_instance(cfg, run_id)
-    else:
-        nodes, sessions = list(fixture.nodes), list(fixture.sessions)
-    links, rates = accumulate_rates(route_sessions(nodes, sessions, params), sessions)
-    instance = dict(run_id=run_id, n_nodes=len(nodes), n_sessions=len(sessions),
-                    total_packets=sum(s.packets for s in sessions))
-    return link_powers(links, nodes, params), rates, instance
-
-
-def _greedy_slots(g, rates):
-    return coloring_slots(greedy_color(g, list(range(g.n_links))).colors, rates)
+def _without_nan(records):
+    """Records with a NaN beta_db set to None, so that equal records compare equal."""
+    return [dataclasses.replace(r, beta_db=None) if math.isnan(r.beta_db) else r
+            for r in records]
 
 
 @pytest.mark.parametrize("fixture_path", [None, RELAY_FIXTURE, THREE_LINK_FIXTURE])
-def test_coloring_records_match_per_margin_greedy_color(monkeypatch, fixture_path):
-    # One first-fit pass over the margin stack gives each margin's coloring.
+def test_coloring_records_match_per_margin_greedy_color(fixture_path):
+    # One first-fit pass over the margin stack gives each margin's coloring;
+    # the reference colors each margin's own graph with greedy_color.
     cfg = ExperimentConfig(n_nodes=20, n_sessions=10, beta_min_db=0.0, beta_max_db=60.0,
                            beta_step_db=2.0, runs=1, modes=("coloring", "none"))
     fixture = load_fixture(fixture_path) if fixture_path else None
     for run_id in range(3):
-        if fixture is not None and fixture.kind == "conflict":
-            betas, graphs, rates = [math.nan], [fixture.graph], fixture.rates
-        else:
-            powers, rates, _ = _replication(cfg, run_id, fixture)
-            betas = cfg.beta_values()
-            graphs = [build_conflict_graph(powers, beta) for beta in betas]
-        cells = []
-        monkeypatch.setattr(harness, "_mode_records",
-                            lambda *a, **k: cells.append(a) or _mode_records(*a, **k))
-        records = run_instance(cfg, run_id, fixture)
-        monkeypatch.undo()
-        assert len(records) == 2 * len(betas)
-        coloring = [rec for rec in records if rec.mode == "coloring"]
-        for g, beta, rec in zip(graphs, betas, coloring):
-            assert rec.slots == _greedy_slots(g, rates)
-            assert rec.beta_db == beta or math.isnan(beta)
-        # A margin whose graph repeats the previous one's copies its records.
-        distinct = [k for k, g in enumerate(graphs)
-                    if k == 0 or not np.array_equal(g.adjacency, graphs[k - 1].adjacency)]
-        assert len(cells) == len(distinct)
-        for k in set(range(len(graphs))) - set(distinct):
-            assert records[2 * k:2 * k + 2] == [dataclasses.replace(rec, beta_db=betas[k])
-                                                for rec in records[2 * k - 2:2 * k]]
-        if fixture is None:
-            assert len(distinct) < len(graphs)
+        assert (_without_nan(run_instance(cfg, run_id, fixture))
+                == _without_nan(run_instance_reference(cfg, run_id, fixture)))
 
 
 @pytest.mark.parametrize("run_id", range(4))
 def test_saturating_margins_reuse_the_previous_records(monkeypatch, run_id):
-    # Margins of 20-60 dB saturate: neighbouring ones often give one graph.
+    # Margins of 20-60 dB saturate: neighbouring ones often give one graph,
+    # and the soft game is solved once per distinct graph.
     cfg = ExperimentConfig(beta_min_db=20.0, beta_max_db=60.0, beta_step_db=5.0, runs=1)
-    powers, rates, instance = _replication(cfg, run_id)
-    graphs = [build_conflict_graph(powers, beta) for beta in cfg.beta_values()]
-    want = [rec for beta, g in zip(cfg.beta_values(), graphs)
-            for rec in harness._mode_records(cfg, g, rates, _greedy_slots(g, rates),
-                                             beta_db=beta, **instance)]
+    want = run_instance_reference(cfg, run_id)
     solves = []
     monkeypatch.setattr(harness, "fp_solve", lambda *args: solves.append(args) or fp_solve(*args))
     assert run_instance(cfg, run_id) == want
     # Graphs only gain conflicts as the margin grows, so equal graphs are neighbours.
+    params = PropagationParams(alpha=cfg.alpha)
+    nodes, sessions = _generate_instance(cfg, run_id)
+    links, _ = accumulate_rates(route_sessions(nodes, sessions, params), sessions)
+    powers = link_powers(links, nodes, params)
+    graphs = [build_conflict_graph(powers, beta) for beta in cfg.beta_values()]
     distinct = {g.adjacency.tobytes() for g in graphs}
     assert len(solves) == len(distinct) < len(graphs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_nodes=st.integers(2, 10), n_sessions=st.integers(1, 10), seed=st.integers(0, 10_000),
+       run_id=st.integers(0, 10_000), beta_min=st.integers(-10, 30), span=st.integers(0, 40),
+       step=st.sampled_from([2.5, 5.0, 10.0]),
+       modes=st.sets(st.sampled_from(("soft", "coloring", "none")), min_size=1),
+       max_iterations=st.sampled_from([1, 20, 1_000_000]),
+       fixture_path=st.sampled_from([None, RELAY_FIXTURE, THREE_LINK_FIXTURE]))
+def test_run_instance_matches_reference_without_reuse(n_nodes, n_sessions, seed, run_id,
+                                                      beta_min, span, step, modes,
+                                                      max_iterations, fixture_path):
+    # High margins saturate into repeated graphs; the reference shares nothing
+    # between margins, so reuse must not change a single record.
+    cfg = ExperimentConfig(
+        n_nodes=n_nodes, n_sessions=min(n_sessions, n_nodes * (n_nodes - 1)), seed=seed,
+        beta_min_db=float(beta_min), beta_max_db=float(beta_min + span), beta_step_db=step,
+        modes=tuple(modes), max_iterations=max_iterations, runs=1,
+    )
+    fixture = load_fixture(fixture_path) if fixture_path else None
+    assert (_without_nan(run_instance(cfg, run_id, fixture))
+            == _without_nan(run_instance_reference(cfg, run_id, fixture)))
 
 
 def test_sweep_csvs_match_reference_solver_and_rounding(tmp_path, monkeypatch):
     # Paper-default instances: the dense fictitious play and the slot-by-slot
     # trim of tests/conftest.py give the same bytes as the library's fast paths.
     # The CSVs leave out x and the solver state, so every game the sweep solves
-    # is also compared with the dense reference field by field.
-    cfg = ExperimentConfig(runs=3, seed=11)
+    # is also compared with the dense reference field by field. A budget that
+    # runs out before every link is covered leaves FP's lower bound at 0; the
+    # sweep still finishes, and every soft schedule is feasible and no shorter
+    # than the bracket allows.
+    for max_iterations in (1_000_000, 1, 5, 20):
+        cfg = ExperimentConfig(runs=3, seed=11, max_iterations=max_iterations)
 
-    def sweep_bytes(tag):
-        table, records = run_sweep(cfg)
-        write_results(table, tmp_path / f"{tag}.csv")
-        write_detail(records, tmp_path / f"{tag}-detail.csv")
-        return [(tmp_path / name).read_bytes() for name in (f"{tag}.csv", f"{tag}-detail.csv")]
+        def sweep_bytes(tag):
+            table, records = run_sweep(cfg)
+            paths = [tmp_path / f"{tag}-{max_iterations}{suffix}.csv" for suffix in ("", "-detail")]
+            write_results(table, paths[0])
+            write_detail(records, paths[1])
+            for rec in records:
+                if rec.mode == "soft":
+                    assert rec.slots >= math.ceil(1 / rec.value_upper - 1e-9)
+            return [path.read_bytes() for path in paths]
 
-    solved = []
+        solved, checked = [], []
 
-    def checked_fp_solve(H, solver_cfg):
-        sol = fp_solve(H, solver_cfg)
-        assert_same_solution(sol, fp_reference(H, solver_cfg))
-        solved.append(H.h.shape)
-        return sol
+        def checked_fp_solve(H, solver_cfg):
+            sol = fp_solve(H, solver_cfg)
+            assert_same_solution(sol, fp_reference(H, solver_cfg))
+            solved.append(H.h.shape)
+            return sol
 
-    monkeypatch.setattr(harness, "fp_solve", checked_fp_solve)
-    fast = sweep_bytes("fast")
-    assert len(solved) > 10 and max(shape[1] for shape in solved) > 10
-    monkeypatch.setattr(harness, "fp_solve", fp_reference)
-    monkeypatch.setattr(harness, "extract_schedule", extract_schedule_reference)
-    assert sweep_bytes("reference") == fast
+        def checked_verify(schedule, g, rates):
+            checked.append(verify_schedule_reference(schedule, g, rates))
+            return checked[-1]
+
+        monkeypatch.setattr(harness, "fp_solve", checked_fp_solve)
+        monkeypatch.setattr(harness, "verify_schedule", checked_verify)
+        fast = sweep_bytes("fast")
+        assert len(solved) > 10 and max(shape[1] for shape in solved) > 10
+        assert len(checked) == len(solved) and all(checked)
+        assert (b"false" in fast[1]) == (max_iterations < 1_000_000)
+        monkeypatch.setattr(harness, "fp_solve", fp_reference)
+        monkeypatch.setattr(harness, "extract_schedule", extract_schedule_reference)
+        assert sweep_bytes("reference") == fast
+        monkeypatch.undo()
 
 
 def test_too_many_sessions_rejected():
