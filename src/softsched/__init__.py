@@ -32,6 +32,7 @@ from .game import (
     SolverConfig,
     build_payoff,
     extract_schedule,
+    finish_exact,
     fp_solve,
     lp_oracle,
     verify_schedule,

@@ -50,9 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, dest="seed",
                    help=f"root RNG seed (default {_DEFAULTS.seed})")
     p.add_argument("--solver", choices=["fp", "exact"], dest="solver",
-                   help="game solver: fictitious play or the exact linear program (HiGHS)")
+                   help="game solver: fictitious play and the exact finish, or HiGHS")
     p.add_argument("--delta", type=float, dest="delta",
-                   help=f"fictitious-play convergence gap (default {_DEFAULTS.delta})")
+                   help=f"FP gap at which the exact finish takes over (default {_DEFAULTS.delta})")
     p.add_argument("--max-iters", type=int, dest="max_iterations",
                    help=f"fictitious-play iteration budget (default {_DEFAULTS.max_iterations})")
     p.add_argument("--modes", type=lambda s: tuple(filter(None, map(str.strip, s.split(",")))),

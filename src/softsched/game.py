@@ -1,14 +1,14 @@
-"""Link-vs-component matrix game: payoff build, fictitious play, exact oracle, schedules.
+"""Link-vs-component matrix game: payoff build, fictitious play, exact finish, schedules.
 
 The scheduling problem is cast as a zero-sum game. Rows are links, columns
 are components; the entry is 1/r_i when link i belongs to component j. A
 mixed column strategy y is a recipe for how often to fire each component,
 and (Hy)_i is the fraction of link i's demand served per slot, so the game
 value v = max_y min_i (Hy)_i makes 1/v the minimal fractional schedule
-length. Fictitious play approximates the equilibrium with certified
-lower/upper bounds on v; an exact linear-programming solve (HiGHS, through
-scipy) provides an independent cross-check at any size, and the schedule
-extractor turns y into integer slot counts.
+length. A short run of fictitious play picks a few columns; the exact
+finish solves the linear program over them and adds priced columns until v
+is exact. HiGHS, through scipy, cross-checks it at any size, and the
+schedule extractor turns y into integer slot counts.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import itertools
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,9 +97,9 @@ class FpState:
 class GameSolution:
     """Mixed strategies plus a certified bracket on the game value.
 
-    max(x @ H) is value_upper and min(H @ y) is value_lower. x may come from
-    an earlier iteration than y (see fp_solve); iterations counts up to the
-    last one.
+    max(x @ H) is value_upper and min(H @ y) is value_lower, capped at value_upper
+    by finish_exact. x may come from an earlier iteration than y (see fp_solve);
+    iterations and converged (FP's bracket closed to delta) are FP's.
     """
 
     x: np.ndarray
@@ -261,6 +261,62 @@ def _add_repeatedly(acc: list[float], entries: dict[int, float], times: int) -> 
         for _ in range(times):
             total += value
         acc[i] = total
+
+
+def finish_exact(H: PayoffMatrix, sol: GameSolution) -> GameSolution:
+    """Make sol exact by column generation on min sum(u) s.t. A u >= b, u >= 0.
+
+    A is H over each row's largest entry and b its reciprocal (build_payoff's
+    0/1 membership and rates). The pool opens with sol.y's columns and the
+    first column covering each link they miss; each round adds up to L of the
+    columns the link duals z price most negative, 1 - z @ A, until none is
+    below -1e-9. y = u / sum(u) and x = b z / (b . z) certify value_upper =
+    max(x @ H) and value_lower = min(min(H @ y), value_upper).
+    """
+    h = H.h
+    scale = h.max(axis=1)
+    in_pool = sol.y > 0  # a mask, since np.union1d imports numpy.ma (1.4 MB peak memory)
+    in_pool[np.argmax(h[~h[:, in_pool].any(axis=1)] > 0, axis=1)] = True
+    while True:
+        pool = np.flatnonzero(in_pool)
+        u, z = _dual_simplex(h[:, pool] / scale[:, None], 1.0 / scale)
+        reduced = 1.0 - (z / scale) @ h
+        reduced[in_pool] = 0.0
+        entering = np.flatnonzero(reduced < -1e-9)
+        if not entering.size:
+            break
+        in_pool[entering[np.argsort(reduced[entering], kind="stable")[:H.n_links]]] = True
+    y = np.zeros(H.n_components)
+    y[pool] = u / u.sum()
+    x = z / scale / (z / scale).sum()
+    upper = float((x @ h).max())
+    return replace(sol, x=x, y=y, value_upper=upper,
+                   value_lower=min(float((h @ y).min()), upper))
+
+
+def _dual_simplex(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u minimising sum(u) s.t. a @ u >= b, u >= 0, and the row duals, both clipped at 0.
+
+    A dense dual simplex from the surplus basis (dual feasible: costs are 1)
+    under Bland's rule: the lowest-indexed basic variable below minus the
+    rounding of its terms leaves, the lowest-indexed column of least ratio enters.
+    """
+    n_rows, n_cols = a.shape
+    t = np.hstack([-a, np.eye(n_rows), -b[:, None]])
+    d = np.concatenate([np.ones(n_cols), np.zeros(n_rows)])  # reduced costs
+    basis = np.arange(n_cols, n_cols + n_rows)
+    while (short := t[:, -1] < -1e-12 * (np.abs(t[:, n_cols:-1]) @ b)).any():
+        r = np.where(short, basis, len(d)).argmin()
+        ratios = np.divide(d, -t[r, :-1], out=np.full_like(d, np.inf), where=t[r, :-1] < -1e-9)
+        q = ratios.argmin()
+        pivot = t[r] / t[r, q]
+        t -= t[:, q, None] * pivot
+        t[r] = pivot
+        d -= d[q] * pivot[:-1]
+        basis[r] = q
+    values = np.zeros(len(d))
+    values[basis] = t[:, -1]
+    return np.maximum(values[:n_cols], 0.0), np.maximum(d[n_cols:], 0.0)
 
 
 def lp_oracle(H: PayoffMatrix) -> tuple[float, np.ndarray]:

@@ -4,8 +4,8 @@ Each replication generates a random instance, routes the sessions, then for
 every interference margin in the sweep computes slot counts for the
 requested scheduling modes:
 
-  soft      component schedule from the matrix game (length of the
-            extracted integer schedule)
+  soft      component schedule from the matrix game, solved exactly
+            (length of the extracted integer schedule)
   coloring  greedy hard coloring in link-index order
   none      one activation per slot, no spatial reuse
 
@@ -24,6 +24,7 @@ import json
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -38,6 +39,7 @@ from .game import (
     _count,
     build_payoff,
     extract_schedule,
+    finish_exact,
     fp_solve,
     lp_oracle,
     verify_schedule,
@@ -67,7 +69,7 @@ class ExperimentConfig:
     runs: int = 1000
     seed: int = 0
     solver: str = "fp"
-    delta: float = 1e-3
+    delta: float = 1e-2
     max_iterations: int = 1_000_000
     modes: tuple[str, ...] = MODE_ORDER
 
@@ -256,26 +258,22 @@ def _generate_instance(cfg: ExperimentConfig, run_id: int) -> tuple[list[Node], 
 
 
 def _soft_slots(g: ConflictGraph, rates: RateVector, solver: SolverConfig | None) -> dict:
-    """The soft record's fields on graph ``g``: FP under ``solver``, or the LP when it is None."""
+    """The soft record's fields on ``g``: FP under ``solver`` and the finish, or HiGHS if None."""
     comps = enumerate_maximal(g)
     payoff = build_payoff(comps, rates)
     if solver is None:
         value, y = lp_oracle(payoff)
-        lower = upper = value
-        iterations, converged = 0, True
+        soft = dict(value_lower=value, value_upper=value, fp_iterations=0, converged=True)
     else:
-        sol = fp_solve(payoff, solver)
-        y, lower, upper = sol.y, sol.value_lower, sol.value_upper
-        iterations, converged = sol.iterations, sol.converged
-    # A budget that runs out before every link is covered leaves FP's lower
-    # bound at 0. The no-reuse schedule's value, 1 / sum of rates, is a
-    # certified lower bound too, so rounding starts from the larger of the two.
-    schedule = extract_schedule(comps, rates, y, max(lower, 1 / rates.total()))
+        sol = finish_exact(payoff, fp_solve(payoff, solver))
+        y = sol.y
+        soft = dict(value_lower=sol.value_lower, value_upper=sol.value_upper,
+                    fp_iterations=sol.iterations, converged=sol.converged)
+    schedule = extract_schedule(comps, rates, y, soft["value_lower"])
     check = verify_schedule(schedule, g, rates)
     if not check:
         raise RuntimeError(f"extracted schedule failed verification: {check.violation}")
-    return dict(slots=schedule.length, value_lower=lower, value_upper=upper,
-                fp_iterations=iterations, converged=converged)
+    return dict(slots=schedule.length, **soft)
 
 
 def run_instance(cfg: ExperimentConfig, run_id: int,
@@ -348,6 +346,11 @@ def run_sweep(cfg: ExperimentConfig,
     the order of every sum. The soft row's gain pairs it with the next row,
     coloring at the same beta.
     """
+    if fixture is not None and "soft" in cfg.modes and sys.float_info.max < (
+            fixture.rates.total() if fixture.kind == "conflict"
+            else sum(s.packets for s in fixture.sessions)):
+        raise ValueError("the fixture's demand is past float range, where the soft mode cannot "
+                         "solve it; --modes coloring,none counts it exactly")
     records: list[ResultRecord] = []
     for run_id in range(cfg.runs):
         try:

@@ -26,6 +26,7 @@ from softsched import (
     coloring_slots,
     enumerate_maximal,
     extract_schedule,
+    finish_exact,
     fp_solve,
     greedy_color,
     link_powers,
@@ -325,9 +326,10 @@ def run_instance_reference(cfg, run_id, fixture=None):
     """``run_instance`` with nothing shared between margins.
 
     Each margin builds its own graph with ``build_conflict_graph`` and
-    solves the soft game on it; coloring is ``greedy_color`` in index order
-    on that graph and no reuse is the rates' sum. Every soft schedule must
-    pass ``verify_schedule_reference``.
+    solves the soft game on it, by fictitious play and then the exact
+    finish; coloring is ``greedy_color`` in index order on that graph and no
+    reuse is the rates' sum. Every soft schedule must pass
+    ``verify_schedule_reference``.
     """
     if fixture is not None and fixture.kind == "conflict":
         rates, margins = fixture.rates, [(math.nan, fixture.graph)]
@@ -355,12 +357,11 @@ def run_instance_reference(cfg, run_id, fixture=None):
                     extra = dict(value_lower=value, value_upper=value, fp_iterations=0,
                                  converged=True)
                 else:
-                    sol = fp_solve(H, SolverConfig(cfg.delta, cfg.max_iterations))
+                    sol = finish_exact(H, fp_solve(H, SolverConfig(cfg.delta, cfg.max_iterations)))
                     y = sol.y
                     extra = dict(value_lower=sol.value_lower, value_upper=sol.value_upper,
                                  fp_iterations=sol.iterations, converged=sol.converged)
-                lower = max(extra["value_lower"], 1 / rates.total())
-                schedule = extract_schedule(comps, rates, y, lower)
+                schedule = extract_schedule(comps, rates, y, extra["value_lower"])
                 check = verify_schedule_reference(schedule, g, rates)
                 assert check, check.violation
                 slots = schedule.length

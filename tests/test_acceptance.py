@@ -22,6 +22,7 @@ from softsched import (
     coloring_slots,
     enumerate_maximal,
     extract_schedule,
+    finish_exact,
     fp_solve,
     greedy_color,
     link_powers,
@@ -134,7 +135,8 @@ def _pipeline_slots(nodes, sessions, beta, solver_cfg):
     links, rates = accumulate_rates(paths, sessions)
     g = build_conflict_graph(link_powers(links, nodes, params), beta)
     comps = enumerate_maximal(g)
-    sol = fp_solve(build_payoff(comps, rates), solver_cfg)
+    payoff = build_payoff(comps, rates)
+    sol = finish_exact(payoff, fp_solve(payoff, solver_cfg))
     sched = extract_schedule(comps, rates, sol.y, sol.value_lower)
     check = verify_schedule(sched, g, rates)
     soft = sched.length

@@ -16,10 +16,13 @@ from softsched import (
     build_payoff,
     enumerate_maximal,
     extract_schedule,
+    finish_exact,
     fp_solve,
     lp_oracle,
     verify_schedule,
 )
+
+import softsched.game as game
 
 from conftest import (
     THREE_LINK_RATES,
@@ -356,6 +359,97 @@ def test_fp_negative_zero_entries_match_reference():
     for max_iterations in (1, 2, 9):
         cfg = SolverConfig(delta=1e-9, max_iterations=max_iterations)
         assert_same_solution(fp_solve(H, cfg), fp_reference(H, cfg))
+
+
+# ---------------------------------------------------------------- exact finish
+
+def assert_exact_finish(H, sol, fp):
+    """sol is the exact game solution, its strategies certify its bracket, and FP's fields stay."""
+    value, _ = lp_oracle(H)
+    assert sol.value_lower <= sol.value_upper
+    assert sol.value_upper - sol.value_lower <= 1e-12 * sol.value_upper
+    assert abs(sol.value_upper - value) <= 1e-9 * value
+    for strategy in (sol.x, sol.y):
+        assert (strategy >= 0).all() and strategy.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.min(H.h @ sol.y) == pytest.approx(sol.value_lower, rel=1e-12, abs=0)
+    assert np.max(sol.x @ H.h) == pytest.approx(sol.value_upper, rel=1e-12, abs=0)
+    assert np.count_nonzero(sol.y) <= H.n_links  # a basic solution
+    assert (sol.iterations, sol.converged, sol.state) == (fp.iterations, fp.converged, fp.state)
+
+
+DEGENERATE_GAMES = [
+    PayoffMatrix(np.eye(5)),
+    PayoffMatrix(np.ones((4, 6))),
+    PayoffMatrix(np.hstack([np.eye(4), np.eye(4), np.ones((4, 1)), np.eye(4)]) / 3),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(H=st.one_of(tied_payoffs(), membership_payoffs()),
+       max_iterations=st.sampled_from([1, 2, 5, 50, 1_000_000]),
+       delta=st.sampled_from([1e-3, 1e-2, 0.1]))
+@example(H=PayoffMatrix(np.array([[0.7]])), max_iterations=1, delta=1e-2)
+@example(H=RUN_GAME, max_iterations=1, delta=1e-2)
+@example(H=DEGENERATE_GAMES[0], max_iterations=1, delta=1e-2)
+@example(H=DEGENERATE_GAMES[1], max_iterations=1, delta=1e-2)
+@example(H=DEGENERATE_GAMES[2], max_iterations=1, delta=1e-2)
+@example(H=DEGENERATE_GAMES[2], max_iterations=1_000_000, delta=1e-3)
+# min(H @ y) rounds one ulp above max(x @ H) = 5/9, so value_lower takes the cap.
+@example(H=PayoffMatrix(np.array([[1.0, 2.0], [3.0, 1.0]]) * (1 / 3)), max_iterations=1_000_000,
+         delta=1e-2)
+def test_finish_is_exact_and_certified(H, max_iterations, delta):
+    fp = fp_solve(H, SolverConfig(delta=delta, max_iterations=max_iterations))
+    assert_exact_finish(H, finish_exact(H, fp), fp)
+
+
+@pytest.mark.parametrize("H", DEGENERATE_GAMES)
+@pytest.mark.parametrize("max_iterations", [1, 1_000_000])
+def test_finish_degenerate_games(H, max_iterations):
+    # Every column ties with another or with a mix of others.
+    fp = fp_solve(H, SolverConfig(delta=1e-2, max_iterations=max_iterations))
+    assert_exact_finish(H, finish_exact(H, fp), fp)
+
+
+def test_finish_covers_links_fp_never_reached():
+    # One FP iteration plays columns 0 and 1, so link 2 is left uncovered
+    # and the pool takes column 2 for it.
+    H = PayoffMatrix(np.eye(3))
+    fp = fp_solve(H, SolverConfig(max_iterations=1))
+    assert fp.y.tolist() == [0.5, 0.5, 0.0] and fp.value_lower == 0.0
+    sol = finish_exact(H, fp)
+    assert_exact_finish(H, sol, fp)
+    assert sol.y.tolist() == pytest.approx([1 / 3] * 3, abs=1e-15)
+
+
+@pytest.mark.parametrize("rates, length", [((10**12, 1), 10**12),
+                                           ((1, 3 * 10**15, 7), 3 * 10**15 + 7)])
+def test_finish_rates_far_apart(rates, length):
+    # A master row is short only beyond the rounding of its own terms, so a
+    # rate-1 link is still covered next to one of rate 10**12 or more. Links
+    # 0 and L-1 share a component, link 1 of three is alone: the schedule
+    # length is max(r_0, r_last) plus r_1. HiGHS drops entries this small.
+    n = len(rates)
+    comps = [Component((i,)) for i in range(n)] + [Component((0, n - 1))]
+    H = build_payoff(comps, RateVector(rates))
+    sol = finish_exact(H, fp_solve(H, SolverConfig(delta=1e-2)))
+    assert sol.value_lower <= sol.value_upper == pytest.approx(1 / length, rel=1e-12, abs=0)
+    assert sol.value_lower == pytest.approx(1 / length, rel=1e-12, abs=0)
+    assert np.min(H.h @ sol.y) >= sol.value_lower and np.max(sol.x @ H.h) == sol.value_upper
+
+
+def test_finish_prices_more_than_one_round(monkeypatch):
+    # Links with rates 3, 2, 3; one FP iteration leaves columns 0 and 1, and
+    # pricing adds a column in each of two rounds before none prices below 0.
+    member = np.array([[0, 1, 0, 1], [1, 0, 1, 1], [0, 1, 1, 0]])
+    H = PayoffMatrix(member / np.array([[3.0], [2.0], [3.0]]))
+    solves = []
+    real = game._dual_simplex
+    monkeypatch.setattr(game, "_dual_simplex", lambda a, b: solves.append(a.shape) or real(a, b))
+    fp = fp_solve(H, SolverConfig(max_iterations=1))
+    assert fp.y.tolist() == [0.5, 0.5, 0.0, 0.0]
+    sol = finish_exact(H, fp)
+    assert solves == [(3, 2), (3, 3), (3, 4)]
+    assert_exact_finish(H, sol, fp)
 
 
 # ---------------------------------------------------------------- exact oracle

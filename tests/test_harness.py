@@ -313,6 +313,39 @@ def test_fp_brackets_contain_exact_value_on_routed_instances(run_id, beta):
 
 
 @settings(max_examples=40, deadline=None)
+@given(n_nodes=st.integers(2, 8), n_sessions=st.integers(1, 8), seed=st.integers(0, 10_000),
+       run_id=st.integers(0, 10_000), max_iterations=st.sampled_from([1, 20, 1_000_000]))
+def test_soft_records_are_exact_and_within_their_gap_of_the_integer_optimum(
+        n_nodes, n_sessions, seed, run_id, max_iterations):
+    # Every soft record's bracket is the LP value, and the integer optimum
+    # over all maximal components (milp) is no more than the reported gap,
+    # slots - ceil(1/value_upper), below the soft schedule.
+    from scipy.optimize import LinearConstraint, milp
+
+    cfg = ExperimentConfig(
+        n_nodes=n_nodes, n_sessions=min(n_sessions, n_nodes * (n_nodes - 1)), seed=seed,
+        beta_min_db=0.0, beta_max_db=30.0, beta_step_db=10.0, modes=("soft",),
+        max_iterations=max_iterations,
+    )
+    params = PropagationParams(alpha=cfg.alpha)
+    nodes, sessions = _generate_instance(cfg, run_id)
+    links, rates = accumulate_rates(route_sessions(nodes, sessions, params), sessions)
+    powers = link_powers(links, nodes, params)
+    for rec in run_instance(cfg, run_id):
+        H = build_payoff(enumerate_maximal(build_conflict_graph(powers, rec.beta_db)), rates)
+        value, _ = lp_oracle(H)
+        assert rec.value_lower <= rec.value_upper <= rec.value_lower * (1 + 1e-12)
+        assert abs(rec.value_upper - value) <= 1e-9 * value
+        n_comps = H.n_components
+        res = milp(np.ones(n_comps), integrality=np.ones(n_comps),
+                   constraints=LinearConstraint(H.h > 0, lb=np.array(rates.rates, dtype=float)))
+        assert res.status == 0
+        optimum = round(res.fun)
+        gap = rec.slots - math.ceil(1 / rec.value_upper - 1e-9)
+        assert 0 <= rec.slots - optimum <= gap
+
+
+@settings(max_examples=40, deadline=None)
 @given(n_nodes=st.integers(2, 20), n_sessions=st.integers(1, 12), seed=st.integers(0, 10_000),
        run_id=st.integers(0, 10_000), alpha=st.floats(2.0, 6.0))
 def test_coloring_never_exceeds_no_reuse_on_random_instances(n_nodes, n_sessions, seed,
@@ -363,6 +396,28 @@ def test_conflict_fixture_counts_rates_past_int64_exactly(tmp_path):
                            load_fixture(path))
     assert [(rec.mode, rec.slots) for rec in records] == [("coloring", 2**63 + 1),
                                                           ("none", 2**63 + 1)]
+
+
+HUGE_RATE_FIXTURES = [
+    {"n_links": 2, "conflicts": [[0, 1]], "rates": [10**309, 1]},
+    {"nodes": [{"id": 0, "x": 0.0, "y": 0.0}, {"id": 1, "x": 0.5, "y": 0.0}],
+     "sessions": [{"source": 0, "sink": 1, "packets": 10**309}]},
+]
+
+
+@pytest.mark.parametrize("document", HUGE_RATE_FIXTURES)
+def test_cli_refuses_soft_mode_on_demand_past_float_range(tmp_path, capsys, document):
+    # 1/r is no float for such a rate, so the soft mode is refused before any
+    # run; the hard modes count the same fixture in Python ints.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(document))
+    out = tmp_path / "out.csv"
+    assert main(["--fixture", str(path), "--runs", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "soft mode" in err and "--modes coloring,none" in err and "run 0" not in err
+    assert not out.exists()
+    assert main(["--fixture", str(path), "--runs", "1", "--out", str(out),
+                 "--modes", "coloring,none"]) == 0
 
 
 def test_gain_column_only_on_soft_rows():
