@@ -33,6 +33,7 @@ from .game import (
     build_payoff,
     extract_schedule,
     finish_exact,
+    finish_stack,
     fp_solve,
     lp_oracle,
     verify_schedule,

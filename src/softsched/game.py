@@ -7,8 +7,9 @@ and (Hy)_i is the fraction of link i's demand served per slot, so the game
 value v = max_y min_i (Hy)_i makes 1/v the minimal fractional schedule
 length. A short run of fictitious play picks a few columns; the exact
 finish solves the linear program over them and adds priced columns until v
-is exact. HiGHS, through scipy, cross-checks it at any size, and the
-schedule extractor turns y into integer slot counts.
+is exact, for several games at once in one stacked simplex. HiGHS, through
+scipy, cross-checks it at any size, and the schedule extractor turns y
+into integer slot counts.
 """
 
 from __future__ import annotations
@@ -264,59 +265,105 @@ def _add_repeatedly(acc: list[float], entries: dict[int, float], times: int) -> 
 
 
 def finish_exact(H: PayoffMatrix, sol: GameSolution) -> GameSolution:
-    """Make sol exact by column generation on min sum(u) s.t. A u >= b, u >= 0.
+    """The one-game case of finish_stack: sol made exact on H."""
+    return finish_stack([H], [sol])[0]
 
-    A is H over each row's largest entry and b its reciprocal (build_payoff's
-    0/1 membership and rates). The pool opens with sol.y's columns and the
-    first column covering each link they miss; each round adds up to L of the
-    columns the link duals z price most negative, 1 - z @ A, until none is
-    below -1e-9. y = u / sum(u) and x = b z / (b . z) certify value_upper =
-    max(x @ H) and value_lower = min(min(H @ y), value_upper).
+
+def finish_stack(payoffs: list[PayoffMatrix], sols: list[GameSolution]) -> list[GameSolution]:
+    """Make each sols[g] exact by column generation on min sum(u) s.t. A u >= b, u >= 0.
+
+    A is payoffs[g] over each row's largest entry and b its reciprocal
+    (build_payoff's 0/1 membership and rates). A pool opens with sols[g].y's
+    columns and the first column covering each link they miss; each round
+    adds up to L of the columns the link duals z price most negative,
+    1 - z @ A, until none is below -1e-9. y = u / sum(u) and x = b z / (b . z)
+    certify value_upper = max(x @ H) and value_lower = min(min(H @ y), value_upper).
+
+    Every round solves the masters of the games still pricing in one
+    _dual_simplex call, zero-padded to a common shape after each game's own
+    rows and columns; a game leaves once its pricing adds nothing. A padded
+    column never enters (its entries are 0) and a padded row's surplus stays
+    basic (its right side is 0), so each game pivots as it would alone.
     """
-    h = H.h
-    scale = h.max(axis=1)
-    in_pool = sol.y > 0  # a mask, since np.union1d imports numpy.ma (1.4 MB peak memory)
-    in_pool[np.argmax(h[~h[:, in_pool].any(axis=1)] > 0, axis=1)] = True
-    while True:
-        pool = np.flatnonzero(in_pool)
-        u, z = _dual_simplex(h[:, pool] / scale[:, None], 1.0 / scale)
-        reduced = 1.0 - (z / scale) @ h
-        reduced[in_pool] = 0.0
-        entering = np.flatnonzero(reduced < -1e-9)
-        if not entering.size:
-            break
-        in_pool[entering[np.argsort(reduced[entering], kind="stable")[:H.n_links]]] = True
-    y = np.zeros(H.n_components)
-    y[pool] = u / u.sum()
-    x = z / scale / (z / scale).sum()
-    upper = float((x @ h).max())
-    return replace(sol, x=x, y=y, value_upper=upper,
-                   value_lower=min(float((h @ y).min()), upper))
+    hs = [H.h for H in payoffs]
+    scales = [h.max(axis=1) for h in hs]
+    in_pools = []
+    for h, sol in zip(hs, sols):
+        in_pool = sol.y > 0  # a mask, since np.union1d imports numpy.ma (1.4 MB peak memory)
+        in_pool[np.argmax(h[~h[:, in_pool].any(axis=1)] > 0, axis=1)] = True
+        in_pools.append(in_pool)
+    masters: list = [None] * len(hs)  # (pool, u, z) once a game is done
+    active = list(range(len(hs)))
+    while active:
+        pools = [np.flatnonzero(in_pools[g]) for g in active]
+        n_rows = max(hs[g].shape[0] for g in active)
+        a = np.zeros((len(active), n_rows, max(map(len, pools))))
+        b = np.zeros((len(active), n_rows))
+        for k, (g, pool) in enumerate(zip(active, pools)):
+            n_links = len(scales[g])
+            a[k, :n_links, :len(pool)] = hs[g][:, pool] / scales[g][:, None]
+            b[k, :n_links] = 1.0 / scales[g]
+        u, z = _dual_simplex(a, b)
+        pricing = []
+        for k, (g, pool) in enumerate(zip(active, pools)):
+            h, scale, in_pool = hs[g], scales[g], in_pools[g]
+            z_g = z[k, :len(scale)]
+            reduced = 1.0 - (z_g / scale) @ h
+            reduced[in_pool] = 0.0
+            entering = np.flatnonzero(reduced < -1e-9)
+            if entering.size:
+                in_pool[entering[np.argsort(reduced[entering], kind="stable")[:len(scale)]]] = True
+                pricing.append(g)
+            else:
+                masters[g] = pool, u[k, :len(pool)], z_g
+        active = pricing
+    out = []
+    for h, scale, sol, (pool, u, z) in zip(hs, scales, sols, masters):
+        y = np.zeros(h.shape[1])
+        y[pool] = u / u.sum()
+        x = z / scale / (z / scale).sum()
+        upper = float((x @ h).max())
+        out.append(replace(sol, x=x, y=y, value_upper=upper,
+                           value_lower=min(float((h @ y).min()), upper)))
+    return out
 
 
 def _dual_simplex(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """u minimising sum(u) s.t. a @ u >= b, u >= 0, and the row duals, both clipped at 0.
+    """Per game g of a (G, L, C) stack: u minimising sum(u) s.t. a[g] @ u >= b[g], u >= 0.
 
-    A dense dual simplex from the surplus basis (dual feasible: costs are 1)
-    under Bland's rule: the lowest-indexed basic variable below minus the
-    rounding of its terms leaves, the lowest-indexed column of least ratio enters.
+    Returns u (G, C) and the row duals (G, L), both clipped at 0. A dense
+    dual simplex from the surplus basis (dual feasible: costs are 1) under
+    Bland's rule: the lowest-indexed basic variable below minus the rounding
+    of its terms leaves, the lowest-indexed column of least ratio enters.
+    Each round pivots every game that still has such a row, once.
     """
-    n_rows, n_cols = a.shape
-    t = np.hstack([-a, np.eye(n_rows), -b[:, None]])
-    d = np.concatenate([np.ones(n_cols), np.zeros(n_rows)])  # reduced costs
-    basis = np.arange(n_cols, n_cols + n_rows)
-    while (short := t[:, -1] < -1e-12 * (np.abs(t[:, n_cols:-1]) @ b)).any():
-        r = np.where(short, basis, len(d)).argmin()
-        ratios = np.divide(d, -t[r, :-1], out=np.full_like(d, np.inf), where=t[r, :-1] < -1e-9)
-        q = ratios.argmin()
-        pivot = t[r] / t[r, q]
-        t -= t[:, q, None] * pivot
-        t[r] = pivot
-        d -= d[q] * pivot[:-1]
-        basis[r] = q
-    values = np.zeros(len(d))
-    values[basis] = t[:, -1]
-    return np.maximum(values[:n_cols], 0.0), np.maximum(d[n_cols:], 0.0)
+    n_games, n_rows, n_cols = a.shape
+    eye = np.broadcast_to(np.eye(n_rows), (n_games, n_rows, n_rows))
+    t = np.concatenate([-a, eye, -b[:, :, None]], axis=2)
+    d = np.tile(np.concatenate([np.ones(n_cols), np.zeros(n_rows)]), (n_games, 1))  # reduced costs
+    basis = np.tile(np.arange(n_cols, n_cols + n_rows), (n_games, 1))
+    u, z = np.zeros((n_games, n_cols)), np.zeros((n_games, n_rows))
+    live = np.arange(n_games)  # the games still pivoting; t, d, basis and b hold only theirs
+    while True:
+        short = t[:, :, -1] < -1e-12 * (np.abs(t[:, :, n_cols:-1]) @ b[:, :, None])[:, :, 0]
+        done = ~short.any(axis=1)
+        if done.any():
+            values = np.zeros(d[done].shape)
+            np.put_along_axis(values, basis[done], t[done, :, -1], axis=1)
+            u[live[done]], z[live[done]] = values[:, :n_cols], d[done, n_cols:]
+            live, t, d, basis, b, short = (v[~done] for v in (live, t, d, basis, b, short))
+            if not live.size:
+                return np.maximum(u, 0.0), np.maximum(z, 0.0)
+        g = np.arange(len(live))
+        r = np.where(short, basis, d.shape[1]).argmin(axis=1)
+        row = t[g, r, :-1]
+        ratios = np.divide(d, -row, out=np.full(row.shape, np.inf), where=row < -1e-9)
+        q = ratios.argmin(axis=1)
+        pivot = t[g, r] / t[g, r, q][:, None]
+        t -= t[g, :, q][:, :, None] * pivot[:, None, :]
+        t[g, r] = pivot
+        d -= d[g, q][:, None] * pivot[:, :-1]
+        basis[g, r] = q
 
 
 def lp_oracle(H: PayoffMatrix) -> tuple[float, np.ndarray]:
@@ -326,12 +373,17 @@ def lp_oracle(H: PayoffMatrix) -> tuple[float, np.ndarray]:
     min sum(u) s.t. Hu >= 1, u >= 0, which HiGHS solves at any size. Its
     optimum sum(u) = 1/v is the fractional schedule length, and y = u / sum(u).
     Every row of H has a positive entry, so the program is feasible and bounded.
+    Each row goes to HiGHS over its largest entry, with that entry's
+    reciprocal on the right (build_payoff's 0/1 membership and the rates):
+    the same u, without entries 1/r so small that HiGHS would drop them.
     """
     # Imported here, not at module level: scipy would more than triple the
     # start-up time and memory of every run that only uses fictitious play.
     from scipy.optimize import linprog
 
-    res = linprog(np.ones(H.n_components), A_ub=-H.h, b_ub=-np.ones(H.n_links), method="highs")
+    scale = H.h.max(axis=1)
+    res = linprog(np.ones(H.n_components), A_ub=-H.h / scale[:, None], b_ub=-1.0 / scale,
+                  method="highs")
     if res.status != 0:
         raise RuntimeError(f"HiGHS could not solve the game: {res.message}")
     u = np.maximum(res.x, 0.0)  # HiGHS may return a zero entry as about -1e-15

@@ -13,13 +13,17 @@ Replications use seed streams derived from (root seed, run id), so results
 are reproducible and order-independent. A replication thresholds its
 received powers at every margin in one ``conflict_stack`` call, colors the
 whole stack in one ``first_fit_stack`` pass and counts every margin's
-coloring slots in one ``coloring_slots`` call; the soft mode builds its
-margin's graph with ``build_conflict_graph`` and solves it only where that
-graph differs from the previous margin's. One loop then builds every record.
+coloring slots in one ``coloring_slots`` call. The soft mode builds its
+margin's graph with ``build_conflict_graph`` only where that graph differs
+from the previous margin's. It peels each such graph's universal links
+(those that conflict with every link, so fire alone) and plays the game on
+the rest; the exact finishes of a replication's games run as one stacked
+``finish_stack`` call. One loop then builds every record.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -39,7 +43,7 @@ from .game import (
     _count,
     build_payoff,
     extract_schedule,
-    finish_exact,
+    finish_stack,
     fp_solve,
     lp_oracle,
     verify_schedule,
@@ -257,23 +261,57 @@ def _generate_instance(cfg: ExperimentConfig, run_id: int) -> tuple[list[Node], 
     return nodes, sessions
 
 
-def _soft_slots(g: ConflictGraph, rates: RateVector, solver: SolverConfig | None) -> dict:
-    """The soft record's fields on ``g``: FP under ``solver`` and the finish, or HiGHS if None."""
-    comps = enumerate_maximal(g)
-    payoff = build_payoff(comps, rates)
+def _peel(g: ConflictGraph, rates: RateVector) -> tuple[int, ConflictGraph, RateVector]:
+    """Split off the links that conflict with every link: their rates' exact sum, and the rest.
+
+    Such a link only ever fires alone, so it needs its rate in slots of its
+    own whatever the others do (the forced-singleton reduction of LP presolve).
+    """
+    universal = g.adjacency.all(axis=1)
+    kept = ~universal
+    return (sum(itertools.compress(rates.rates, universal.tolist())),
+            ConflictGraph(int(kept.sum()), g.adjacency[kept][:, kept]),
+            RateVector(tuple(itertools.compress(rates.rates, kept.tolist()))))
+
+
+def _soft_fields(graphs: list[ConflictGraph], rates: RateVector,
+                 solver: SolverConfig | None) -> list[dict]:
+    """The soft record's fields on each graph: FP under ``solver`` and one stacked finish, or HiGHS.
+
+    ``solver`` None means HiGHS. Each graph's universal links are peeled
+    first (``_peel``); ``run_instance`` says how the fields account for them.
+    """
+    fields, games = [], []
+    for g in graphs:
+        peeled, rest, rest_rates = _peel(g, rates)
+        fields.append(dict(slots=peeled, fp_iterations=0, converged=True))
+        if not rest.n_links:
+            fields[-1].update(value_lower=1 / peeled, value_upper=1 / peeled)
+            continue
+        comps = enumerate_maximal(rest)
+        games.append((fields[-1], peeled, rest, rest_rates, comps, build_payoff(comps, rest_rates)))
+    payoffs = [game[-1] for game in games]
     if solver is None:
-        value, y = lp_oracle(payoff)
-        soft = dict(value_lower=value, value_upper=value, fp_iterations=0, converged=True)
+        sols = [lp_oracle(payoff) for payoff in payoffs]
     else:
-        sol = finish_exact(payoff, fp_solve(payoff, solver))
-        y = sol.y
-        soft = dict(value_lower=sol.value_lower, value_upper=sol.value_upper,
-                    fp_iterations=sol.iterations, converged=sol.converged)
-    schedule = extract_schedule(comps, rates, y, soft["value_lower"])
-    check = verify_schedule(schedule, g, rates)
-    if not check:
-        raise RuntimeError(f"extracted schedule failed verification: {check.violation}")
-    return dict(slots=schedule.length, **soft)
+        sols = finish_stack(payoffs, [fp_solve(payoff, solver) for payoff in payoffs])
+    for (soft, peeled, rest, rest_rates, comps, _), sol in zip(games, sols):
+        if solver is None:
+            value, y = sol
+            soft.update(value_lower=value, value_upper=value)
+        else:
+            y = sol.y
+            soft.update(value_lower=sol.value_lower, value_upper=sol.value_upper,
+                        fp_iterations=sol.iterations, converged=sol.converged)
+        schedule = extract_schedule(comps, rest_rates, y, soft["value_lower"])
+        check = verify_schedule(schedule, rest, rest_rates)
+        if not check:
+            raise RuntimeError(f"extracted schedule failed verification: {check.violation}")
+        soft["slots"] += schedule.length
+        if peeled:
+            for bound in ("value_lower", "value_upper"):
+                soft[bound] = 1 / (peeled + 1 / soft[bound])
+    return fields
 
 
 def run_instance(cfg: ExperimentConfig, run_id: int,
@@ -295,6 +333,17 @@ def run_instance(cfg: ExperimentConfig, run_id: int,
     functions of the graph, the rates and the configuration. Neighbouring
     margins often give the same graph, most often the complete graph at the
     top of the sweep.
+
+    The soft mode runs in two passes (``_soft_fields``). The first peels
+    each solved margin's universal links, whose rates add exactly as
+    Python ints, and builds the game on the rest: components, payoff and
+    fictitious play. One ``finish_stack`` call then makes every game
+    exact, and the second pass extracts and verifies each schedule on the
+    rest and builds the fields: slots are the peeled rates plus the
+    schedule's length, and each bound v becomes 1 / (peeled + 1/v). A
+    margin whose graph is complete has no game: its slots are the rates'
+    sum, and ``fp_iterations=0`` with ``converged=true`` says that nothing
+    was iterated, as with ``solver="exact"``.
     """
     if fixture is not None and fixture.kind == "conflict":
         rates, powers = fixture.rates, None
@@ -317,11 +366,13 @@ def run_instance(cfg: ExperimentConfig, run_id: int,
     hard = coloring_slots(first_fit_stack(stack), rates) if "coloring" in cfg.modes else None
     solver = None if cfg.solver == "exact" else SolverConfig(cfg.delta, cfg.max_iterations)
     repeats = (stack[1:] == stack[:-1]).all(axis=(1, 2))
-    records = []
+    solved = [b for b in range(len(betas)) if "soft" in cfg.modes and not (b and repeats[b - 1])]
+    graphs = [fixture.graph if powers is None else build_conflict_graph(powers, betas[b])
+              for b in solved]
+    solved_fields = dict(zip(solved, _soft_fields(graphs, rates, solver)))
+    records, soft = [], None
     for b, beta in enumerate(betas):
-        if "soft" in cfg.modes and not (b and repeats[b - 1]):
-            g = fixture.graph if powers is None else build_conflict_graph(powers, beta)
-            soft = _soft_slots(g, rates, solver)
+        soft = solved_fields.get(b, soft)  # a repeated margin keeps the previous one's
         for mode in cfg.modes:
             extra = soft if mode == "soft" else dict(slots=hard[b] if mode == "coloring" else total)
             records.append(ResultRecord(

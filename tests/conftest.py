@@ -1,6 +1,7 @@
 """Shared helpers: the canonical three-link instance and the simple reference
 implementations that the library's fast paths are tested against."""
 
+import dataclasses
 import heapq
 import itertools
 import math
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from softsched import (
+    Component,
     ConflictGraph,
     FpState,
     GameSolution,
@@ -26,7 +28,6 @@ from softsched import (
     coloring_slots,
     enumerate_maximal,
     extract_schedule,
-    finish_exact,
     fp_solve,
     greedy_color,
     link_powers,
@@ -262,6 +263,49 @@ def assert_same_solution(got, want):
             (l.hex(), u.hex()) for l, u in want.bounds_log]
 
 
+def finish_exact_reference(H, sol):
+    """The exact finish of one game alone: column generation over a one-game dual simplex."""
+    h = H.h
+    scale = h.max(axis=1)
+    in_pool = sol.y > 0
+    in_pool[np.argmax(h[~h[:, in_pool].any(axis=1)] > 0, axis=1)] = True
+    while True:
+        pool = np.flatnonzero(in_pool)
+        u, z = dual_simplex_reference(h[:, pool] / scale[:, None], 1.0 / scale)
+        reduced = 1.0 - (z / scale) @ h
+        reduced[in_pool] = 0.0
+        entering = np.flatnonzero(reduced < -1e-9)
+        if not entering.size:
+            break
+        in_pool[entering[np.argsort(reduced[entering], kind="stable")[:H.n_links]]] = True
+    y = np.zeros(H.n_components)
+    y[pool] = u / u.sum()
+    x = z / scale / (z / scale).sum()
+    upper = float((x @ h).max())
+    return dataclasses.replace(sol, x=x, y=y, value_upper=upper,
+                               value_lower=min(float((h @ y).min()), upper))
+
+
+def dual_simplex_reference(a, b):
+    """min sum(u) s.t. a @ u >= b, u >= 0 on one (L, C) matrix, under Bland's rule."""
+    n_rows, n_cols = a.shape
+    t = np.hstack([-a, np.eye(n_rows), -b[:, None]])
+    d = np.concatenate([np.ones(n_cols), np.zeros(n_rows)])
+    basis = np.arange(n_cols, n_cols + n_rows)
+    while (short := t[:, -1] < -1e-12 * (np.abs(t[:, n_cols:-1]) @ b)).any():
+        r = np.where(short, basis, len(d)).argmin()
+        ratios = np.divide(d, -t[r, :-1], out=np.full_like(d, np.inf), where=t[r, :-1] < -1e-9)
+        q = ratios.argmin()
+        pivot = t[r] / t[r, q]
+        t -= t[:, q, None] * pivot
+        t[r] = pivot
+        d -= d[q] * pivot[:-1]
+        basis[r] = q
+    values = np.zeros(len(d))
+    values[basis] = t[:, -1]
+    return np.maximum(values[:n_cols], 0.0), np.maximum(d[n_cols:], 0.0)
+
+
 def extract_schedule_reference(components, r, y, value_lower):
     """Schedule rounding whose trim pass drops one slot at a time."""
     y = np.asarray(y, dtype=float)
@@ -322,14 +366,46 @@ def verify_schedule_reference(s, g, r):
     return ScheduleCheck(True)
 
 
+def peel_reference(g, rates):
+    """The links that conflict with no other link kept, with their graph and rates.
+
+    Returns (keep, peeled, rest, rest_rates): the indices of the links that
+    some other link can share a slot with, the rates' sum of the others
+    (each must fire alone), and the kept links' graph and rates.
+    """
+    keep = [i for i in range(g.n_links) if not g.adjacency[i].all()]
+    peeled = sum(rates[i] for i in range(g.n_links) if i not in keep)
+    rest = ConflictGraph(len(keep), g.adjacency[np.ix_(keep, keep)])
+    return keep, peeled, rest, RateVector(tuple(rates[i] for i in keep))
+
+
+def unpeel_schedule(schedule, keep, rates):
+    """A schedule of the whole graph: the kept links' schedule plus every other link's own slots."""
+    alone = [i for i in range(len(rates)) if i not in keep]
+    comps = [Component(tuple(keep[i] for i in c.members)) for c in schedule.components]
+    slots = list(schedule.slots)
+    for k, i in enumerate(alone):
+        comps.append(Component((i,)))
+        slots += [len(schedule.components) + k] * rates[i]
+    served = [0] * len(rates)
+    for i, count in zip(keep, schedule.served):
+        served[i] = count
+    for i in alone:
+        served[i] = rates[i]
+    return Schedule(tuple(slots), tuple(served), tuple(comps))
+
+
 def run_instance_reference(cfg, run_id, fixture=None):
     """``run_instance`` with nothing shared between margins.
 
-    Each margin builds its own graph with ``build_conflict_graph`` and
-    solves the soft game on it, by fictitious play and then the exact
-    finish; coloring is ``greedy_color`` in index order on that graph and no
-    reuse is the rates' sum. Every soft schedule must pass
-    ``verify_schedule_reference``.
+    Each margin builds its own graph with ``build_conflict_graph``, peels
+    the links that conflict with every link (``peel_reference``) and
+    solves the soft game on the rest, by fictitious play and then the
+    exact finish of that one game; the record adds the peeled rates to the
+    slots and maps each bound v to 1 / (peeled + 1/v). Coloring is
+    ``greedy_color`` in index order on that graph and no reuse is the
+    rates' sum. Every soft schedule, with the peeled links' own slots
+    added, must pass ``verify_schedule_reference`` on the whole graph.
     """
     if fixture is not None and fixture.kind == "conflict":
         rates, margins = fixture.rates, [(math.nan, fixture.graph)]
@@ -350,21 +426,32 @@ def run_instance_reference(cfg, run_id, fixture=None):
         for mode in cfg.modes:
             extra = {}
             if mode == "soft":
-                comps = enumerate_maximal(g)
-                H = build_payoff(comps, rates)
-                if cfg.solver == "exact":
-                    value, y = lp_oracle(H)
-                    extra = dict(value_lower=value, value_upper=value, fp_iterations=0,
-                                 converged=True)
+                keep, peeled, rest, rest_rates = peel_reference(g, rates)
+                if not keep:
+                    extra = dict(value_lower=1 / peeled, value_upper=1 / peeled,
+                                 fp_iterations=0, converged=True)
+                    slots = peeled
                 else:
-                    sol = finish_exact(H, fp_solve(H, SolverConfig(cfg.delta, cfg.max_iterations)))
-                    y = sol.y
-                    extra = dict(value_lower=sol.value_lower, value_upper=sol.value_upper,
-                                 fp_iterations=sol.iterations, converged=sol.converged)
-                schedule = extract_schedule(comps, rates, y, extra["value_lower"])
-                check = verify_schedule_reference(schedule, g, rates)
-                assert check, check.violation
-                slots = schedule.length
+                    comps = enumerate_maximal(rest)
+                    H = build_payoff(comps, rest_rates)
+                    if cfg.solver == "exact":
+                        value, y = lp_oracle(H)
+                        extra = dict(value_lower=value, value_upper=value, fp_iterations=0,
+                                     converged=True)
+                    else:
+                        sol = finish_exact_reference(
+                            H, fp_solve(H, SolverConfig(cfg.delta, cfg.max_iterations)))
+                        y = sol.y
+                        extra = dict(value_lower=sol.value_lower, value_upper=sol.value_upper,
+                                     fp_iterations=sol.iterations, converged=sol.converged)
+                    schedule = extract_schedule(comps, rest_rates, y, extra["value_lower"])
+                    check = verify_schedule_reference(unpeel_schedule(schedule, keep, rates), g,
+                                                      rates)
+                    assert check, check.violation
+                    slots = peeled + schedule.length
+                    if peeled:
+                        for bound in ("value_lower", "value_upper"):
+                            extra[bound] = 1 / (peeled + 1 / extra[bound])
             elif mode == "coloring":
                 slots = coloring_slots(greedy_color(g, list(range(g.n_links))).colors, rates)
             else:

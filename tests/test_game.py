@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from softsched import (
     Component,
+    ConflictGraph,
     PayoffMatrix,
     RateVector,
     Schedule,
@@ -17,6 +18,7 @@ from softsched import (
     enumerate_maximal,
     extract_schedule,
     finish_exact,
+    finish_stack,
     fp_solve,
     lp_oracle,
     verify_schedule,
@@ -30,6 +32,7 @@ from conftest import (
     brute_force_components,
     brute_force_maximal,
     extract_schedule_reference,
+    finish_exact_reference,
     fp_reference,
     random_conflict_graph,
     three_link_graph,
@@ -427,7 +430,7 @@ def test_finish_rates_far_apart(rates, length):
     # A master row is short only beyond the rounding of its own terms, so a
     # rate-1 link is still covered next to one of rate 10**12 or more. Links
     # 0 and L-1 share a component, link 1 of three is alone: the schedule
-    # length is max(r_0, r_last) plus r_1. HiGHS drops entries this small.
+    # length is max(r_0, r_last) plus r_1.
     n = len(rates)
     comps = [Component((i,)) for i in range(n)] + [Component((0, n - 1))]
     H = build_payoff(comps, RateVector(rates))
@@ -448,8 +451,29 @@ def test_finish_prices_more_than_one_round(monkeypatch):
     fp = fp_solve(H, SolverConfig(max_iterations=1))
     assert fp.y.tolist() == [0.5, 0.5, 0.0, 0.0]
     sol = finish_exact(H, fp)
-    assert solves == [(3, 2), (3, 3), (3, 4)]
+    assert solves == [(1, 3, 2), (1, 3, 3), (1, 3, 4)]
     assert_exact_finish(H, sol, fp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(games=st.lists(st.tuples(st.one_of(tied_payoffs(), membership_payoffs()),
+                                st.sampled_from([1, 2, 5, 1_000_000])), min_size=1, max_size=6),
+       delta=st.sampled_from([1e-3, 1e-2]))
+@example(games=[(DEGENERATE_GAMES[2], 1), (RUN_GAME, 1), (PayoffMatrix(np.eye(5)), 1)], delta=1e-2)
+def test_finish_stack_equals_each_game_finished_alone(games, delta):
+    # The stack pads each master after its own rows and columns, and the
+    # padding never pivots, so every game comes out bit for bit as alone.
+    payoffs = [H for H, _ in games]
+    fps = [fp_solve(H, SolverConfig(delta=delta, max_iterations=budget)) for H, budget in games]
+    stacked = finish_stack(payoffs, fps)
+    assert len(stacked) == len(games)
+    for H, fp, got in zip(payoffs, fps, stacked):
+        want = finish_exact_reference(H, fp)
+        for name in ("x", "y"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.value_lower.hex() == want.value_lower.hex()
+        assert got.value_upper.hex() == want.value_upper.hex()
+        assert (got.iterations, got.converged, got.state) == (fp.iterations, fp.converged, fp.state)
 
 
 # ---------------------------------------------------------------- exact oracle
@@ -478,6 +502,15 @@ def test_oracle_flat_game_tie():
     assert value == pytest.approx(1.0, abs=1e-12)
     assert (y >= 0).all() and y.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.min(np.ones((2, 2)) @ y) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_oracle_rates_far_apart():
+    # Two conflicting links with rates 10**12 and 1: HiGHS sees the 0/1
+    # membership with the rates on the right, not entries of 1e-12.
+    comps = enumerate_maximal(ConflictGraph.from_pairs(2, [(0, 1)]))
+    value, y = lp_oracle(build_payoff(comps, RateVector((10**12, 1))))
+    assert value == pytest.approx(1 / (10**12 + 1), rel=1e-12, abs=0)
+    assert y == pytest.approx([10**12 / (10**12 + 1), 1 / (10**12 + 1)], rel=1e-12)
 
 
 def test_oracle_has_no_size_limit():

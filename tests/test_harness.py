@@ -12,9 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softsched import (
+    ConflictGraph,
     ExperimentConfig,
+    Fixture,
     PropagationParams,
+    RateVector,
     RunError,
+    Schedule,
     SolverConfig,
     accumulate_rates,
     build_conflict_graph,
@@ -27,6 +31,7 @@ from softsched import (
     route_sessions,
     run_instance,
     run_sweep,
+    verify_schedule,
     write_detail,
     write_results,
 )
@@ -38,7 +43,9 @@ from conftest import (
     assert_same_solution,
     extract_schedule_reference,
     fp_reference,
+    random_conflict_graph,
     run_instance_reference,
+    unpeel_schedule,
     verify_schedule_reference,
 )
 
@@ -195,7 +202,8 @@ def test_coloring_records_match_per_margin_greedy_color(fixture_path):
 @pytest.mark.parametrize("run_id", range(4))
 def test_saturating_margins_reuse_the_previous_records(monkeypatch, run_id):
     # Margins of 20-60 dB saturate: neighbouring ones often give one graph,
-    # and the soft game is solved once per distinct graph.
+    # and the soft game is solved once per distinct graph that keeps a link
+    # some other link can share a slot with (a complete graph has no game).
     cfg = ExperimentConfig(beta_min_db=20.0, beta_max_db=60.0, beta_step_db=5.0, runs=1)
     want = run_instance_reference(cfg, run_id)
     solves = []
@@ -207,7 +215,7 @@ def test_saturating_margins_reuse_the_previous_records(monkeypatch, run_id):
     links, _ = accumulate_rates(route_sessions(nodes, sessions, params), sessions)
     powers = link_powers(links, nodes, params)
     graphs = [build_conflict_graph(powers, beta) for beta in cfg.beta_values()]
-    distinct = {g.adjacency.tobytes() for g in graphs}
+    distinct = {g.adjacency.tobytes() for g in graphs if not g.adjacency.all(axis=1).all()}
     assert len(solves) == len(distinct) < len(graphs)
 
 
@@ -396,6 +404,58 @@ def test_conflict_fixture_counts_rates_past_int64_exactly(tmp_path):
                            load_fixture(path))
     assert [(rec.mode, rec.slots) for rec in records] == [("coloring", 2**63 + 1),
                                                           ("none", 2**63 + 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_links=st.integers(1, 9), p=st.floats(0.0, 1.0), seed=st.integers(0, 10_000),
+       universal=st.sets(st.integers(0, 8)), rates=st.lists(st.integers(1, 30), min_size=9,
+                                                             max_size=9),
+       solver=st.sampled_from(["fp", "exact"]), max_iterations=st.sampled_from([1, 1_000_000]))
+def test_peeled_links_keep_the_whole_game_exact(n_links, p, seed, universal, rates, solver,
+                                                max_iterations):
+    # Links forced to conflict with every other one are peeled off the game:
+    # the record is still the whole game's exact value, its schedule plus
+    # the peeled links' own slots is feasible on the whole graph, and no
+    # schedule is shorter than the value allows.
+    adjacency = random_conflict_graph(np.random.default_rng(seed), n_links, p).adjacency
+    for i in universal & set(range(n_links)):
+        adjacency[i, :] = adjacency[:, i] = True
+    g, r = ConflictGraph(n_links, adjacency), RateVector(tuple(rates[:n_links]))
+    schedules = []
+    cfg = ExperimentConfig(runs=1, modes=("soft",), solver=solver, max_iterations=max_iterations)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "verify_schedule",
+                      lambda s, *args: schedules.append(s) or verify_schedule(s, *args))
+        [rec] = run_instance(cfg, 0, Fixture("conflict", graph=g, rates=r))
+
+    value, _ = lp_oracle(build_payoff(enumerate_maximal(g), r))
+    for bound in (rec.value_lower, rec.value_upper):
+        assert bound == pytest.approx(value, rel=1e-12, abs=0)
+    keep = [i for i in range(n_links) if not adjacency[i].all()]
+    if keep:
+        [schedule] = schedules
+        whole = unpeel_schedule(schedule, keep, r)
+    else:  # a complete graph: every link fires alone, and there is no game
+        assert not schedules and (rec.fp_iterations, rec.converged) == (0, True)
+        whole = unpeel_schedule(Schedule((), (), ()), keep, r)
+    assert verify_schedule(whole, g, r)
+    assert rec.slots == whole.length >= math.ceil(1 / rec.value_upper - 1e-9)
+
+
+def test_cli_counts_a_complete_graph_with_rates_far_apart(tmp_path):
+    # Both links conflict with every link, so both are peeled and nothing
+    # is solved or materialised: 10**12 + 1 slots, counted exactly.
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"n_links": 2, "conflicts": [[0, 1]], "rates": [10**12, 1]}))
+    for solver in ("fp", "exact"):
+        detail = tmp_path / f"{solver}-detail.csv"
+        assert main(["--fixture", str(path), "--runs", "1", "--solver", solver,
+                     "--out", str(tmp_path / "far.csv"), "--detail", str(detail)]) == 0
+        with open(detail, newline="") as fh:
+            soft = next(row for row in csv.DictReader(fh) if row["mode"] == "soft")
+        assert soft["slots"] == "1000000000001"
+        assert float(soft["value_upper"]) == pytest.approx(1 / (10**12 + 1), rel=1e-8)
+        assert (soft["fp_iterations"], soft["converged"]) == ("0", "true")
 
 
 HUGE_RATE_FIXTURES = [
