@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""CPU time and stacked simplex pivots of the exact finish, per desk replication.
+
+    python scripts/finish_stage.py --checkout . --seed 1
+    python scripts/finish_stage.py --checkout ../old --seed 4 --passes 10
+
+perfbench has no stage for the finish, so this measures it apart. It sweeps
+the ``desk`` workload's chunks of one seed (perfbench's configs: root seeds
+seed * 30 + k for k < 30, 10 runs each) with the checkout's
+``softsched.harness.run_instance``, wrapping ``harness.finish_stack`` to keep
+each call's payoffs and FP solutions. It then replays those calls: the
+finish's CPU time per replication is the least over --passes replays, and a
+further replay counts the stacked pivots by line-tracing ``_dual_simplex``'s
+basis update ``basis[g, r] = q``, the last statement of each pivot. The
+output is one JSON object.
+"""
+
+from __future__ import annotations
+
+import os
+
+# The sweep is single-threaded: keep numpy's BLAS from starting a pool.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import inspect  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+DESK = dict(n_nodes=10, n_sessions=10, alpha=4.0, poisson_mean=5.0, beta_min_db=0.0,
+            beta_max_db=30.0, beta_step_db=5.0, runs=10)
+CHUNKS = 30
+
+
+def count_pivots(game, calls) -> int:
+    """Executions of ``basis[g, r] = q`` in ``game._dual_simplex`` while the calls replay."""
+    lines, first = inspect.getsourcelines(game._dual_simplex)
+    marks = {first + i for i, line in enumerate(lines) if line.strip() == "basis[g, r] = q"}
+    if not marks:
+        sys.exit("finish_stage: _dual_simplex has no `basis[g, r] = q` statement to count")
+    code, count = game._dual_simplex.__code__, 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line" and frame.f_lineno in marks
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        for payoffs, sols in calls:
+            game.finish_stack(payoffs, sols)
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--checkout", type=Path, default=Path("."))
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--passes", type=int, default=5)
+    args = ap.parse_args(argv)
+    if args.passes < 1:
+        ap.error(f"--passes must be at least 1, got {args.passes}")
+    sys.path.insert(0, str(args.checkout.resolve() / "src"))
+    from softsched import game, harness
+
+    calls = []
+    finish = harness.finish_stack
+
+    def keep(payoffs, sols):
+        calls.append((payoffs, sols))
+        return finish(payoffs, sols)
+
+    harness.finish_stack = keep
+    for k in range(CHUNKS):
+        cfg = harness.ExperimentConfig(seed=args.seed * CHUNKS + k, **DESK)
+        for run_id in range(cfg.runs):
+            harness.run_instance(cfg, run_id)
+    harness.finish_stack = finish
+
+    replications = CHUNKS * DESK["runs"]
+    best = float("inf")
+    for _ in range(args.passes):
+        start = time.process_time()
+        for payoffs, sols in calls:
+            game.finish_stack(payoffs, sols)
+        best = min(best, time.process_time() - start)
+    print(json.dumps({
+        "seed": args.seed,
+        "replications": replications,
+        "games": sum(len(payoffs) for payoffs, _ in calls),
+        "passes": args.passes,
+        "finish_cpu_ms_per_replication": best / replications * 1e3,
+        "stacked_pivots_per_replication": count_pivots(game, calls) / replications,
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .conflict import ConflictGraph
 
 DEFAULT_COMPONENT_CAP = 100_000
@@ -37,31 +39,47 @@ def enumerate_maximal(g: ConflictGraph, cap: int = DEFAULT_COMPONENT_CAP) -> lis
     """Maximal components of g, via Bron-Kerbosch with pivoting on the complement graph.
 
     A maximal independent set of the conflict graph is a maximal clique of
-    its complement. Output order is canonical: by size, then lexicographic
-    by member list.
+    its complement. Link sets are Python-int bitsets (bit i is link i); the
+    pivot is the candidate or excluded link with the most candidates among
+    its complement neighbours, lowest index first, and the links it leaves
+    out are expanded in ascending order. Output order is canonical: by
+    size, then lexicographic by member list. More than cap components
+    raise ResourceLimitError.
     """
     # Complement-graph neighbourhoods: links that may share a slot with i
     # (the true diagonal keeps i itself out).
-    compat = [frozenset((~row).nonzero()[0].tolist()) for row in g.adjacency]
-    found: list[tuple[int, ...]] = []
+    packed = np.packbits(~g.adjacency, axis=1, bitorder="little")
+    compat = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    found: list[int] = []
 
-    def expand(chosen: list[int], candidates: set[int], excluded: set[int]):
+    def expand(chosen: int, candidates: int, excluded: int):
         if not candidates and not excluded:
             if len(found) >= cap:
                 raise ResourceLimitError(
                     f"component count exceeds the cap of {cap}; raise the cap to proceed"
                 )
-            found.append(tuple(sorted(chosen)))
+            found.append(chosen)
             return
-        pivot = min(
-            candidates | excluded,
-            key=lambda u: (-len(candidates & compat[u]), u),
-        )
-        for v in sorted(candidates - compat[pivot]):
-            expand(chosen + [v], candidates & compat[v], excluded & compat[v])
-            candidates.remove(v)
-            excluded.add(v)
+        most = -1
+        for u in _links(candidates | excluded):
+            n = (candidates & compat[u]).bit_count()
+            if n > most:
+                pivot, most = u, n
+        for v in _links(candidates & ~compat[pivot]):
+            expand(chosen | 1 << v, candidates & compat[v], excluded & compat[v])
+            candidates &= ~(1 << v)
+            excluded |= 1 << v
 
-    expand([], set(range(g.n_links)), set())
-    found.sort(key=lambda members: (len(members), members))
-    return [Component(members) for members in found]
+    expand(0, (1 << g.n_links) - 1, 0)
+    members = sorted((tuple(_links(chosen)) for chosen in found), key=lambda m: (len(m), m))
+    return [Component(m) for m in members]
+
+
+def _links(bits: int) -> list[int]:
+    """The set bits of an int, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out

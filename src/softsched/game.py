@@ -6,8 +6,9 @@ mixed column strategy y is a recipe for how often to fire each component,
 and (Hy)_i is the fraction of link i's demand served per slot, so the game
 value v = max_y min_i (Hy)_i makes 1/v the minimal fractional schedule
 length. A short run of fictitious play picks a few columns; the exact
-finish solves the linear program over them and adds priced columns until v
-is exact, for several games at once in one stacked simplex. HiGHS, through
+finish solves the linear program over them, from a basis built on a clique
+of links no component holds two of, and adds priced columns until v is
+exact, for several games at once in one stacked simplex. HiGHS, through
 scipy, cross-checks it at any size, and the schedule extractor turns y
 into integer slot counts.
 """
@@ -279,91 +280,198 @@ def finish_stack(payoffs: list[PayoffMatrix], sols: list[GameSolution]) -> list[
     1 - z @ A, until none is below -1e-9. y = u / sum(u) and x = b z / (b . z)
     certify value_upper = max(x @ H) and value_lower = min(min(H @ y), value_upper).
 
-    Every round solves the masters of the games still pricing in one
-    _dual_simplex call, zero-padded to a common shape after each game's own
-    rows and columns; a game leaves once its pricing adds nothing. A padded
-    column never enters (its entries are 0) and a padded row's surplus stays
-    basic (its right side is 0), so each game pivots as it would alone.
+    Each game's master starts from a clique basis. The clique is greedy over
+    A alone: rows that no column holds two of, largest b first and lowest
+    index on ties (for build_payoff, a clique of the conflict graph taken by
+    rate). Each round gives clique row s the pool column j_s that maximises
+    A[s, .], the largest b . A[:, j] and then the lowest index on ties. No
+    column holds two clique rows, so the start is dual feasible, every
+    reduced cost being 1 - A[s, j] / A[s, j_s] >= 0, and its objective is the
+    clique's bound sum(b_s / A[s, j_s]).
+
+    Every game's A sits side by side in one array, rows zero-padded to the
+    tallest game's: one copy of the payoffs, never padded to the widest. So
+    each round builds its masters, crash columns and pricing in a fixed
+    number of numpy calls however many games there are. Each round solves
+    the masters of the games still pricing in one _dual_simplex call,
+    zero-padded to a common shape after each game's own rows and columns; a
+    game leaves once its pricing adds nothing. A padded column never enters
+    (its entries are 0), a padded row's surplus stays basic (its right side
+    is 0), and every sum that decides a step runs over a game's rows or
+    columns in index order, so each game comes out bit for bit as if it
+    were finished alone.
     """
+    if not payoffs:
+        return []
     hs = [H.h for H in payoffs]
-    scales = [h.max(axis=1) for h in hs]
-    in_pools = []
-    for h, sol in zip(hs, sols):
-        in_pool = sol.y > 0  # a mask, since np.union1d imports numpy.ma (1.4 MB peak memory)
-        in_pool[np.argmax(h[~h[:, in_pool].any(axis=1)] > 0, axis=1)] = True
-        in_pools.append(in_pool)
-    masters: list = [None] * len(hs)  # (pool, u, z) once a game is done
-    active = list(range(len(hs)))
-    while active:
-        pools = [np.flatnonzero(in_pools[g]) for g in active]
-        n_rows = max(hs[g].shape[0] for g in active)
-        a = np.zeros((len(active), n_rows, max(map(len, pools))))
-        b = np.zeros((len(active), n_rows))
-        for k, (g, pool) in enumerate(zip(active, pools)):
-            n_links = len(scales[g])
-            a[k, :n_links, :len(pool)] = hs[g][:, pool] / scales[g][:, None]
-            b[k, :n_links] = 1.0 / scales[g]
-        u, z = _dual_simplex(a, b)
-        pricing = []
-        for k, (g, pool) in enumerate(zip(active, pools)):
-            h, scale, in_pool = hs[g], scales[g], in_pools[g]
-            z_g = z[k, :len(scale)]
-            reduced = 1.0 - (z_g / scale) @ h
-            reduced[in_pool] = 0.0
-            entering = np.flatnonzero(reduced < -1e-9)
-            if entering.size:
-                in_pool[entering[np.argsort(reduced[entering], kind="stable")[:len(scale)]]] = True
-                pricing.append(g)
-            else:
-                masters[g] = pool, u[k, :len(pool)], z_g
-        active = pricing
+    n_games, n_links = len(hs), [len(h) for h in hs]
+    n_rows, widths = max(n_links), [h.shape[1] for h in hs]
+    ends = list(itertools.accumulate(widths))
+    owner = np.repeat(np.arange(n_games), widths)  # each column's game
+    scale = np.full((n_games, n_rows), np.inf)  # a padded row's b is 1/inf = 0
+    a_all = np.zeros((n_rows, ends[-1]))
+    for g, h in enumerate(hs):
+        row_max = np.amax(h, axis=1, out=scale[g, :len(h)])
+        np.divide(h, row_max[:, None], out=a_all[:len(h), ends[g] - widths[g]:ends[g]])
+    b_all = 1.0 / scale
+
+    # Each row's columns as one Python-int bitset, for the clique and the cover.
+    packed = np.packbits(a_all > 0, axis=1, bitorder="little")
+    held_by = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    in_pool = np.concatenate([sol.y for sol in sols]) > 0
+    pool = int.from_bytes(np.packbits(in_pool, bitorder="little").tobytes(), "little")
+    cliques, cover = [], []
+    for b, end, width, links in zip(b_all.tolist(), ends, widths, n_links):
+        span = (1 << end) - (1 << (end - width))
+        clique, taken = [], 0
+        for i in sorted(range(links), key=b.__getitem__, reverse=True):  # stable
+            cols = held_by[i] & span
+            if not cols & taken:
+                clique.append(i)
+                taken |= cols
+            if not cols & pool:
+                cover.append((cols & -cols).bit_length() - 1)  # the first column covering i
+        cliques.append(clique)
+    in_pool[cover] = True
+    width = max(map(len, cliques))
+    clique_rows = np.array([c + [-1] * (width - len(c)) for c in cliques])
+
+    most_added = np.array(n_links)  # a game's pool grows by at most L columns a round
+    x_all, y_all = np.zeros((n_games, n_rows)), np.zeros(len(owner))
+    pricing = np.ones(n_games, dtype=bool)
+    active = np.arange(n_games)
+    while True:
+        cols = np.flatnonzero(in_pool & pricing[owner])
+        k = np.searchsorted(active, owner[cols])  # each pool column's game in the stack
+        counts = np.bincount(k)
+        pos = np.arange(len(cols)) - (np.cumsum(counts) - counts)[k]
+        a = np.zeros((len(active), n_rows, counts.max()))
+        a[k, :, pos] = a_all[:, cols].T
+        b = b_all[active]
+        rows = clique_rows[active]
+        u, z, _ = _dual_simplex(a, b, rows, _crash_columns(a, b, rows))
+        # Every sum over a game's rows or columns runs in index order. A game
+        # that prices again overwrites its x and y in the next round.
+        y_all[cols] = u[k, pos] / np.add.accumulate(u, axis=1)[k, -1]
+        w = z / scale[active]
+        x_all[active] = w / np.add.accumulate(w, axis=1)[:, -1:]
+
+        # One matmul prices every column against every stacked game's duals.
+        # It sums in its own order, so the columns it puts below -1e-9 / 2
+        # (far more than its rounding) are priced again with sums in row
+        # order, and those below -1e-9 enter, the most negative first.
+        prices = z @ a_all
+        candidates = np.flatnonzero(pricing[owner] & ~in_pool)
+        stacked = np.searchsorted(active, owner[candidates])
+        near = 1.0 - prices[stacked, candidates] < -5e-10
+        candidates, stacked = candidates[near], stacked[near]
+        terms = a_all[:, candidates]
+        terms *= z[stacked].T
+        reduced = 1.0 - np.add.accumulate(terms)[-1]
+        below = reduced < -1e-9
+        if not below.any():
+            break
+        entering, game = candidates[below], owner[candidates[below]]
+        order = np.lexsort((reduced[below], game))
+        entering, game = entering[order], game[order]
+        added = np.bincount(game, minlength=n_games)
+        rank = np.arange(len(entering)) - (np.cumsum(added) - added)[game]
+        in_pool[entering[rank < most_added[game]]] = True
+        pricing = added > 0
+        active = np.flatnonzero(pricing)
+
     out = []
-    for h, scale, sol, (pool, u, z) in zip(hs, scales, sols, masters):
-        y = np.zeros(h.shape[1])
-        y[pool] = u / u.sum()
-        x = z / scale / (z / scale).sum()
+    for h, sol, x, end, width in zip(hs, sols, x_all, ends, widths):
+        x, y = x[:len(h)], y_all[end - width:end]
         upper = float((x @ h).max())
         out.append(replace(sol, x=x, y=y, value_upper=upper,
                            value_lower=min(float((h @ y).min()), upper)))
     return out
 
 
-def _dual_simplex(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _crash_columns(a: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per game g of a (G, L, C) stack, the column j_s for each clique row s in rows[g].
+
+    j_s maximises a[g, s, :]; among ties, the largest b[g] . a[g, :, j], then
+    the lowest index. Entries of rows below 0 are padding, and their columns
+    are meaningless.
+    """
+    vals = a[np.arange(len(a))[:, None], rows]
+    weight = (b[:, :, None] * a).sum(axis=1)  # one row after another, so in row order
+    best = vals == vals.max(axis=2, keepdims=True)
+    return np.where(best, weight[:, None, :], -np.inf).argmax(axis=2)
+
+
+def _dual_simplex(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
+                  cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Per game g of a (G, L, C) stack: u minimising sum(u) s.t. a[g] @ u >= b[g], u >= 0.
 
-    Returns u (G, C) and the row duals (G, L), both clipped at 0. A dense
-    dual simplex from the surplus basis (dual feasible: costs are 1) under
-    Bland's rule: the lowest-indexed basic variable below minus the rounding
-    of its terms leaves, the lowest-indexed column of least ratio enters.
-    Each round pivots every game that still has such a row, once.
+    Returns u (G, C) and the row duals (G, L), both clipped at 0, and the
+    number of stacked pivots after the crash. A dense dual simplex whose
+    tableau carries the reduced costs as its last row. The crash starts it
+    from the basis in which column cols[g, k] replaces the surplus of row
+    rows[g, k] (entries of rows below 0 are padding); no column may hold two
+    of a game's rows, and the basis must be dual feasible. Its block is
+    diagonal, so it is pivoted in one step, to the bits (up to signs of 0)
+    of pivoting the rows one at a time in order: each row is divided by its
+    pivot; every other entry but the right side takes off at most one
+    nonzero multiple, which one matmul gives exactly; and the right sides
+    take theirs off one after another. Then Bland's rule: the
+    lowest-indexed basic variable below minus the rounding of its terms
+    leaves, the lowest-indexed column of least ratio enters. Each round
+    pivots every game that still has such a row once, and the others on a
+    basic column, which changes nothing.
     """
     n_games, n_rows, n_cols = a.shape
-    eye = np.broadcast_to(np.eye(n_rows), (n_games, n_rows, n_rows))
-    t = np.concatenate([-a, eye, -b[:, :, None]], axis=2)
-    d = np.tile(np.concatenate([np.ones(n_cols), np.zeros(n_rows)]), (n_games, 1))  # reduced costs
-    basis = np.tile(np.arange(n_cols, n_cols + n_rows), (n_games, 1))
-    u, z = np.zeros((n_games, n_cols)), np.zeros((n_games, n_rows))
-    live = np.arange(n_games)  # the games still pivoting; t, d, basis and b hold only theirs
+    t = np.zeros((n_games, n_rows + 1, n_cols + n_rows + 1))
+    np.negative(a, out=t[:, :n_rows, :n_cols])
+    diag = np.arange(n_rows)
+    t[:, diag, n_cols + diag] = 1.0
+    np.negative(b, out=t[:, :n_rows, -1])
+    t[:, n_rows, :n_cols] = 1.0  # the reduced costs: every column costs 1
+    basis = np.broadcast_to(n_cols + diag, (n_games, n_rows)).copy()
+
+    g = np.broadcast_to(np.arange(n_games)[:, None], rows.shape)
+    pad = rows < 0
+    pivot = t[g, rows] / t[g, rows, cols][:, :, None]
+    coef = t[g, :, cols]
+    pivot[pad] = 0.0
+    coef[pad] = 0.0
+    sides = np.concatenate([t[:, None, :, -1], coef * pivot[:, :, -1:]], axis=1)
+    t -= coef.transpose(0, 2, 1) @ pivot
+    t[:, :, -1] = np.subtract.reduce(sides, axis=1)
+    crash = ~pad
+    t[g[crash], rows[crash]] = pivot[crash]
+    basis[g[crash], rows[crash]] = cols[crash]
+
+    g = np.arange(n_games)
+    tol = -1e-12 * b[:, :, None]
+    pivots = 0
     while True:
-        short = t[:, :, -1] < -1e-12 * (np.abs(t[:, :, n_cols:-1]) @ b[:, :, None])[:, :, 0]
-        done = ~short.any(axis=1)
-        if done.any():
-            values = np.zeros(d[done].shape)
-            np.put_along_axis(values, basis[done], t[done, :, -1], axis=1)
-            u[live[done]], z[live[done]] = values[:, :n_cols], d[done, n_cols:]
-            live, t, d, basis, b, short = (v[~done] for v in (live, t, d, basis, b, short))
-            if not live.size:
-                return np.maximum(u, 0.0), np.maximum(z, 0.0)
-        g = np.arange(len(live))
-        r = np.where(short, basis, d.shape[1]).argmin(axis=1)
-        row = t[g, r, :-1]
-        ratios = np.divide(d, -row, out=np.full(row.shape, np.inf), where=row < -1e-9)
-        q = ratios.argmin(axis=1)
-        pivot = t[g, r] / t[g, r, q][:, None]
+        rhs = t[:, :n_rows, -1]
+        short = rhs < (np.abs(t[:, :n_rows, n_cols:-1]) @ tol)[:, :, 0]
+        pivoting = short.any(axis=1)
+        if not pivoting.any():
+            break
+        r = np.where(short, basis, n_cols + n_rows).argmin(axis=1)
+        pivot = t[g, r]
+        row = pivot[:, :-1]
+        # Minus the ratios, so the least ratio is the first largest entry.
+        ratios = np.divide(t[:, n_rows, :-1], row, out=np.full(row.shape, -np.inf),
+                           where=row < -1e-9)
+        # A game with no short row pivots row 0 on its basic column, the
+        # unit vector of that row: the pivot changes nothing but signs of 0.
+        q = np.where(pivoting, ratios.argmax(axis=1), basis[:, 0])
+        pivot /= pivot[g, q][:, None]
         t -= t[g, :, q][:, :, None] * pivot[:, None, :]
         t[g, r] = pivot
-        d -= d[g, q][:, None] * pivot[:, :-1]
         basis[g, r] = q
+        pivots += 1
+    values = np.zeros((n_games, n_cols + n_rows))
+    values[g[:, None], basis] = rhs
+    # + 0.0 turns -0.0 into 0.0, so a stacked game's zeros have the signs of the game alone.
+    return (np.maximum(values[:, :n_cols], 0.0) + 0.0,
+            np.maximum(t[:, n_rows, n_cols:-1], 0.0) + 0.0, pivots)
 
 
 def lp_oracle(H: PayoffMatrix) -> tuple[float, np.ndarray]:

@@ -18,6 +18,7 @@ from softsched import (
     Node,
     PropagationParams,
     RateVector,
+    ResourceLimitError,
     ResultRecord,
     Schedule,
     ScheduleCheck,
@@ -75,6 +76,34 @@ def brute_force_components(g: ConflictGraph):
             out.append(members)
     out.sort(key=lambda m: (len(m), m))
     return out
+
+
+def enumerate_maximal_reference(g: ConflictGraph, cap: int = 100_000):
+    """Bron-Kerbosch with pivoting on the complement graph, over frozensets of links.
+
+    The pivot is the link with the most candidates among its complement
+    neighbours, lowest index first; the links it leaves out are expanded in
+    ascending order. Members come back by size, then lexicographically; more
+    than cap components raise ResourceLimitError.
+    """
+    compat = [frozenset((~row).nonzero()[0].tolist()) for row in g.adjacency]
+    found: list[tuple[int, ...]] = []
+
+    def expand(chosen: list[int], candidates: set[int], excluded: set[int]):
+        if not candidates and not excluded:
+            if len(found) >= cap:
+                raise ResourceLimitError(f"component count exceeds the cap of {cap}")
+            found.append(tuple(sorted(chosen)))
+            return
+        pivot = min(candidates | excluded, key=lambda u: (-len(candidates & compat[u]), u))
+        for v in sorted(candidates - compat[pivot]):
+            expand(chosen + [v], candidates & compat[v], excluded & compat[v])
+            candidates.remove(v)
+            excluded.add(v)
+
+    expand([], set(range(g.n_links)), set())
+    found.sort(key=lambda members: (len(members), members))
+    return [Component(members) for members in found]
 
 
 def brute_force_maximal(g: ConflictGraph):
@@ -264,46 +293,87 @@ def assert_same_solution(got, want):
 
 
 def finish_exact_reference(H, sol):
-    """The exact finish of one game alone: column generation over a one-game dual simplex."""
+    """The exact finish of one game alone: column generation over a one-game dual simplex.
+
+    Each master starts from greedy_clique_reference's rows and
+    crash_columns_reference's columns, and every sum over rows or columns
+    runs in index order, as the stacked finish's do.
+    """
     h = H.h
     scale = h.max(axis=1)
+    A, b = h / scale[:, None], 1.0 / scale
     in_pool = sol.y > 0
-    in_pool[np.argmax(h[~h[:, in_pool].any(axis=1)] > 0, axis=1)] = True
+    in_pool[np.argmax(A[~(A[:, in_pool] > 0).any(axis=1)] > 0, axis=1)] = True
+    clique = greedy_clique_reference(A, b)
     while True:
         pool = np.flatnonzero(in_pool)
-        u, z = dual_simplex_reference(h[:, pool] / scale[:, None], 1.0 / scale)
-        reduced = 1.0 - (z / scale) @ h
+        a = A[:, pool]
+        u, z, _ = dual_simplex_reference(a, b, clique, crash_columns_reference(a, b, clique))
+        reduced = 1.0 - np.add.accumulate(z[:, None] * A)[-1]
         reduced[in_pool] = 0.0
         entering = np.flatnonzero(reduced < -1e-9)
         if not entering.size:
             break
         in_pool[entering[np.argsort(reduced[entering], kind="stable")[:H.n_links]]] = True
     y = np.zeros(H.n_components)
-    y[pool] = u / u.sum()
-    x = z / scale / (z / scale).sum()
+    y[pool] = u / np.add.accumulate(u)[-1]
+    w = z / scale
+    x = w / np.add.accumulate(w)[-1]
     upper = float((x @ h).max())
     return dataclasses.replace(sol, x=x, y=y, value_upper=upper,
                                value_lower=min(float((h @ y).min()), upper))
 
 
-def dual_simplex_reference(a, b):
-    """min sum(u) s.t. a @ u >= b, u >= 0 on one (L, C) matrix, under Bland's rule."""
+def greedy_clique_reference(A, b):
+    """Rows that no column of A holds two of, taken largest b first, lowest index on ties."""
+    held = A > 0
+    clique = []
+    for i in sorted(range(len(b)), key=lambda i: (-b[i], i)):
+        if not (held[i] & held[clique].any(axis=0)).any():
+            clique.append(i)
+    return clique
+
+
+def crash_columns_reference(a, b, rows):
+    """For each row s, the column maximising a[s]; ties: largest b . a[:, j], then lowest index."""
+    weight = (b[:, None] * a).sum(axis=0)
+    cols = []
+    for s in rows:
+        best = np.flatnonzero(a[s] == a[s].max())
+        cols.append(int(best[np.argmax(weight[best])]))
+    return cols
+
+
+def dual_simplex_reference(a, b, rows, cols):
+    """min sum(u) s.t. a @ u >= b, u >= 0 on one (L, C) matrix: a crash, then Bland's rule.
+
+    The crash pivots column cols[k] into row rows[k], one pivot at a time.
+    Returns u, the row duals and the number of pivots after the crash.
+    """
     n_rows, n_cols = a.shape
-    t = np.hstack([-a, np.eye(n_rows), -b[:, None]])
-    d = np.concatenate([np.ones(n_cols), np.zeros(n_rows)])
+    t = np.vstack([np.hstack([-a, np.eye(n_rows), -b[:, None]]),
+                   np.concatenate([np.ones(n_cols), np.zeros(n_rows + 1)])])
     basis = np.arange(n_cols, n_cols + n_rows)
-    while (short := t[:, -1] < -1e-12 * (np.abs(t[:, n_cols:-1]) @ b)).any():
-        r = np.where(short, basis, len(d)).argmin()
-        ratios = np.divide(d, -t[r, :-1], out=np.full_like(d, np.inf), where=t[r, :-1] < -1e-9)
-        q = ratios.argmin()
-        pivot = t[r] / t[r, q]
-        t -= t[:, q, None] * pivot
-        t[r] = pivot
-        d -= d[q] * pivot[:-1]
+
+    def pivot(r, q):
+        p = t[r] / t[r, q]
+        t[:] -= t[:, q, None] * p
+        t[r] = p
         basis[r] = q
-    values = np.zeros(len(d))
-    values[basis] = t[:, -1]
-    return np.maximum(values[:n_cols], 0.0), np.maximum(d[n_cols:], 0.0)
+
+    for r, q in zip(rows, cols):
+        pivot(r, q)
+    pivots = 0
+    while (short := t[:-1, -1] < np.abs(t[:-1, n_cols:-1]) @ (-1e-12 * b)).any():
+        r = np.where(short, basis, n_cols + n_rows).argmin()
+        row = t[r, :-1]
+        ratios = np.divide(t[-1, :-1], -row, out=np.full(row.shape, np.inf), where=row < -1e-9)
+        pivot(r, ratios.argmin())
+        pivots += 1
+    values = np.zeros(n_cols + n_rows)
+    values[basis] = t[:-1, -1]
+    return (np.maximum(values[:n_cols], 0.0) + 0.0, np.maximum(t[-1, n_cols:-1], 0.0) + 0.0,
+            pivots)
 
 
 def extract_schedule_reference(components, r, y, value_lower):

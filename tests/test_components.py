@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from softsched import Component, ConflictGraph, ResourceLimitError, enumerate_maximal
 
-from conftest import brute_force_maximal, independent_in, random_conflict_graph, three_link_graph
+from conftest import (
+    brute_force_maximal,
+    enumerate_maximal_reference,
+    independent_in,
+    random_conflict_graph,
+    three_link_graph,
+)
 
 
 def members(comps):
@@ -74,3 +80,23 @@ def test_maximal_are_independent_and_maximal(n, p, seed):
     # every link sits in at least one maximal component
     assert covered == set(range(n))
 
+
+def maximal_or_limit(enumerator, g, cap):
+    try:
+        return enumerator(g, cap=cap)
+    except ResourceLimitError:
+        return "over the cap"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    p=st.floats(min_value=0.1, max_value=0.9),
+    seed=st.integers(min_value=0, max_value=10_000),
+    cap=st.sampled_from([0, 1, 50, 2_000]),
+)
+def test_bitset_enumeration_equals_frozenset_reference(n, p, seed, cap):
+    # Same components in the same order, and the cap is hit on the same graphs.
+    g = random_conflict_graph(np.random.default_rng(seed), n, p)
+    assert maximal_or_limit(enumerate_maximal, g, cap) == maximal_or_limit(
+        enumerate_maximal_reference, g, cap)

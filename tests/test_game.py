@@ -34,6 +34,7 @@ from conftest import (
     extract_schedule_reference,
     finish_exact_reference,
     fp_reference,
+    greedy_clique_reference,
     random_conflict_graph,
     three_link_graph,
     verify_schedule_reference,
@@ -447,7 +448,8 @@ def test_finish_prices_more_than_one_round(monkeypatch):
     H = PayoffMatrix(member / np.array([[3.0], [2.0], [3.0]]))
     solves = []
     real = game._dual_simplex
-    monkeypatch.setattr(game, "_dual_simplex", lambda a, b: solves.append(a.shape) or real(a, b))
+    monkeypatch.setattr(game, "_dual_simplex",
+                        lambda a, b, rows, cols: solves.append(a.shape) or real(a, b, rows, cols))
     fp = fp_solve(H, SolverConfig(max_iterations=1))
     assert fp.y.tolist() == [0.5, 0.5, 0.0, 0.0]
     sol = finish_exact(H, fp)
@@ -460,6 +462,11 @@ def test_finish_prices_more_than_one_round(monkeypatch):
                                 st.sampled_from([1, 2, 5, 1_000_000])), min_size=1, max_size=6),
        delta=st.sampled_from([1e-3, 1e-2]))
 @example(games=[(DEGENERATE_GAMES[2], 1), (RUN_GAME, 1), (PayoffMatrix(np.eye(5)), 1)], delta=1e-2)
+# Row 4 sits in the crash columns of two clique rows: its right side must take
+# their multiples off one after another, as pivoting them one at a time does.
+@example(games=[(PayoffMatrix(np.array([[1.0]])), 1),
+                (PayoffMatrix(np.array([[0.0, 0, 2, 0], [0, 1, 0, 0], [0, 0, 2, 0], [3, 0, 0, 0],
+                                        [1, 0, 1, 2]])), 1)], delta=1e-3)
 def test_finish_stack_equals_each_game_finished_alone(games, delta):
     # The stack pads each master after its own rows and columns, and the
     # padding never pivots, so every game comes out bit for bit as alone.
@@ -474,6 +481,60 @@ def test_finish_stack_equals_each_game_finished_alone(games, delta):
         assert got.value_lower.hex() == want.value_lower.hex()
         assert got.value_upper.hex() == want.value_upper.hex()
         assert (got.iterations, got.converged, got.state) == (fp.iterations, fp.converged, fp.state)
+
+
+# ---------------------------------------------------------------- clique start
+
+def spy_on_simplex(mp):
+    """Record every _dual_simplex call's (a, b, rows, cols) and the Bland pivots it made."""
+    calls = []
+    real = game._dual_simplex
+
+    def spy(a, b, rows, cols):
+        u, z, pivots = real(a, b, rows, cols)
+        calls.append((a, b, rows, cols, pivots))
+        return u, z, pivots
+
+    mp.setattr(game, "_dual_simplex", spy)
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(H=st.one_of(tied_payoffs(), membership_payoffs()),
+       max_iterations=st.sampled_from([1, 5, 1_000_000]))
+def test_clique_start_is_dual_feasible(H, max_iterations):
+    fp = fp_solve(H, SolverConfig(delta=1e-2, max_iterations=max_iterations))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_on_simplex(mp)
+        finish_exact(H, fp)
+    scale = H.h.max(axis=1)
+    for a, b, rows, cols, _ in calls:
+        a, clique, cols = a[0], rows[0][rows[0] >= 0], cols[0][rows[0] >= 0]
+        assert clique.tolist() == greedy_clique_reference(H.h / scale[:, None], 1 / scale)
+        # No column of the game holds two clique rows.
+        assert ((H.h[clique] > 0).sum(axis=0) <= 1).all()
+        # Each j_s maximises its row over the pool.
+        assert (a[clique, cols] == a[clique].max(axis=1)).all()
+        # The clique rows' duals 1 / a[s, j_s] leave no reduced cost below 0.
+        reduced = 1.0 - (1.0 / a[clique, cols]) @ a[clique]
+        assert (reduced >= -1e-12).all()
+
+
+@pytest.mark.parametrize("max_iterations", [1, SolverConfig().max_iterations])
+def test_clique_start_is_optimal_on_a_path(max_iterations):
+    # Conflict path 0-1-2-3 with rates (3, 2, 4, 1); its components are
+    # {0, 2}, {0, 3} and {1, 3}. The clique {2, 1} bounds the length below by
+    # 4 + 2 = 6, and firing {0, 2} four times and {1, 3} twice meets it, so
+    # the crash basis is already optimal and Bland's rule never pivots.
+    g = ConflictGraph.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
+    H = build_payoff(enumerate_maximal(g), RateVector((3, 2, 4, 1)))
+    fp = fp_solve(H, SolverConfig(max_iterations=max_iterations))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_on_simplex(mp)
+        sol = finish_exact(H, fp)
+    assert sol.value_lower == sol.value_upper == 1 / 6 == lp_oracle(H)[0]
+    assert [pivots for *_, pivots in calls] == [0] * len(calls)
+    assert_exact_finish(H, sol, fp)
 
 
 # ---------------------------------------------------------------- exact oracle
