@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
-"""CPU time and stacked simplex pivots of the exact finish, per desk replication.
+"""CPU time of fictitious play and the exact finish, and their sizes, per desk replication.
 
     python scripts/finish_stage.py --checkout . --seed 1
-    python scripts/finish_stage.py --checkout ../old --seed 4 --passes 10
+    python scripts/finish_stage.py --checkout ../old --seed 4 --passes 10 --delta 0.1
 
 perfbench has no stage for the finish, so this measures it apart. It sweeps
 the ``desk`` workload's chunks of one seed (perfbench's configs: root seeds
-seed * 30 + k for k < 30, 10 runs each) with the checkout's
+seed * 30 + k for k < 30, 10 runs each, FP to --delta, by default the
+checkout's ``ExperimentConfig().delta``) with the checkout's
 ``softsched.harness.run_instance``, wrapping ``harness.finish_stack`` to keep
-each call's payoffs and FP solutions. It then replays those calls: the
-finish's CPU time per replication is the least over --passes replays, and a
-further replay counts the stacked pivots by line-tracing ``_dual_simplex``'s
-basis update ``basis[g, r] = q``, the last statement of each pivot. The
-output is one JSON object.
+each call's payoffs and FP solutions. It then replays those calls: FP's and
+the finish's CPU times per replication are each the least over --passes
+replays. A further replay counts the stacked rounds (``_dual_simplex``
+calls), the games whose first master already holds every column (finished
+whole), and the stacked pivots, by line-tracing ``_dual_simplex``'s basis
+update ``basis[g, r] = q``, the last statement of each pivot. The output is
+one JSON object.
 """
 
 from __future__ import annotations
@@ -57,11 +60,33 @@ def count_pivots(game, calls) -> int:
     return count
 
 
+def count_rounds(game, calls) -> tuple[int, int]:
+    """Stacked rounds while the calls replay, and the games whose first master holds all columns."""
+    real, shapes = game._dual_simplex, []
+
+    def spy(a, b, rows, cols):
+        shapes.append((a > 0).any(axis=1).sum(axis=1))  # each game's own columns
+        return real(a, b, rows, cols)
+
+    game._dual_simplex, rounds, whole = spy, 0, 0
+    try:
+        for payoffs, sols in calls:
+            shapes.clear()
+            game.finish_stack(payoffs, sols)
+            rounds += len(shapes)
+            whole += sum(int(n) == H.n_components for n, H in zip(shapes[0], payoffs))
+    finally:
+        game._dual_simplex = real
+    return rounds, whole
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--checkout", type=Path, default=Path("."))
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--passes", type=int, default=5)
+    ap.add_argument("--delta", type=float, default=None,
+                    help="FP's delta (default: the checkout's ExperimentConfig default)")
     args = ap.parse_args(argv)
     if args.passes < 1:
         ap.error(f"--passes must be at least 1, got {args.passes}")
@@ -76,25 +101,39 @@ def main(argv=None) -> int:
         return finish(payoffs, sols)
 
     harness.finish_stack = keep
+    delta = harness.ExperimentConfig().delta if args.delta is None else args.delta
     for k in range(CHUNKS):
-        cfg = harness.ExperimentConfig(seed=args.seed * CHUNKS + k, **DESK)
+        cfg = harness.ExperimentConfig(seed=args.seed * CHUNKS + k, delta=delta, **DESK)
         for run_id in range(cfg.runs):
             harness.run_instance(cfg, run_id)
     harness.finish_stack = finish
+    solver = game.SolverConfig(delta, cfg.max_iterations)
 
     replications = CHUNKS * DESK["runs"]
-    best = float("inf")
+    fp_best = finish_best = float("inf")
     for _ in range(args.passes):
+        start = time.process_time()
+        for payoffs, _sols in calls:
+            for payoff in payoffs:
+                game.fp_solve(payoff, solver)
+        fp_best = min(fp_best, time.process_time() - start)
         start = time.process_time()
         for payoffs, sols in calls:
             game.finish_stack(payoffs, sols)
-        best = min(best, time.process_time() - start)
+        finish_best = min(finish_best, time.process_time() - start)
+    games = sum(len(payoffs) for payoffs, _ in calls)
+    rounds, whole = count_rounds(game, calls)
     print(json.dumps({
         "seed": args.seed,
+        "delta": delta,
         "replications": replications,
-        "games": sum(len(payoffs) for payoffs, _ in calls),
+        "games": games,
         "passes": args.passes,
-        "finish_cpu_ms_per_replication": best / replications * 1e3,
+        "fp_cpu_ms_per_replication": fp_best / replications * 1e3,
+        "finish_cpu_ms_per_replication": finish_best / replications * 1e3,
+        "fp_iterations_per_game": sum(sol.iterations for _, sols in calls for sol in sols) / games,
+        "stacked_rounds_per_replication": rounds / replications,
+        "whole_game_share": whole / games,
         "stacked_pivots_per_replication": count_pivots(game, calls) / replications,
     }))
     return 0

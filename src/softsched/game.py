@@ -5,10 +5,11 @@ are components; the entry is 1/r_i when link i belongs to component j. A
 mixed column strategy y is a recipe for how often to fire each component,
 and (Hy)_i is the fraction of link i's demand served per slot, so the game
 value v = max_y min_i (Hy)_i makes 1/v the minimal fractional schedule
-length. A short run of fictitious play picks a few columns; the exact
-finish solves the linear program over them, from a basis built on a clique
-of links no component holds two of, and adds priced columns until v is
-exact, for several games at once in one stacked simplex. HiGHS, through
+length. A short run of fictitious play picks a few columns. The exact
+finish solves the linear program over every column of a game with at most
+four per link, and over FP's columns of a wider one, from a basis built on
+a clique of links no component holds two of, and adds priced columns until
+v is exact, for several games at once in one stacked simplex. HiGHS, through
 scipy, cross-checks it at any size, and the schedule extractor turns y
 into integer slot counts.
 """
@@ -270,15 +271,22 @@ def finish_exact(H: PayoffMatrix, sol: GameSolution) -> GameSolution:
     return finish_stack([H], [sol])[0]
 
 
+# A game with at most this many columns per link opens its pool with all of
+# them; a wider one opens with FP's columns and prices the rest in rounds.
+_WHOLE_PER_LINK = 4
+
+
 def finish_stack(payoffs: list[PayoffMatrix], sols: list[GameSolution]) -> list[GameSolution]:
     """Make each sols[g] exact by column generation on min sum(u) s.t. A u >= b, u >= 0.
 
     A is payoffs[g] over each row's largest entry and b its reciprocal
-    (build_payoff's 0/1 membership and rates). A pool opens with sols[g].y's
-    columns and the first column covering each link they miss; each round
-    adds up to L of the columns the link duals z price most negative,
-    1 - z @ A, until none is below -1e-9. y = u / sum(u) and x = b z / (b . z)
-    certify value_upper = max(x @ H) and value_lower = min(min(H @ y), value_upper).
+    (build_payoff's 0/1 membership and rates). A game of J <= 4L columns
+    opens its pool with all of them, so its first master is exact. A wider
+    game's pool opens with sols[g].y's columns and the first column covering
+    each link they miss; each round adds up to L of the columns the link
+    duals z price most negative, 1 - z @ A, until none is below -1e-9.
+    y = u / sum(u) and x = b z / (b . z) certify value_upper = max(x @ H) and
+    value_lower = min(min(H @ y), value_upper).
 
     Each game's master starts from a clique basis. The clique is greedy over
     A alone: rows that no column holds two of, largest b first and lowest
@@ -318,7 +326,8 @@ def finish_stack(payoffs: list[PayoffMatrix], sols: list[GameSolution]) -> list[
     # Each row's columns as one Python-int bitset, for the clique and the cover.
     packed = np.packbits(a_all > 0, axis=1, bitorder="little")
     held_by = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    in_pool = np.concatenate([sol.y for sol in sols]) > 0
+    in_pool = np.concatenate([sol.y > 0 if width > _WHOLE_PER_LINK * links else np.full(width, True)
+                              for sol, width, links in zip(sols, widths, n_links)])
     pool = int.from_bytes(np.packbits(in_pool, bitorder="little").tobytes(), "little")
     cliques, cover = [], []
     for b, end, width, links in zip(b_all.tolist(), ends, widths, n_links):
@@ -357,14 +366,26 @@ def finish_stack(payoffs: list[PayoffMatrix], sols: list[GameSolution]) -> list[
         x_all[active] = w / np.add.accumulate(w, axis=1)[:, -1:]
 
         # One matmul prices every column against every stacked game's duals.
-        # It sums in its own order, so the columns it puts below -1e-9 / 2
-        # (far more than its rounding) are priced again with sums in row
-        # order, and those below -1e-9 enter, the most negative first.
+        # It sums in its own order, off by far less than 2.5e-10. A column
+        # below -1e-9 in row order is below -5e-10 by the matmul, and since at
+        # most L of a game's columns enter, the L most negative in row order
+        # lie within 5e-10 of the game's L-th most negative by the matmul.
+        # Only those columns are priced again with sums in row order, and
+        # those below -1e-9 enter, up to L a game, the most negative first.
         prices = z @ a_all
         candidates = np.flatnonzero(pricing[owner] & ~in_pool)
         stacked = np.searchsorted(active, owner[candidates])
-        near = 1.0 - prices[stacked, candidates] < -5e-10
-        candidates, stacked = candidates[near], stacked[near]
+        rough = 1.0 - prices[stacked, candidates]
+        near = rough < -5e-10
+        candidates, stacked, rough = candidates[near], stacked[near], rough[near]
+        limit = most_added[active]
+        counts = np.bincount(stacked, minlength=len(active))
+        many = counts > limit
+        lth = np.full(len(active), np.inf)
+        order = np.lexsort((rough, stacked))
+        lth[many] = rough[order[(np.cumsum(counts) - counts + limit - 1)[many]]]
+        leading = rough <= lth[stacked] + 5e-10
+        candidates, stacked = candidates[leading], stacked[leading]
         terms = a_all[:, candidates]
         terms *= z[stacked].T
         reduced = 1.0 - np.add.accumulate(terms)[-1]

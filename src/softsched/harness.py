@@ -73,7 +73,7 @@ class ExperimentConfig:
     runs: int = 1000
     seed: int = 0
     solver: str = "fp"
-    delta: float = 1e-2
+    delta: float = 1e-1
     max_iterations: int = 1_000_000
     modes: tuple[str, ...] = MODE_ORDER
 
@@ -266,8 +266,11 @@ def _peel(g: ConflictGraph, rates: RateVector) -> tuple[int, ConflictGraph, Rate
 
     Such a link only ever fires alone, so it needs its rate in slots of its
     own whatever the others do (the forced-singleton reduction of LP presolve).
+    With no such link, g and rates come back as they are.
     """
     universal = g.adjacency.all(axis=1)
+    if not universal.any():
+        return 0, g, rates
     kept = ~universal
     return (sum(itertools.compress(rates.rates, universal.tolist())),
             ConflictGraph(int(kept.sum()), g.adjacency[kept][:, kept]),

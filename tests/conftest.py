@@ -295,14 +295,16 @@ def assert_same_solution(got, want):
 def finish_exact_reference(H, sol):
     """The exact finish of one game alone: column generation over a one-game dual simplex.
 
-    Each master starts from greedy_clique_reference's rows and
+    A game of at most four columns per link opens its pool with all of
+    them; a wider one with FP's columns and a covering column per link they
+    miss. Each master starts from greedy_clique_reference's rows and
     crash_columns_reference's columns, and every sum over rows or columns
     runs in index order, as the stacked finish's do.
     """
     h = H.h
     scale = h.max(axis=1)
     A, b = h / scale[:, None], 1.0 / scale
-    in_pool = sol.y > 0
+    in_pool = (sol.y > 0) | (H.n_components <= 4 * H.n_links)
     in_pool[np.argmax(A[~(A[:, in_pool] > 0).any(axis=1)] > 0, axis=1)] = True
     clique = greedy_clique_reference(A, b)
     while True:

@@ -248,10 +248,17 @@ def test_fp_matches_dense_reference(H, max_iterations, delta, log_bounds):
 
 
 @st.composite
-def membership_payoffs(draw):
-    """Games shaped as build_payoff makes them: row i is link i's 0/1 membership row over r_i."""
+def membership_payoffs(draw, columns_per_link=None):
+    """Games shaped as build_payoff makes them: row i is link i's 0/1 membership row over r_i.
+
+    With columns_per_link c, J is within 2 of c L, else anything from 1 to 30.
+    """
     n_links = draw(st.integers(1, 12))
-    n_comps = draw(st.integers(1, 30))
+    if columns_per_link is None:
+        n_comps = draw(st.integers(1, 30))
+    else:
+        n_comps = draw(st.integers(max(1, columns_per_link * n_links - 2),
+                                   columns_per_link * n_links + 2))
     cells = draw(st.lists(st.booleans(), min_size=n_links * n_comps,
                           max_size=n_links * n_comps))
     member = np.array(cells).reshape(n_links, n_comps)
@@ -442,19 +449,64 @@ def test_finish_rates_far_apart(rates, length):
 
 
 def test_finish_prices_more_than_one_round(monkeypatch):
-    # Links with rates 3, 2, 3; one FP iteration leaves columns 0 and 1, and
-    # pricing adds a column in each of two rounds before none prices below 0.
+    # Four disjoint conflict triangles: 81 components, more than 4 per link,
+    # so the pool opens with FP's columns. One FP iteration leaves columns 0
+    # and 27, the first covering columns of the links they miss make 9, and
+    # pricing adds 12 in each of two rounds before none prices below 0. The
+    # schedule length is the largest triangle's rate sum, 2 + 3 + 4.
+    g = ConflictGraph.from_pairs(12, [(3 * t + a, 3 * t + b) for t in range(4)
+                                      for a, b in ((0, 1), (0, 2), (1, 2))])
+    H = build_payoff(enumerate_maximal(g), RateVector((5, 1, 1, 1, 5, 1, 1, 1, 5, 2, 3, 4)))
+    assert H.n_components == 81
+    calls = spy_on_simplex(monkeypatch)
+    fp = fp_solve(H, SolverConfig(max_iterations=1))
+    assert np.flatnonzero(fp.y).tolist() == [0, 27]
+    sol = finish_exact(H, fp)
+    assert [a.shape for a, *_ in calls] == [(1, 12, 9), (1, 12, 21), (1, 12, 33)]
+    assert sol.value_upper == pytest.approx(1 / 9, rel=1e-12, abs=0)
+    assert_exact_finish(H, sol, fp)
+
+
+def test_finish_opens_a_small_game_whole(monkeypatch):
+    # Links with rates 3, 2, 3 and 4 components, at most 4 per link: one FP
+    # iteration leaves columns 0 and 1, but the only master holds all four.
     member = np.array([[0, 1, 0, 1], [1, 0, 1, 1], [0, 1, 1, 0]])
     H = PayoffMatrix(member / np.array([[3.0], [2.0], [3.0]]))
-    solves = []
-    real = game._dual_simplex
-    monkeypatch.setattr(game, "_dual_simplex",
-                        lambda a, b, rows, cols: solves.append(a.shape) or real(a, b, rows, cols))
+    calls = spy_on_simplex(monkeypatch)
     fp = fp_solve(H, SolverConfig(max_iterations=1))
     assert fp.y.tolist() == [0.5, 0.5, 0.0, 0.0]
     sol = finish_exact(H, fp)
-    assert solves == [(1, 3, 2), (1, 3, 3), (1, 3, 4)]
+    assert [a.shape for a, *_ in calls] == [(1, 3, 4)]
     assert_exact_finish(H, sol, fp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(H=membership_payoffs(columns_per_link=4),
+       max_iterations=st.sampled_from([1, 2, 5, 1_000_000]),
+       delta=st.sampled_from([1e-2, 0.1]))
+def test_whole_and_pooled_finishes_agree_either_side_of_4L(H, max_iterations, delta):
+    # J lies within 2 of 4L. The finish opens the pool whole up to 4L and
+    # from FP's columns beyond, and each is that opening forced on every game.
+    fp = fp_solve(H, SolverConfig(delta=delta, max_iterations=max_iterations))
+    finishes = {}
+    for opening, per_link in (("whole", math.inf), ("pooled", 0)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(game, "_WHOLE_PER_LINK", per_link)
+            calls = spy_on_simplex(mp)
+            finishes[opening] = finish_exact(H, fp)
+        if opening == "whole":
+            assert [a.shape for a, *_ in calls] == [(1, H.n_links, H.n_components)]
+    got = finish_exact(H, fp)
+    want = finishes["whole" if H.n_components <= 4 * H.n_links else "pooled"]
+    for name in ("x", "y"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.value_lower, got.value_upper) == (want.value_lower, want.value_upper)
+    value, _ = lp_oracle(H)
+    for sol in finishes.values():
+        assert_exact_finish(H, sol, fp)
+        assert sol.value_upper == pytest.approx(value, rel=1e-12, abs=0)
+    assert finishes["whole"].value_upper == pytest.approx(finishes["pooled"].value_upper,
+                                                          rel=1e-12, abs=0)
 
 
 @settings(max_examples=150, deadline=None)

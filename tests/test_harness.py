@@ -248,9 +248,12 @@ def test_sweep_csvs_match_reference_solver_and_rounding(tmp_path, monkeypatch):
     # is also compared with the dense reference field by field. A budget that
     # runs out before every link is covered leaves FP's lower bound at 0; the
     # sweep still finishes, and every soft schedule is feasible and no shorter
-    # than the bracket allows.
-    for max_iterations in (1_000_000, 1, 5, 20):
-        cfg = ExperimentConfig(runs=3, seed=11, max_iterations=max_iterations)
+    # than the bracket allows. Budgets of 5 and 20 iterations run at delta
+    # 1e-2, which some game does not reach within them; every game of these
+    # sweeps reaches the coarser default delta within 5.
+    default = ExperimentConfig.delta
+    for max_iterations, delta in ((1_000_000, default), (1, default), (5, 1e-2), (20, 1e-2)):
+        cfg = ExperimentConfig(runs=3, seed=11, max_iterations=max_iterations, delta=delta)
 
         def sweep_bytes(tag):
             table, records = run_sweep(cfg)
@@ -440,6 +443,13 @@ def test_peeled_links_keep_the_whole_game_exact(n_links, p, seed, universal, rat
         whole = unpeel_schedule(Schedule((), (), ()), keep, r)
     assert verify_schedule(whole, g, r)
     assert rec.slots == whole.length >= math.ceil(1 / rec.value_upper - 1e-9)
+
+
+def test_peel_without_universal_links_returns_its_inputs():
+    # A path 0-1-2-3: no link conflicts with every other, so nothing is rebuilt.
+    g, r = ConflictGraph.from_pairs(4, [(0, 1), (1, 2), (2, 3)]), RateVector((2, 1, 3, 1))
+    peeled, rest, rest_rates = harness._peel(g, r)
+    assert peeled == 0 and rest is g and rest_rates is r
 
 
 def test_cli_counts_a_complete_graph_with_rates_far_apart(tmp_path):
