@@ -197,8 +197,15 @@ def load_fixture(path) -> Fixture:
     raise ValueError(f"{path}: no 'nodes' (topology fixture) or 'n_links' (conflict fixture)")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ResultRecord:
+    """One (run, beta, mode) cell of a sweep: a row of the detail CSV, columns in field order.
+
+    Slotted and mutable, so unhashable; a sweep builds many of them, and
+    ``run_instance`` passes every field positionally. The game fields stay
+    None outside the soft mode.
+    """
+
     run_id: int
     mode: str
     beta_db: float
@@ -214,8 +221,13 @@ class ResultRecord:
     converged: bool | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SweepRow:
+    """One (beta, mode) row of the aggregated CSV, columns in field order.
+
+    Slotted, mutable and unhashable, like ``ResultRecord``.
+    """
+
     n_nodes: int
     n_sessions: int
     beta_db: float
@@ -278,42 +290,43 @@ def _peel(g: ConflictGraph, rates: RateVector) -> tuple[int, ConflictGraph, Rate
 
 
 def _soft_fields(graphs: list[ConflictGraph], rates: RateVector,
-                 solver: SolverConfig | None) -> list[dict]:
-    """The soft record's fields on each graph: FP under ``solver`` and one stacked finish, or HiGHS.
+                 solver: SolverConfig | None) -> list[tuple]:
+    """Each graph's soft fields: FP under ``solver`` and one stacked finish, or HiGHS.
 
-    ``solver`` None means HiGHS. Each graph's universal links are peeled
-    first (``_peel``); ``run_instance`` says how the fields account for them.
+    Each entry is (slots, value_lower, value_upper, fp_iterations,
+    converged), in record field order. ``solver`` None means HiGHS. Each
+    graph's universal links are peeled first (``_peel``); ``run_instance``
+    says how the fields account for them.
     """
     fields, games = [], []
     for g in graphs:
         peeled, rest, rest_rates = _peel(g, rates)
-        fields.append(dict(slots=peeled, fp_iterations=0, converged=True))
         if not rest.n_links:
-            fields[-1].update(value_lower=1 / peeled, value_upper=1 / peeled)
+            fields.append((peeled, 1 / peeled, 1 / peeled, 0, True))
             continue
         comps = enumerate_maximal(rest)
-        games.append((fields[-1], peeled, rest, rest_rates, comps, build_payoff(comps, rest_rates)))
+        games.append((len(fields), peeled, rest, rest_rates, comps,
+                      build_payoff(comps, rest_rates)))
+        fields.append(None)
     payoffs = [game[-1] for game in games]
     if solver is None:
         sols = [lp_oracle(payoff) for payoff in payoffs]
     else:
         sols = finish_stack(payoffs, [fp_solve(payoff, solver) for payoff in payoffs])
-    for (soft, peeled, rest, rest_rates, comps, _), sol in zip(games, sols):
+    for (k, peeled, rest, rest_rates, comps, _), sol in zip(games, sols):
         if solver is None:
-            value, y = sol
-            soft.update(value_lower=value, value_upper=value)
+            (lower, y), iterations, converged = sol, 0, True
+            upper = lower
         else:
-            y = sol.y
-            soft.update(value_lower=sol.value_lower, value_upper=sol.value_upper,
-                        fp_iterations=sol.iterations, converged=sol.converged)
-        schedule = extract_schedule(comps, rest_rates, y, soft["value_lower"])
+            y, lower, upper = sol.y, sol.value_lower, sol.value_upper
+            iterations, converged = sol.iterations, sol.converged
+        schedule = extract_schedule(comps, rest_rates, y, lower)
         check = verify_schedule(schedule, rest, rest_rates)
         if not check:
             raise RuntimeError(f"extracted schedule failed verification: {check.violation}")
-        soft["slots"] += schedule.length
         if peeled:
-            for bound in ("value_lower", "value_upper"):
-                soft[bound] = 1 / (peeled + 1 / soft[bound])
+            lower, upper = 1 / (peeled + 1 / lower), 1 / (peeled + 1 / upper)
+        fields[k] = (peeled + schedule.length, lower, upper, iterations, converged)
     return fields
 
 
@@ -351,7 +364,8 @@ def run_instance(cfg: ExperimentConfig, run_id: int,
     if fixture is not None and fixture.kind == "conflict":
         rates, powers = fixture.rates, None
         betas, stack = (math.nan,), fixture.graph.adjacency[None]
-        instance = dict(run_id=run_id, n_nodes=0, n_sessions=0, total_packets=rates.total())
+        n_nodes = n_sessions = 0
+        packets = rates.total()
     else:
         if fixture is not None:
             nodes, sessions = list(fixture.nodes), list(fixture.sessions)
@@ -360,8 +374,8 @@ def run_instance(cfg: ExperimentConfig, run_id: int,
         params = PropagationParams(alpha=cfg.alpha)
         paths = route_sessions(nodes, sessions, params)
         links, rates = accumulate_rates(paths, sessions)
-        instance = dict(run_id=run_id, n_nodes=len(nodes), n_sessions=len(sessions),
-                        total_packets=sum(s.packets for s in sessions))
+        n_nodes, n_sessions = len(nodes), len(sessions)
+        packets = sum(s.packets for s in sessions)
         betas = cfg.beta_values()
         powers = link_powers(links, nodes, params)
         stack = conflict_stack(powers, betas)
@@ -377,12 +391,9 @@ def run_instance(cfg: ExperimentConfig, run_id: int,
     for b, beta in enumerate(betas):
         soft = solved_fields.get(b, soft)  # a repeated margin keeps the previous one's
         for mode in cfg.modes:
-            extra = soft if mode == "soft" else dict(slots=hard[b] if mode == "coloring" else total)
-            records.append(ResultRecord(
-                mode=mode, beta_db=beta, total_link_activations=total,
-                avg_slots_per_packet=extra["slots"] / instance["total_packets"],
-                **instance, **extra,
-            ))
+            slots, *game = soft if mode == "soft" else (hard[b] if mode == "coloring" else total,)
+            records.append(ResultRecord(run_id, mode, beta, n_nodes, n_sessions, packets, total,
+                                        slots, slots / packets, *game))
     return records
 
 
@@ -446,9 +457,30 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+# Formatters of a column whose values all have one of these exact types;
+# each gives the bytes _csv_cell gives a value of that type.
+_COLUMN_FORMAT = {
+    float: lambda col: map(float.__format__, col, itertools.repeat(".9g")),
+    int: lambda col: map(str, col),
+    str: lambda col: col,
+    type(None): lambda col: itertools.repeat("", len(col)),
+}
+
+
 def _write_csv(rows, header: str, path) -> None:
-    cells = operator.attrgetter(*header.split(","))
-    lines = [header, *(",".join(map(_csv_cell, cells(row))) for row in rows)]
+    """Write ``header`` and one line per row, formatted a column at a time.
+
+    The rows are transposed once. A column whose values all have the same
+    exact type, ``float``, ``int``, ``str`` or None, is formatted by one
+    map; any other column (``bool``, numpy scalars, mixed types) goes
+    through ``_csv_cell`` value by value, so both give the same bytes.
+    """
+    columns = []
+    for col in zip(*map(operator.attrgetter(*header.split(",")), rows)):
+        kinds = set(map(type, col))
+        fmt = _COLUMN_FORMAT.get(kinds.pop()) if len(kinds) == 1 else None
+        columns.append(fmt(col) if fmt else map(_csv_cell, col))
+    lines = [header, *map(",".join, zip(*columns))]
     try:
         with open(path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -5,6 +5,7 @@ import dataclasses
 import heapq
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -215,6 +216,65 @@ def first_fit_classes(g: ConflictGraph, order):
         else:
             classes.append([link])
     return tuple(tuple(sorted(cls)) for cls in classes)
+
+
+def max_coloring_slots_reference(g: ConflictGraph, rates) -> int:
+    """Fewest slots of any hard coloring: the exact max-coloring optimum, by MILP.
+
+    A coloring's slot count is the sum over its classes of the class's
+    largest rate. With at most L classes, x[i, c] puts link i in class c,
+    conflicting links never share a class and w[c] >= rates[i] x[i, c] is
+    class c's slot count; the optimum minimizes sum(w). Numbering the
+    classes by their lowest link lets link i use only classes 0..i.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n = g.n_links
+    x = np.arange(n * n).reshape(n, n)  # x[i, c]; w[c] follows at n * n + c
+    rows, lower, upper = [], [], []
+
+    def row(coefs, lo, hi):
+        r = np.zeros(n * n + n)
+        for k, v in coefs:
+            r[k] += v
+        rows.append(r)
+        lower.append(lo)
+        upper.append(hi)
+
+    for i in range(n):
+        row([(x[i, c], 1) for c in range(n)], 1, 1)
+        for c in range(n):
+            row([(x[i, c], rates[i]), (n * n + c, -1)], -np.inf, 0)
+    for i, j in zip(*np.nonzero(np.triu(g.adjacency, 1))):
+        for c in range(n):
+            row([(x[i, c], 1), (x[j, c], 1)], -np.inf, 1)
+    cost = np.r_[np.zeros(n * n), np.ones(n)]
+    res = milp(cost, constraints=LinearConstraint(np.array(rows), lower, upper),
+               integrality=np.ones(n * n + n),
+               bounds=Bounds(0, np.r_[np.tri(n).ravel(), np.full(n, max(rates))]))
+    assert res.success, res.message
+    return round(res.fun)
+
+
+def write_csv_reference(rows, header: str, path) -> None:
+    """The sweep CSV writer, one cell at a time: ``header``, then a line per row.
+
+    None is empty, bools are true/false, floats take 9 significant digits
+    and everything else is ``str``; lines end in LF.
+    """
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return f"{value:.9g}"
+        return str(value)
+
+    cells = operator.attrgetter(*header.split(","))
+    lines = [header, *(",".join(map(cell, cells(row))) for row in rows)]
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def fp_reference(H, cfg=None, log_bounds=False):

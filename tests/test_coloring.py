@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,12 @@ from softsched import (
     Coloring,
     ConflictGraph,
     RateVector,
+    build_payoff,
     coloring_slots,
+    enumerate_maximal,
     first_fit_stack,
     greedy_color,
+    lp_oracle,
     no_schedule_slots,
 )
 
@@ -17,6 +22,7 @@ from conftest import (
     THREE_LINK_RATES,
     first_fit_classes,
     independent_in,
+    max_coloring_slots_reference,
     random_conflict_graph,
     three_link_graph,
 )
@@ -113,6 +119,32 @@ def test_coloring_never_beats_no_reuse_backwards(n, p, seed):
     assert coloring_slots(c.colors, r) <= no_schedule_slots(r)
     if all(len(cls) == 1 for cls in c.classes):
         assert coloring_slots(c.colors, r) == no_schedule_slots(r)
+
+
+def test_three_link_max_coloring_sits_between_soft_and_greedy():
+    # Soft needs 3 slots, the best hard coloring 4 and greedy in index order 5.
+    g = three_link_graph()
+    assert max_coloring_slots_reference(g, THREE_LINK_RATES.rates) == 4
+    assert coloring_slots(greedy_color(g, [0, 1, 2]).colors, THREE_LINK_RATES) == 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=8),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_hard_optimum_lies_between_the_soft_bound_and_first_fit(n, p, seed):
+    # How weak the greedy baseline is: no hard coloring beats ceil(1/v*), the
+    # fractional schedule length, and first fit in index order is never
+    # better than the exact max-coloring optimum.
+    rng = np.random.default_rng(seed)
+    g = random_conflict_graph(rng, n, p)
+    r = RateVector(tuple(int(v) for v in rng.integers(1, 20, n)))
+    value, _ = lp_oracle(build_payoff(enumerate_maximal(g), r))
+    optimum = max_coloring_slots_reference(g, r.rates)
+    assert math.ceil(1 / value - 1e-9) <= optimum
+    assert optimum <= coloring_slots(greedy_color(g, list(range(n))).colors, r)
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,9 +2,12 @@ import csv
 import dataclasses
 import json
 import math
+import pickle
 import statistics
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +20,11 @@ from softsched import (
     Fixture,
     PropagationParams,
     RateVector,
+    ResultRecord,
     RunError,
     Schedule,
     SolverConfig,
+    SweepRow,
     accumulate_rates,
     build_conflict_graph,
     build_payoff,
@@ -47,6 +52,7 @@ from conftest import (
     run_instance_reference,
     unpeel_schedule,
     verify_schedule_reference,
+    write_csv_reference,
 )
 
 THREE_LINK_FIXTURE = "fixtures/three_link.json"
@@ -609,6 +615,98 @@ def test_csv_reruns_byte_identical(tmp_path):
 def test_write_results_unwritable_path_mentions_path(tmp_path):
     with pytest.raises(OSError, match="missing-dir"):
         write_results([], tmp_path / "missing-dir" / "agg.csv")
+
+
+@pytest.fixture(scope="module")
+def real_sweep():
+    """A small all-mode sweep's (table, records): every column filled somewhere."""
+    return run_sweep(small_cfg())
+
+
+WRITERS = {"results": (write_results, RESULTS_HEADER), "detail": (write_detail, DETAIL_HEADER)}
+
+# Cell values of every kind the writers may meet, each kind a strategy.
+CELLS = {
+    "none": st.none(),
+    "bool": st.booleans(),
+    "int": st.one_of(st.integers(), st.sampled_from([10**12 + 1, 2**63, 2**64 + 1, -2**63 - 1])),
+    "float": st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0,
+                                                     5e-324])),
+    "np.float64": st.floats().map(np.float64),
+    "np.float32": st.floats(width=32).map(np.float32),
+    "np.int64": st.integers(-2**63, 2**63 - 1).map(np.int64),
+    "np.bool_": st.booleans().map(np.bool_),
+    "str": st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+}
+
+
+def written(writer, rows) -> tuple[bytes, bytes]:
+    """The bytes ``writer`` writes for ``rows``, and those of the per-cell reference."""
+    write, header = WRITERS[writer]
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
+        write(rows, got)
+        write_csv_reference(rows, header, want)
+        return got.read_bytes(), want.read_bytes()
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_writers_match_the_per_cell_reference_on_real_and_empty_rows(writer, real_sweep):
+    table, records = real_sweep
+    for rows in ([], table if writer == "results" else records):
+        got, want = written(writer, rows)
+        assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(writer=st.sampled_from(sorted(WRITERS)), data=st.data())
+def test_writers_match_the_per_cell_reference_on_any_cell_types(writer, data, real_sweep):
+    # Each column keeps its real values, or takes values of one kind (the
+    # writers' by-column paths) or of mixed kinds (their per-cell path).
+    table, records = real_sweep
+    rows = table if writer == "results" else records
+    rows = rows[:data.draw(st.integers(0, len(rows)), label="rows")]
+    kinds = {name: data.draw(st.sampled_from([None, "mixed", *CELLS]), label=name)
+             for name in WRITERS[writer][1].split(",")}
+    strategies = {name: st.one_of(*CELLS.values()) if kind == "mixed" else CELLS[kind]
+                  for name, kind in kinds.items() if kind is not None}
+    rows = [dataclasses.replace(row, **{name: data.draw(strategy)
+                                        for name, strategy in strategies.items()})
+            for row in rows]
+    got, want = written(writer, rows)
+    assert got == want
+
+
+@pytest.mark.parametrize("values", [
+    [10**12 + 1, 2**63, 2**64 + 1], [math.nan, math.inf, -math.inf, -0.0, 5e-324],
+    [np.float64(0.1), np.float64(math.nan)], [np.float32(0.1)], [np.int64(7)], [np.bool_(True)],
+    [True, False], [None, 1.5], [1, 1.0, True, None, "x"],
+])
+@pytest.mark.parametrize("writer", WRITERS)
+def test_writers_match_the_per_cell_reference_on_pinned_columns(writer, values, real_sweep):
+    rows = real_sweep[0 if writer == "results" else 1][:len(values)]
+    name = WRITERS[writer][1].split(",")[2]  # beta_db in both
+    got, want = written(writer, [dataclasses.replace(row, **{name: v})
+                                 for row, v in zip(rows, values)])
+    assert got == want
+
+
+def test_records_and_rows_keep_their_fields_and_round_trip(real_sweep):
+    assert [(f.name, f.default) for f in dataclasses.fields(ResultRecord)] == [
+        ("run_id", dataclasses.MISSING), ("mode", dataclasses.MISSING),
+        ("beta_db", dataclasses.MISSING), ("n_nodes", dataclasses.MISSING),
+        ("n_sessions", dataclasses.MISSING), ("total_packets", dataclasses.MISSING),
+        ("total_link_activations", dataclasses.MISSING), ("slots", dataclasses.MISSING),
+        ("avg_slots_per_packet", dataclasses.MISSING), ("value_lower", None),
+        ("value_upper", None), ("fp_iterations", None), ("converged", None),
+    ]
+    assert [(f.name, f.default) for f in dataclasses.fields(SweepRow)] == [
+        (name, dataclasses.MISSING) for name in RESULTS_HEADER.split(",")]
+    table, records = real_sweep
+    for rows in (table, records):
+        assert [dataclasses.replace(row) for row in rows] == rows
+        assert pickle.loads(pickle.dumps(rows)) == rows
+        assert not any(hasattr(row, "__dict__") for row in rows)
 
 
 # ---------------------------------------------------------------- CLI
