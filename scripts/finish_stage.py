@@ -1,21 +1,26 @@
 #!/usr/bin/env python3
-"""CPU time of fictitious play and the exact finish, and their sizes, per desk replication.
+"""CPU time of enumeration, fictitious play and the exact finish, and their sizes, per replication.
 
     python scripts/finish_stage.py --checkout . --seed 1
     python scripts/finish_stage.py --checkout ../old --seed 4 --passes 10 --delta 0.1
+    python scripts/finish_stage.py --nodes 30 --sessions 20 --chunks 1 --runs 2 --passes 3
 
 perfbench has no stage for the finish, so this measures it apart. It sweeps
 the ``desk`` workload's chunks of one seed (perfbench's configs: root seeds
 seed * 30 + k for k < 30, 10 runs each, FP to --delta, by default the
 checkout's ``ExperimentConfig().delta``) with the checkout's
-``softsched.harness.run_instance``, wrapping ``harness.finish_stack`` to keep
-each call's payoffs and FP solutions. It then replays those calls: FP's and
-the finish's CPU times per replication are each the least over --passes
-replays. A further replay counts the stacked rounds (``_dual_simplex``
-calls), the games whose first master already holds every column (finished
-whole), and the stacked pivots, by line-tracing ``_dual_simplex``'s basis
-update ``basis[g, r] = q``, the last statement of each pivot. The output is
-one JSON object.
+``softsched.harness.run_instance``, wrapping ``harness.enumerate_maximal``
+to keep each call's graph and ``harness.finish_stack`` to keep each call's
+payoffs and FP solutions. --nodes and --sessions change the instance size
+(default: desk's 10 and 10), --chunks and --runs the number of chunks and
+their runs. It then replays those calls: the enumeration's, FP's and the
+finish's CPU times per replication are each the least over --passes
+replays, and a SHA-256 of each stage's replayed outputs lets two checkouts
+be compared bit for bit. A further replay counts the stacked rounds
+(``_dual_simplex`` calls), the games whose first master already holds every
+column (finished whole), and the stacked pivots, by line-tracing
+``_dual_simplex``'s basis update ``basis[g, r] = q``, the last statement of
+each pivot. The output is one JSON object.
 """
 
 from __future__ import annotations
@@ -27,15 +32,31 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import hashlib  # noqa: E402
 import inspect  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-DESK = dict(n_nodes=10, n_sessions=10, alpha=4.0, poisson_mean=5.0, beta_min_db=0.0,
-            beta_max_db=30.0, beta_step_db=5.0, runs=10)
+import numpy as np  # noqa: E402
+
+DESK = dict(alpha=4.0, poisson_mean=5.0, beta_min_db=0.0, beta_max_db=30.0, beta_step_db=5.0)
 CHUNKS = 30
+
+
+def digest(arrays) -> str:
+    """SHA-256 over the bytes of each array in turn, so equal digests mean bit-identical outputs."""
+    sha = hashlib.sha256()
+    for array in arrays:
+        sha.update(np.ascontiguousarray(array).tobytes())
+    return sha.hexdigest()
+
+
+def solutions_digest(sols) -> str:
+    """``digest`` over each solution's x, y, bounds, iterations and convergence flag."""
+    return digest(a for s in sols for a in (s.x, s.y, np.array(
+        [s.value_lower, s.value_upper, s.iterations, s.converged], dtype=float)))
 
 
 def count_pivots(game, calls) -> int:
@@ -85,53 +106,71 @@ def main(argv=None) -> int:
     ap.add_argument("--checkout", type=Path, default=Path("."))
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--passes", type=int, default=5)
+    ap.add_argument("--nodes", type=int, default=10)
+    ap.add_argument("--sessions", type=int, default=10)
+    ap.add_argument("--chunks", type=int, default=CHUNKS)
+    ap.add_argument("--runs", type=int, default=10, help="runs per chunk")
     ap.add_argument("--delta", type=float, default=None,
                     help="FP's delta (default: the checkout's ExperimentConfig default)")
     args = ap.parse_args(argv)
-    if args.passes < 1:
-        ap.error(f"--passes must be at least 1, got {args.passes}")
+    for name in ("passes", "chunks", "runs"):
+        if getattr(args, name) < 1:
+            ap.error(f"--{name} must be at least 1, got {getattr(args, name)}")
     sys.path.insert(0, str(args.checkout.resolve() / "src"))
     from softsched import game, harness
 
-    calls = []
-    finish = harness.finish_stack
+    graphs, calls = [], []
+    enumerate_maximal, finish = harness.enumerate_maximal, harness.finish_stack
+
+    def keep_graph(g):
+        graphs.append(g)
+        return enumerate_maximal(g)
 
     def keep(payoffs, sols):
         calls.append((payoffs, sols))
         return finish(payoffs, sols)
 
-    harness.finish_stack = keep
+    harness.enumerate_maximal, harness.finish_stack = keep_graph, keep
     delta = harness.ExperimentConfig().delta if args.delta is None else args.delta
-    for k in range(CHUNKS):
-        cfg = harness.ExperimentConfig(seed=args.seed * CHUNKS + k, delta=delta, **DESK)
+    for k in range(args.chunks):
+        cfg = harness.ExperimentConfig(seed=args.seed * CHUNKS + k, delta=delta, runs=args.runs,
+                                       n_nodes=args.nodes, n_sessions=args.sessions, **DESK)
         for run_id in range(cfg.runs):
             harness.run_instance(cfg, run_id)
-    harness.finish_stack = finish
+    harness.enumerate_maximal, harness.finish_stack = enumerate_maximal, finish
     solver = game.SolverConfig(delta, cfg.max_iterations)
 
-    replications = CHUNKS * DESK["runs"]
-    fp_best = finish_best = float("inf")
+    replications = args.chunks * args.runs
+    best = dict.fromkeys(("enumerate", "fp", "finish"), float("inf"))
     for _ in range(args.passes):
         start = time.process_time()
-        for payoffs, _sols in calls:
-            for payoff in payoffs:
-                game.fp_solve(payoff, solver)
-        fp_best = min(fp_best, time.process_time() - start)
+        comps = [enumerate_maximal(g) for g in graphs]
+        best["enumerate"] = min(best["enumerate"], time.process_time() - start)
         start = time.process_time()
-        for payoffs, sols in calls:
-            game.finish_stack(payoffs, sols)
-        finish_best = min(finish_best, time.process_time() - start)
+        sols = [game.fp_solve(payoff, solver) for payoffs, _sols in calls for payoff in payoffs]
+        best["fp"] = min(best["fp"], time.process_time() - start)
+        start = time.process_time()
+        exact = [sol for payoffs, fp in calls for sol in game.finish_stack(payoffs, fp)]
+        best["finish"] = min(best["finish"], time.process_time() - start)
     games = sum(len(payoffs) for payoffs, _ in calls)
     rounds, whole = count_rounds(game, calls)
     print(json.dumps({
         "seed": args.seed,
+        "nodes": args.nodes,
+        "sessions": args.sessions,
         "delta": delta,
         "replications": replications,
         "games": games,
+        "components_per_game": sum(map(len, comps)) / len(comps) if comps else 0.0,
         "passes": args.passes,
-        "fp_cpu_ms_per_replication": fp_best / replications * 1e3,
-        "finish_cpu_ms_per_replication": finish_best / replications * 1e3,
-        "fp_iterations_per_game": sum(sol.iterations for _, sols in calls for sol in sols) / games,
+        "enumerate_cpu_ms_per_replication": best["enumerate"] / replications * 1e3,
+        "fp_cpu_ms_per_replication": best["fp"] / replications * 1e3,
+        "finish_cpu_ms_per_replication": best["finish"] / replications * 1e3,
+        "enumerate_sha256": digest(np.array(row) for cs in comps for row in (
+            [len(c.members) for c in cs], [i for c in cs for i in c.members])),
+        "fp_sha256": solutions_digest(sols),
+        "finish_sha256": solutions_digest(exact),
+        "fp_iterations_per_game": sum(sol.iterations for sol in sols) / games,
         "stacked_rounds_per_replication": rounds / replications,
         "whole_game_share": whole / games,
         "stacked_pivots_per_replication": count_pivots(game, calls) / replications,

@@ -9,6 +9,7 @@ enumerator.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ class Component:
     def __post_init__(self):
         if not self.members:
             raise ValueError("a component must contain at least one link")
-        if list(self.members) != sorted(set(self.members)):
+        if not all(map(operator.lt, self.members, self.members[1:])):
             raise ValueError(f"members must be sorted and distinct, got {self.members}")
 
 
@@ -42,37 +43,41 @@ def enumerate_maximal(g: ConflictGraph, cap: int = DEFAULT_COMPONENT_CAP) -> lis
     its complement. Link sets are Python-int bitsets (bit i is link i); the
     pivot is the candidate or excluded link with the most candidates among
     its complement neighbours, lowest index first, and the links it leaves
-    out are expanded in ascending order. Output order is canonical: by
-    size, then lexicographic by member list. More than cap components
-    raise ResourceLimitError.
+    out are expanded in ascending order, by the module-level ``_expand``, not
+    a closure, so a call leaves no reference cycle. Output order is
+    canonical: by size, then lexicographic by member list (two stable
+    sorts). More than cap components raise ResourceLimitError.
     """
     # Complement-graph neighbourhoods: links that may share a slot with i
     # (the true diagonal keeps i itself out).
     packed = np.packbits(~g.adjacency, axis=1, bitorder="little")
     compat = [int.from_bytes(row.tobytes(), "little") for row in packed]
     found: list[int] = []
-
-    def expand(chosen: int, candidates: int, excluded: int):
-        if not candidates and not excluded:
-            if len(found) >= cap:
-                raise ResourceLimitError(
-                    f"component count exceeds the cap of {cap}; raise the cap to proceed"
-                )
-            found.append(chosen)
-            return
-        most = -1
-        for u in _links(candidates | excluded):
-            n = (candidates & compat[u]).bit_count()
-            if n > most:
-                pivot, most = u, n
-        for v in _links(candidates & ~compat[pivot]):
-            expand(chosen | 1 << v, candidates & compat[v], excluded & compat[v])
-            candidates &= ~(1 << v)
-            excluded |= 1 << v
-
-    expand(0, (1 << g.n_links) - 1, 0)
-    members = sorted((tuple(_links(chosen)) for chosen in found), key=lambda m: (len(m), m))
+    _expand(compat, found, cap, 0, (1 << g.n_links) - 1, 0)
+    members = sorted(tuple(_links(chosen)) for chosen in found)
+    members.sort(key=len)  # stable, so lexicographic within each size
     return [Component(m) for m in members]
+
+
+def _expand(compat: list[int], found: list[int], cap: int,
+            chosen: int, candidates: int, excluded: int) -> None:
+    """One Bron-Kerbosch call: append to found every maximal clique extending chosen."""
+    if not candidates and not excluded:
+        if len(found) >= cap:
+            raise ResourceLimitError(
+                f"component count exceeds the cap of {cap}; raise the cap to proceed"
+            )
+        found.append(chosen)
+        return
+    most = -1
+    for u in _links(candidates | excluded):
+        n = (candidates & compat[u]).bit_count()
+        if n > most:
+            pivot, most = u, n
+    for v in _links(candidates & ~compat[pivot]):
+        _expand(compat, found, cap, chosen | 1 << v, candidates & compat[v], excluded & compat[v])
+        candidates &= ~(1 << v)
+        excluded |= 1 << v
 
 
 def _links(bits: int) -> list[int]:

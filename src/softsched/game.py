@@ -159,14 +159,15 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
 
     Both accumulators are updated sparsely, as Python lists. y_acc (one
     entry per component) takes only the components that contain the picked
-    link, with each row's nonzero entries built once, and the new argmax is
-    searched among those components and the current leader, largest value
-    first and lowest index on ties. An untouched entry did not grow, so it
-    can at most equal the leader, and then only from a higher index; so a new
-    leader always contains the picked link. Python pays for each touched
-    entry where numpy pays per call, so this wins on short rows, as in games
-    of about ten nodes, and loses where links sit in hundreds of components
-    (see CHANGES.md).
+    link, with a row's nonzero entries built on its first pick and cached
+    (FP picks few of a game's rows), and the new argmax is searched among
+    those components and the current leader, largest value first and lowest
+    index on ties. An untouched entry did not grow, so it can at most equal
+    the leader, and then only from a higher index; so a new leader always
+    contains the picked link. Python pays for each touched entry where numpy
+    pays per call, so this wins on short rows, as in games of about ten
+    nodes, and loses where links sit in hundreds of components (see
+    CHANGES.md).
 
     x_acc (one entry per link) takes a picked column's nonzero entries,
     built on the column's first pick and cached. A column that contains the
@@ -189,10 +190,7 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
     h = H.h
     n_links, n_comps = h.shape
     col_entries: list[dict[int, float] | None] = [None] * n_comps
-    links, comps = np.nonzero(h)  # row-major, so each row's entries are consecutive
-    entries = zip(comps.tolist(), h[links, comps].tolist())
-    row_entries = [list(itertools.islice(entries, n))
-                   for n in np.bincount(links, minlength=n_links).tolist()]
+    row_entries: list[list[tuple[int, float]] | None] = [None] * n_links
 
     # + 0.0 turns -0.0 into 0.0, as the dense loop's first add does
     x_acc = (h[:, 0] + 0.0).tolist()
@@ -210,7 +208,11 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
     hold_j = -1  # j_k while it misses link i, else -1
     for k in range(1, max_iterations + 1):
         picks.append(i)
-        for j, value in row_entries[i]:
+        row = row_entries[i]
+        if row is None:
+            comps = np.flatnonzero(h[i])
+            row = row_entries[i] = list(zip(comps.tolist(), h[i, comps].tolist()))
+        for j, value in row:
             value += y_acc[j]
             y_acc[j] = value
             if value >= best and (value > best or j < best_j):
@@ -303,11 +305,12 @@ def finish_stack(payoffs: list[PayoffMatrix], sols: list[GameSolution]) -> list[
     number of numpy calls however many games there are. Each round solves
     the masters of the games still pricing in one _dual_simplex call,
     zero-padded to a common shape after each game's own rows and columns; a
-    game leaves once its pricing adds nothing. A padded column never enters
-    (its entries are 0), a padded row's surplus stays basic (its right side
-    is 0), and every sum that decides a step runs over a game's rows or
-    columns in index order, so each game comes out bit for bit as if it
-    were finished alone.
+    game leaves once its pricing adds nothing, and a round whose games hold
+    all their columns prices none. A padded column never enters (its entries
+    are 0), a padded row's surplus stays basic (its right side is 0), and
+    every sum that decides a step runs over a game's rows or columns in
+    index order, so each game comes out bit for bit as if it were finished
+    alone.
     """
     if not payoffs:
         return []
@@ -372,8 +375,10 @@ def finish_stack(payoffs: list[PayoffMatrix], sols: list[GameSolution]) -> list[
         # lie within 5e-10 of the game's L-th most negative by the matmul.
         # Only those columns are priced again with sums in row order, and
         # those below -1e-9 enter, up to L a game, the most negative first.
-        prices = z @ a_all
         candidates = np.flatnonzero(pricing[owner] & ~in_pool)
+        if not len(candidates):  # every stacked game's pool holds all its columns
+            break
+        prices = z @ a_all
         stacked = np.searchsorted(active, owner[candidates])
         rough = 1.0 - prices[stacked, candidates]
         near = rough < -5e-10
@@ -609,10 +614,12 @@ def verify_schedule(s: Schedule, g: ConflictGraph, r: RateVector) -> ScheduleChe
     Each distinct component is checked once, at its first slot, and serves
     its links once per slot it fills. Components are visited in order of
     first slot, so a conflict, or an index outside the component list, is
-    reported at the first slot that has one.
+    reported at the first slot that has one. Counts and adjacency are Python
+    lists, as a check reads few entries.
     """
     n_comps = len(s.components)
-    served = np.zeros(len(r), dtype=int)
+    adjacency = g.adjacency.tolist()
+    served = [0] * len(r)
     for comp_idx, n_slots in Counter(s.slots).items():
         if not 0 <= comp_idx < n_comps:
             return ScheduleCheck(
@@ -622,15 +629,14 @@ def verify_schedule(s: Schedule, g: ConflictGraph, r: RateVector) -> ScheduleChe
             )
         members = s.components[comp_idx].members
         for a, b in itertools.combinations(members, 2):
-            if g.adjacency[a, b]:
+            if adjacency[a][b]:
                 return ScheduleCheck(
                     False,
                     f"slot {s.slots.index(comp_idx)} activates conflicting links {a} and {b}",
                 )
-        served[list(members)] += n_slots
+        for i in members:
+            served[i] += n_slots
     for i in range(len(r)):
         if served[i] < r[i]:
-            return ScheduleCheck(
-                False, f"link {i} served {int(served[i])} times but requires {r[i]}"
-            )
+            return ScheduleCheck(False, f"link {i} served {served[i]} times but requires {r[i]}")
     return ScheduleCheck(True)

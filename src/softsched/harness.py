@@ -260,16 +260,13 @@ def _derive_streams(seed: int, run_id: int) -> tuple[int, int, int]:
 def _generate_instance(cfg: ExperimentConfig, run_id: int) -> tuple[list[Node], list[Session]]:
     node_seed, pair_seed, packet_seed = _derive_streams(cfg.seed, run_id)
     nodes = generate_nodes(cfg.n_nodes, node_seed)
-    ordered_pairs = [
-        (i, j) for i in range(cfg.n_nodes) for j in range(cfg.n_nodes) if i != j
-    ]
+    # Pick p is the p-th ordered pair (i, j), i != j, in row-major order.
+    others = cfg.n_nodes - 1
     pair_rng = np.random.default_rng(pair_seed)
-    picks = pair_rng.choice(len(ordered_pairs), size=cfg.n_sessions, replace=False)
+    picks = pair_rng.choice(cfg.n_nodes * others, size=cfg.n_sessions, replace=False)
     packet_rng = np.random.default_rng(packet_seed)
-    sessions = [
-        Session(*ordered_pairs[int(p)], _positive_poisson(packet_rng, cfg.poisson_mean))
-        for p in picks
-    ]
+    sessions = [Session(i, k + (k >= i), _positive_poisson(packet_rng, cfg.poisson_mean))
+                for i, k in (divmod(p, others) for p in picks.tolist())]
     return nodes, sessions
 
 
@@ -382,8 +379,10 @@ def run_instance(cfg: ExperimentConfig, run_id: int,
     total = rates.total()
     hard = coloring_slots(first_fit_stack(stack), rates) if "coloring" in cfg.modes else None
     solver = None if cfg.solver == "exact" else SolverConfig(cfg.delta, cfg.max_iterations)
-    repeats = (stack[1:] == stack[:-1]).all(axis=(1, 2))
-    solved = [b for b in range(len(betas)) if "soft" in cfg.modes and not (b and repeats[b - 1])]
+    solved = []
+    if "soft" in cfg.modes:
+        repeats = (stack[1:] == stack[:-1]).all(axis=(1, 2))
+        solved = [b for b in range(len(betas)) if not (b and repeats[b - 1])]
     graphs = [fixture.graph if powers is None else build_conflict_graph(powers, betas[b])
               for b in solved]
     solved_fields = dict(zip(solved, _soft_fields(graphs, rates, solver)))

@@ -87,7 +87,7 @@ def generate_nodes(n: int, seed: int) -> list[Node]:
         raise ValueError(f"need at least one node, got n={n}")
     rng = np.random.default_rng(seed)
     coords = rng.random((n, 2))
-    return [Node(i, (float(x), float(y))) for i, (x, y) in enumerate(coords)]
+    return [Node(i, (x, y)) for i, (x, y) in enumerate(coords.tolist())]
 
 
 def _path(prev: list[int], v: int) -> list[int]:

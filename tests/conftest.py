@@ -23,6 +23,7 @@ from softsched import (
     ResultRecord,
     Schedule,
     ScheduleCheck,
+    Session,
     SolverConfig,
     accumulate_rates,
     build_conflict_graph,
@@ -37,7 +38,7 @@ from softsched import (
     route_sessions,
 )
 from softsched.conflict import D_MIN
-from softsched.harness import _generate_instance
+from softsched.harness import _derive_streams, _positive_poisson
 
 # Three links where link 0 is compatible with both others but links 1 and 2
 # conflict. With rates (3, 1, 2) the best hard coloring needs 4 slots while
@@ -544,7 +545,7 @@ def run_instance_reference(cfg, run_id, fixture=None):
         instance = dict(run_id=run_id, n_nodes=0, n_sessions=0, total_packets=rates.total())
     else:
         if fixture is None:
-            nodes, sessions = _generate_instance(cfg, run_id)
+            nodes, sessions = generate_instance_reference(cfg, run_id)
         else:
             nodes, sessions = list(fixture.nodes), list(fixture.sessions)
         params = PropagationParams(alpha=cfg.alpha)
@@ -593,6 +594,24 @@ def run_instance_reference(cfg, run_id, fixture=None):
                 avg_slots_per_packet=slots / instance["total_packets"], **instance, **extra,
             ))
     return records
+
+
+def generate_instance_reference(cfg, run_id):
+    """A replication's nodes and sessions, each pick indexing a list of every ordered pair."""
+    node_seed, pair_seed, packet_seed = _derive_streams(cfg.seed, run_id)
+    coords = np.random.default_rng(node_seed).random((cfg.n_nodes, 2))
+    nodes = [Node(i, (float(x), float(y))) for i, (x, y) in enumerate(coords)]
+    ordered_pairs = [
+        (i, j) for i in range(cfg.n_nodes) for j in range(cfg.n_nodes) if i != j
+    ]
+    pair_rng = np.random.default_rng(pair_seed)
+    picks = pair_rng.choice(len(ordered_pairs), size=cfg.n_sessions, replace=False)
+    packet_rng = np.random.default_rng(packet_seed)
+    sessions = [
+        Session(*ordered_pairs[int(p)], _positive_poisson(packet_rng, cfg.poisson_mean))
+        for p in picks
+    ]
+    return nodes, sessions
 
 
 def dijkstra_reference(nodes, source, sink, alpha):

@@ -1,9 +1,18 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softsched import Component, ConflictGraph, ResourceLimitError, enumerate_maximal
+from softsched import (
+    Component,
+    ConflictGraph,
+    ExperimentConfig,
+    ResourceLimitError,
+    enumerate_maximal,
+    run_instance,
+)
 
 from conftest import (
     brute_force_maximal,
@@ -100,3 +109,38 @@ def test_bitset_enumeration_equals_frozenset_reference(n, p, seed, cap):
     g = random_conflict_graph(np.random.default_rng(seed), n, p)
     assert maximal_or_limit(enumerate_maximal, g, cap) == maximal_or_limit(
         enumerate_maximal_reference, g, cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(members=st.lists(st.integers(min_value=-3, max_value=6), min_size=1, max_size=6))
+def test_component_validation_accepts_exactly_sorted_distinct_members(members):
+    members = tuple(members)
+    if list(members) == sorted(set(members)):
+        assert Component(members).members == members
+    else:
+        with pytest.raises(ValueError, match="sorted and distinct"):
+            Component(members)
+
+
+def cyclic_garbage(call, *args):
+    """Objects the collector finds unreachable after call(*args), run once before to warm up."""
+    call(*args)
+    gc.collect()
+    gc.disable()
+    try:
+        call(*args)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_enumeration_leaves_no_cyclic_garbage():
+    path = ConflictGraph.from_pairs(6, [(i, i + 1) for i in range(5)])
+    assert cyclic_garbage(enumerate_maximal, path) == 0
+    assert cyclic_garbage(enumerate_maximal,
+                          random_conflict_graph(np.random.default_rng(3), 20, 0.4)) == 0
+
+
+def test_desk_replication_leaves_no_cyclic_garbage():
+    cfg = ExperimentConfig(n_nodes=10, n_sessions=10, runs=1, seed=30)
+    assert cyclic_garbage(run_instance, cfg, 0) == 0

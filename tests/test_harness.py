@@ -42,12 +42,13 @@ from softsched import (
 )
 import softsched.harness as harness
 from softsched.cli import _config_from_args, build_parser, main
-from softsched.harness import DETAIL_HEADER, RESULTS_HEADER, _generate_instance
+from softsched.harness import DETAIL_HEADER, RESULTS_HEADER, _derive_streams, _generate_instance
 
 from conftest import (
     assert_same_solution,
     extract_schedule_reference,
     fp_reference,
+    generate_instance_reference,
     random_conflict_graph,
     run_instance_reference,
     unpeel_schedule,
@@ -931,3 +932,32 @@ def test_csv_headers_are_pinned():
         "run_id,mode,beta_db,n_nodes,n_sessions,total_packets,total_link_activations,"
         "slots,avg_slots_per_packet,value_lower,value_upper,fp_iterations,converged"
     )
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_every_pair_pick_maps_to_its_ordered_pair(n):
+    # With one session per ordered pair every pick occurs; the picks are the
+    # pair stream's draws, so each session is the pick's entry in the list.
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    cfg = ExperimentConfig(n_nodes=n, n_sessions=len(pairs), seed=n)
+    _, pair_seed, _ = _derive_streams(cfg.seed, 0)
+    picks = np.random.default_rng(pair_seed).choice(len(pairs), size=len(pairs), replace=False)
+    _, sessions = _generate_instance(cfg, 0)
+    assert sorted(picks.tolist()) == list(range(len(pairs)))
+    assert [(s.source, s.sink) for s in sessions] == [pairs[p] for p in picks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_nodes=st.integers(min_value=2, max_value=30),
+    data=st.data(),
+    seed=st.integers(min_value=-2**70, max_value=2**70),
+    run_id=st.integers(min_value=0, max_value=10_000),
+)
+def test_generated_instance_equals_the_pair_list_reference(n_nodes, data, seed, run_id):
+    n_sessions = data.draw(st.integers(min_value=1, max_value=n_nodes * (n_nodes - 1)))
+    cfg = ExperimentConfig(n_nodes=n_nodes, n_sessions=n_sessions, seed=seed)
+    nodes, sessions = _generate_instance(cfg, run_id)
+    assert (nodes, sessions) == generate_instance_reference(cfg, run_id)
+    assert all(type(v) is int for s in sessions for v in (s.source, s.sink, s.packets))
+    assert all(type(v) is float for node in nodes for v in node.position)
