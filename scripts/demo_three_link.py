@@ -17,9 +17,9 @@ from softsched import (
     coloring_slots,
     enumerate_maximal,
     extract_schedule,
+    finish_exact,
     fp_solve,
     greedy_color,
-    lp_oracle,
     no_schedule_slots,
     verify_schedule,
 )
@@ -37,15 +37,16 @@ def main():
     print("\npayoff matrix (rows = links, columns = components):")
     print(payoff.h)
 
-    value, y = lp_oracle(payoff)
-    print(f"\nexact game value {value:.6f} -> fractional schedule length {1 / value:.3f}")
-    print("exact component usage:", y)
-    print("per-link served fraction:", payoff.h @ y)
-
     sol = fp_solve(payoff, SolverConfig(delta=1e-6))
     print(f"\nfictitious play: {sol.iterations} iterations, "
           f"bracket [{sol.value_lower:.8f}, {sol.value_upper:.8f}]")
     print("empirical usage:", np.round(sol.y, 6))
+
+    exact = finish_exact(payoff, sol)
+    value, y = exact.value_lower, exact.y
+    print(f"\nexact game value {value:.6f} -> fractional schedule length {1 / value:.3f}")
+    print("exact component usage:", y)
+    print("per-link served fraction:", payoff.h @ y)
 
     sched = extract_schedule(comps, rates, y, value)
     print(f"\nsoft schedule: {sched.length} slots")

@@ -2,16 +2,16 @@
 """CPU time of enumeration, fictitious play and the exact finish, and their sizes, per replication.
 
     python scripts/finish_stage.py --checkout . --seed 1
-    python scripts/finish_stage.py --checkout ../old --seed 4 --passes 10 --delta 0.1
+    python scripts/finish_stage.py --checkout ../old --seed 4 --passes 10
     python scripts/finish_stage.py --nodes 30 --sessions 20 --chunks 1 --runs 2 --passes 3
 
 perfbench has no stage for the finish, so this measures it apart. It sweeps
 the ``desk`` workload's chunks of one seed (perfbench's configs: root seeds
-seed * 30 + k for k < 30, 10 runs each, FP to --delta, by default the
-checkout's ``ExperimentConfig().delta``) with the checkout's
+seed * 30 + k for k < 30, 10 runs each) with the checkout's
 ``softsched.harness.run_instance``, wrapping ``harness.enumerate_maximal``
-to keep each call's graph and ``harness.finish_stack`` to keep each call's
-payoffs and FP solutions. --nodes and --sessions change the instance size
+to keep each call's graph, ``harness.fp_solve`` to keep each call's
+arguments, whatever FP settings the checkout passes, and
+``harness.finish_stack`` to keep each call's payoffs and FP solutions. --nodes and --sessions change the instance size
 (default: desk's 10 and 10), --chunks and --runs the number of chunks and
 their runs. It then replays those calls: the enumeration's, FP's and the
 finish's CPU times per replication are each the least over --passes
@@ -110,8 +110,6 @@ def main(argv=None) -> int:
     ap.add_argument("--sessions", type=int, default=10)
     ap.add_argument("--chunks", type=int, default=CHUNKS)
     ap.add_argument("--runs", type=int, default=10, help="runs per chunk")
-    ap.add_argument("--delta", type=float, default=None,
-                    help="FP's delta (default: the checkout's ExperimentConfig default)")
     args = ap.parse_args(argv)
     for name in ("passes", "chunks", "runs"):
         if getattr(args, name) < 1:
@@ -119,26 +117,30 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.checkout.resolve() / "src"))
     from softsched import game, harness
 
-    graphs, calls = [], []
-    enumerate_maximal, finish = harness.enumerate_maximal, harness.finish_stack
+    graphs, fp_calls, calls = [], [], []
+    enumerate_maximal, fp_solve, finish = (harness.enumerate_maximal, harness.fp_solve,
+                                           harness.finish_stack)
 
     def keep_graph(g):
         graphs.append(g)
         return enumerate_maximal(g)
 
+    def keep_fp(*args, **kwargs):
+        fp_calls.append((args, kwargs))
+        return fp_solve(*args, **kwargs)
+
     def keep(payoffs, sols):
         calls.append((payoffs, sols))
         return finish(payoffs, sols)
 
-    harness.enumerate_maximal, harness.finish_stack = keep_graph, keep
-    delta = harness.ExperimentConfig().delta if args.delta is None else args.delta
+    harness.enumerate_maximal, harness.fp_solve, harness.finish_stack = keep_graph, keep_fp, keep
     for k in range(args.chunks):
-        cfg = harness.ExperimentConfig(seed=args.seed * CHUNKS + k, delta=delta, runs=args.runs,
+        cfg = harness.ExperimentConfig(seed=args.seed * CHUNKS + k, runs=args.runs,
                                        n_nodes=args.nodes, n_sessions=args.sessions, **DESK)
         for run_id in range(cfg.runs):
             harness.run_instance(cfg, run_id)
-    harness.enumerate_maximal, harness.finish_stack = enumerate_maximal, finish
-    solver = game.SolverConfig(delta, cfg.max_iterations)
+    harness.enumerate_maximal, harness.fp_solve, harness.finish_stack = (enumerate_maximal,
+                                                                         fp_solve, finish)
 
     replications = args.chunks * args.runs
     best = dict.fromkeys(("enumerate", "fp", "finish"), float("inf"))
@@ -147,7 +149,7 @@ def main(argv=None) -> int:
         comps = [enumerate_maximal(g) for g in graphs]
         best["enumerate"] = min(best["enumerate"], time.process_time() - start)
         start = time.process_time()
-        sols = [game.fp_solve(payoff, solver) for payoffs, _sols in calls for payoff in payoffs]
+        sols = [fp_solve(*fp_args, **fp_kwargs) for fp_args, fp_kwargs in fp_calls]
         best["fp"] = min(best["fp"], time.process_time() - start)
         start = time.process_time()
         exact = [sol for payoffs, fp in calls for sol in game.finish_stack(payoffs, fp)]
@@ -158,7 +160,6 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "nodes": args.nodes,
         "sessions": args.sessions,
-        "delta": delta,
         "replications": replications,
         "games": games,
         "components_per_game": sum(map(len, comps)) / len(comps) if comps else 0.0,

@@ -35,7 +35,6 @@ from .game import (
     finish_exact,
     finish_stack,
     fp_solve,
-    lp_oracle,
     verify_schedule,
 )
 from .harness import (

@@ -49,13 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"independent replications (default {_DEFAULTS.runs})")
     p.add_argument("--seed", type=int, dest="seed",
                    help=f"root RNG seed (default {_DEFAULTS.seed})")
-    p.add_argument("--solver", choices=["fp", "exact"], dest="solver",
-                   help="game solver: fictitious play and the exact finish, or HiGHS")
-    p.add_argument("--delta", type=float, dest="delta",
-                   help="FP gap at which the exact finish takes over; the finish is exact "
-                        f"at any delta (default {_DEFAULTS.delta})")
-    p.add_argument("--max-iters", type=int, dest="max_iterations",
-                   help=f"fictitious-play iteration budget (default {_DEFAULTS.max_iterations})")
     p.add_argument("--modes", type=lambda s: tuple(filter(None, map(str.strip, s.split(",")))),
                    dest="modes", help="comma-separated subset of soft,coloring,none")
     p.add_argument("--fixture", help="topology or conflict-graph fixture file; bypasses generation")

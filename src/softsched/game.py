@@ -5,13 +5,12 @@ are components; the entry is 1/r_i when link i belongs to component j. A
 mixed column strategy y is a recipe for how often to fire each component,
 and (Hy)_i is the fraction of link i's demand served per slot, so the game
 value v = max_y min_i (Hy)_i makes 1/v the minimal fractional schedule
-length. A short run of fictitious play picks a few columns. The exact
-finish solves the linear program over every column of a game with at most
-four per link, and over FP's columns of a wider one, from a basis built on
-a clique of links no component holds two of, and adds priced columns until
-v is exact, for several games at once in one stacked simplex. HiGHS, through
-scipy, cross-checks it at any size, and the schedule extractor turns y
-into integer slot counts.
+length. A short run of fictitious play, the plain dense loop, picks a few
+columns. The exact finish solves the linear program over every column of a
+game with at most four per link, and over FP's columns of a wider one, from
+a basis built on a clique of links no component holds two of, and adds
+priced columns until v is exact, for several games at once in one stacked
+simplex. The schedule extractor turns y into integer slot counts.
 """
 
 from __future__ import annotations
@@ -101,8 +100,9 @@ class GameSolution:
     """Mixed strategies plus a certified bracket on the game value.
 
     max(x @ H) is value_upper and min(H @ y) is value_lower, capped at value_upper
-    by finish_exact. x may come from an earlier iteration than y (see fp_solve);
-    iterations and converged (FP's bracket closed to delta) are FP's.
+    by the exact finish. From fp_solve, x may come from an earlier iteration
+    than y; iterations and converged (FP's bracket closed to delta) are FP's,
+    and the finish keeps them.
     """
 
     x: np.ndarray
@@ -138,7 +138,7 @@ def build_payoff(components: list[Component], r: RateVector) -> PayoffMatrix:
 
 def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
              log_bounds: bool = False) -> GameSolution:
-    """Solve the game by fictitious play.
+    """Solve the game by fictitious play, with dense updates of both accumulators.
 
     The component player opens with column 0. Each iteration the link player
     best-responds to the accumulated column payoffs (argmin, lowest index on
@@ -157,96 +157,42 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
     (lower, upper) pair, not the running minimum; state is that of the last
     iteration.
 
-    Both accumulators are updated sparsely, as Python lists. y_acc (one
-    entry per component) takes only the components that contain the picked
-    link, with a row's nonzero entries built on its first pick and cached
-    (FP picks few of a game's rows), and the new argmax is searched among
-    those components and the current leader, largest value first and lowest
-    index on ties. An untouched entry did not grow, so it can at most equal
-    the leader, and then only from a higher index; so a new leader always
-    contains the picked link. Python pays for each touched entry where numpy
-    pays per call, so this wins on short rows, as in games of about ten
-    nodes, and loses where links sit in hundreds of components (see
-    CHANGES.md).
-
-    x_acc (one entry per link) takes a picked column's nonzero entries,
-    built on the column's first pick and cached. A column that contains the
-    bottleneck link, as a new leader always does, is added at once and the
-    argmin recomputed. A leader that misses it is held: its adds leave the
-    bottleneck's entry as it is and only raise the others, so the same link
-    is the argmin and is picked again, and its row cannot raise the held
-    column, which leads until another overtakes it. Nothing reads x_acc's
-    other entries until then, so the held picks are counted and added when
-    the leader changes or the loop ends, one float add at a time per entry,
-    in the dense loop's order. The adds left out are of 0.0, which change
-    nothing; so the trajectory, bounds and iteration count are those of a
-    dense loop, bit for bit.
-
     Hitting max_iterations is not an error: the solution comes back with
     converged=False and the bounds still valid.
     """
     cfg = cfg or SolverConfig()
-    max_iterations, delta = cfg.max_iterations, cfg.delta
     h = H.h
     n_links, n_comps = h.shape
-    col_entries: list[dict[int, float] | None] = [None] * n_comps
-    row_entries: list[list[tuple[int, float]] | None] = [None] * n_links
-
-    # + 0.0 turns -0.0 into 0.0, as the dense loop's first add does
-    x_acc = (h[:, 0] + 0.0).tolist()
-    y_acc = [0.0] * n_comps
-    col_counts = [0] * n_comps
+    x_acc = h[:, 0].copy()
+    y_acc = np.zeros(n_comps)
+    col_counts = np.zeros(n_comps, dtype=np.int64)
+    col_counts[0] = 1
     picks = []  # the link player's pick at each iteration
     log: list[tuple[float, float]] | None = [] if log_bounds else None
 
     converged = False
     upper_min = math.inf
-    x_min = min(x_acc)
-    i = x_acc.index(x_min)  # the bottleneck link, the link player's next pick
-    best, best_j = 0.0, 0  # y_acc's maximum and its first index
-    j_k = k_add = 0  # the leader, picked at iterations k_add..k; column 0 opens at 0
-    hold_j = -1  # j_k while it misses link i, else -1
-    for k in range(1, max_iterations + 1):
+    i = int(x_acc.argmin())
+    for k in range(1, cfg.max_iterations + 1):
         picks.append(i)
-        row = row_entries[i]
-        if row is None:
-            comps = np.flatnonzero(h[i])
-            row = row_entries[i] = list(zip(comps.tolist(), h[i, comps].tolist()))
-        for j, value in row:
-            value += y_acc[j]
-            y_acc[j] = value
-            if value >= best and (value > best or j < best_j):
-                best, best_j = value, j
-        upper = best / k
+        y_acc += h[i]
+        j = int(y_acc.argmax())
+        upper = float(y_acc[j]) / k
         if upper < upper_min:
             upper_min, k_min = upper, k
-        if best_j != hold_j:  # column best_j contains link i: add it now
-            col_counts[j_k] += k - k_add
-            if k - 1 > k_add:  # the picks of j_k held since k_add
-                _add_repeatedly(x_acc, entries, k - 1 - k_add)
-            j_k, k_add = best_j, k
-            entries = col_entries[j_k]
-            if entries is None:
-                links = np.flatnonzero(h[:, j_k])
-                entries = col_entries[j_k] = dict(zip(links.tolist(), h[links, j_k].tolist()))
-            for link, value in entries.items():
-                x_acc[link] += value
-            x_min = min(x_acc)
-            i = x_acc.index(x_min)
-            hold_j = -1 if i in entries else j_k
-        lower = x_min / (k + 1)
+        col_counts[j] += 1
+        x_acc += h[:, j]
+        i = int(x_acc.argmin())
+        lower = float(x_acc[i]) / (k + 1)
         if log is not None:
             log.append((lower, upper))
-        if upper_min - lower <= delta:
+        if upper_min - lower <= cfg.delta:
             converged = True
             break
-    col_counts[j_k] += k + 1 - k_add
-    _add_repeatedly(x_acc, entries, k - k_add)
 
-    picks = np.fromiter(picks, np.intp, k)
-    col_counts = np.array(col_counts, dtype=np.int64)
-    state = FpState(np.array(x_acc), np.array(y_acc), np.bincount(picks, minlength=n_links),
-                    col_counts, k, int(picks[-1]), j_k)
+    picks = np.array(picks, dtype=np.intp)
+    state = FpState(x_acc, y_acc, np.bincount(picks, minlength=n_links), col_counts, k,
+                    int(picks[-1]), j)
     return GameSolution(
         x=np.bincount(picks[:k_min], minlength=n_links) / k_min,
         y=col_counts / (k + 1),
@@ -257,15 +203,6 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
         state=state,
         bounds_log=log,
     )
-
-
-def _add_repeatedly(acc: list[float], entries: dict[int, float], times: int) -> None:
-    """Add each entry to acc `times` times, one float add at a time, as `times` dense updates do."""
-    for i, value in entries.items():
-        total = acc[i]
-        for _ in range(times):
-            total += value
-        acc[i] = total
 
 
 def finish_exact(H: PayoffMatrix, sol: GameSolution) -> GameSolution:
@@ -498,31 +435,6 @@ def _dual_simplex(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
     # + 0.0 turns -0.0 into 0.0, so a stacked game's zeros have the signs of the game alone.
     return (np.maximum(values[:, :n_cols], 0.0) + 0.0,
             np.maximum(t[:, n_rows, n_cols:-1], 0.0) + 0.0, pivots)
-
-
-def lp_oracle(H: PayoffMatrix) -> tuple[float, np.ndarray]:
-    """Exact game value and optimal component strategy, independent of fictitious play.
-
-    With u = y / v the game max_y min_i (Hy)_i becomes the linear program
-    min sum(u) s.t. Hu >= 1, u >= 0, which HiGHS solves at any size. Its
-    optimum sum(u) = 1/v is the fractional schedule length, and y = u / sum(u).
-    Every row of H has a positive entry, so the program is feasible and bounded.
-    Each row goes to HiGHS over its largest entry, with that entry's
-    reciprocal on the right (build_payoff's 0/1 membership and the rates):
-    the same u, without entries 1/r so small that HiGHS would drop them.
-    """
-    # Imported here, not at module level: scipy would more than triple the
-    # start-up time and memory of every run that only uses fictitious play.
-    from scipy.optimize import linprog
-
-    scale = H.h.max(axis=1)
-    res = linprog(np.ones(H.n_components), A_ub=-H.h / scale[:, None], b_ub=-1.0 / scale,
-                  method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"HiGHS could not solve the game: {res.message}")
-    u = np.maximum(res.x, 0.0)  # HiGHS may return a zero entry as about -1e-15
-    length = float(u.sum())
-    return 1.0 / length, u / length
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ from .game import (
     extract_schedule,
     finish_stack,
     fp_solve,
-    lp_oracle,
     verify_schedule,
 )
 from .topology import (
@@ -59,6 +58,9 @@ from .topology import (
 )
 
 MODE_ORDER = ("soft", "coloring", "none")
+# Fictitious play only seeds the exact finish, which is exact at any delta;
+# at 1e-1 it stops after about two iterations a game.
+_FP = SolverConfig(delta=1e-1)
 
 
 @dataclass(frozen=True)
@@ -72,9 +74,6 @@ class ExperimentConfig:
     poisson_mean: float = 5.0
     runs: int = 1000
     seed: int = 0
-    solver: str = "fp"
-    delta: float = 1e-1
-    max_iterations: int = 1_000_000
     modes: tuple[str, ...] = MODE_ORDER
 
     def __post_init__(self):
@@ -86,8 +85,7 @@ class ExperimentConfig:
                 f"n_sessions {self.n_sessions} exceeds the {pairs} distinct source-sink "
                 f"pairs of {self.n_nodes} nodes"
             )
-        for name in ("beta_min_db", "beta_max_db", "beta_step_db", "alpha", "poisson_mean",
-                     "delta"):
+        for name in ("beta_min_db", "beta_max_db", "beta_step_db", "alpha", "poisson_mean"):
             value = getattr(self, name)
             # bool is an int, so True would otherwise run as 1.0.
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -101,14 +99,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"beta_min_db {self.beta_min_db} exceeds beta_max_db {self.beta_max_db}"
             )
-        if self.solver not in ("fp", "exact"):
-            raise ValueError(f"solver must be 'fp' or 'exact', got {self.solver!r}")
         # Zero draws are redrawn, and below 1e-3 fewer than 0.1% of draws are positive.
         if not self.poisson_mean >= 1e-3:
             raise ValueError(f"poisson_mean must be positive and >= 1e-3, got {self.poisson_mean}")
-        # The solver and path-loss settings are checked where they are defined.
-        solver = SolverConfig(self.delta, self.max_iterations)
-        object.__setattr__(self, "max_iterations", solver.max_iterations)
+        # The path-loss settings are checked where they are defined.
         PropagationParams(alpha=self.alpha)
         if isinstance(self.modes, str):
             raise ValueError(f"modes must be a list of mode names, not the string {self.modes!r}")
@@ -286,14 +280,13 @@ def _peel(g: ConflictGraph, rates: RateVector) -> tuple[int, ConflictGraph, Rate
             RateVector(tuple(itertools.compress(rates.rates, kept.tolist()))))
 
 
-def _soft_fields(graphs: list[ConflictGraph], rates: RateVector,
-                 solver: SolverConfig | None) -> list[tuple]:
-    """Each graph's soft fields: FP under ``solver`` and one stacked finish, or HiGHS.
+def _soft_fields(graphs: list[ConflictGraph], rates: RateVector) -> list[tuple]:
+    """Each graph's soft fields: FP at delta 1e-1, then one stacked finish of every game.
 
     Each entry is (slots, value_lower, value_upper, fp_iterations,
-    converged), in record field order. ``solver`` None means HiGHS. Each
-    graph's universal links are peeled first (``_peel``); ``run_instance``
-    says how the fields account for them.
+    converged), in record field order. Each graph's universal links are
+    peeled first (``_peel``); ``run_instance`` says how the fields account
+    for them.
     """
     fields, games = [], []
     for g in graphs:
@@ -306,24 +299,16 @@ def _soft_fields(graphs: list[ConflictGraph], rates: RateVector,
                       build_payoff(comps, rest_rates)))
         fields.append(None)
     payoffs = [game[-1] for game in games]
-    if solver is None:
-        sols = [lp_oracle(payoff) for payoff in payoffs]
-    else:
-        sols = finish_stack(payoffs, [fp_solve(payoff, solver) for payoff in payoffs])
+    sols = finish_stack(payoffs, [fp_solve(payoff, _FP) for payoff in payoffs])
     for (k, peeled, rest, rest_rates, comps, _), sol in zip(games, sols):
-        if solver is None:
-            (lower, y), iterations, converged = sol, 0, True
-            upper = lower
-        else:
-            y, lower, upper = sol.y, sol.value_lower, sol.value_upper
-            iterations, converged = sol.iterations, sol.converged
-        schedule = extract_schedule(comps, rest_rates, y, lower)
+        lower, upper = sol.value_lower, sol.value_upper
+        schedule = extract_schedule(comps, rest_rates, sol.y, lower)
         check = verify_schedule(schedule, rest, rest_rates)
         if not check:
             raise RuntimeError(f"extracted schedule failed verification: {check.violation}")
         if peeled:
             lower, upper = 1 / (peeled + 1 / lower), 1 / (peeled + 1 / upper)
-        fields[k] = (peeled + schedule.length, lower, upper, iterations, converged)
+        fields[k] = (peeled + schedule.length, lower, upper, sol.iterations, sol.converged)
     return fields
 
 
@@ -343,9 +328,8 @@ def run_instance(cfg: ExperimentConfig, run_id: int,
     its margin's graph with ``build_conflict_graph`` and solves it, except
     where the matrix equals the previous margin's: then the previous soft
     fields are reused, which is exact because the solvers are deterministic
-    functions of the graph, the rates and the configuration. Neighbouring
-    margins often give the same graph, most often the complete graph at the
-    top of the sweep.
+    functions of the graph and the rates. Neighbouring margins often give
+    the same graph, most often the complete graph at the top of the sweep.
 
     The soft mode runs in two passes (``_soft_fields``). The first peels
     each solved margin's universal links, whose rates add exactly as
@@ -356,7 +340,7 @@ def run_instance(cfg: ExperimentConfig, run_id: int,
     schedule's length, and each bound v becomes 1 / (peeled + 1/v). A
     margin whose graph is complete has no game: its slots are the rates'
     sum, and ``fp_iterations=0`` with ``converged=true`` says that nothing
-    was iterated, as with ``solver="exact"``.
+    was iterated.
     """
     if fixture is not None and fixture.kind == "conflict":
         rates, powers = fixture.rates, None
@@ -378,14 +362,13 @@ def run_instance(cfg: ExperimentConfig, run_id: int,
         stack = conflict_stack(powers, betas)
     total = rates.total()
     hard = coloring_slots(first_fit_stack(stack), rates) if "coloring" in cfg.modes else None
-    solver = None if cfg.solver == "exact" else SolverConfig(cfg.delta, cfg.max_iterations)
     solved = []
     if "soft" in cfg.modes:
         repeats = (stack[1:] == stack[:-1]).all(axis=(1, 2))
         solved = [b for b in range(len(betas)) if not (b and repeats[b - 1])]
     graphs = [fixture.graph if powers is None else build_conflict_graph(powers, betas[b])
               for b in solved]
-    solved_fields = dict(zip(solved, _soft_fields(graphs, rates, solver)))
+    solved_fields = dict(zip(solved, _soft_fields(graphs, rates)))
     records, soft = [], None
     for b, beta in enumerate(betas):
         soft = solved_fields.get(b, soft)  # a repeated margin keeps the previous one's

@@ -34,7 +34,6 @@ from softsched import (
     fp_solve,
     greedy_color,
     link_powers,
-    lp_oracle,
     route_sessions,
 )
 from softsched.conflict import D_MIN
@@ -276,6 +275,29 @@ def write_csv_reference(rows, header: str, path) -> None:
     lines = [header, *(",".join(map(cell, cells(row))) for row in rows)]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def lp_oracle(H):
+    """Exact game value and optimal component strategy, independent of fictitious play.
+
+    With u = y / v the game max_y min_i (Hy)_i becomes the linear program
+    min sum(u) s.t. Hu >= 1, u >= 0, which HiGHS solves at any size. Its
+    optimum sum(u) = 1/v is the fractional schedule length, and y = u / sum(u).
+    Every row of H has a positive entry, so the program is feasible and bounded.
+    Each row goes to HiGHS over its largest entry, with that entry's
+    reciprocal on the right (build_payoff's 0/1 membership and the rates):
+    the same u, without entries 1/r so small that HiGHS would drop them.
+    """
+    from scipy.optimize import linprog
+
+    scale = H.h.max(axis=1)
+    res = linprog(np.ones(H.n_components), A_ub=-H.h / scale[:, None], b_ub=-1.0 / scale,
+                  method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS could not solve the game: {res.message}")
+    u = np.maximum(res.x, 0.0)  # HiGHS may return a zero entry as about -1e-15
+    length = float(u.sum())
+    return 1.0 / length, u / length
 
 
 def fp_reference(H, cfg=None, log_bounds=False):
@@ -533,8 +555,8 @@ def run_instance_reference(cfg, run_id, fixture=None):
 
     Each margin builds its own graph with ``build_conflict_graph``, peels
     the links that conflict with every link (``peel_reference``) and
-    solves the soft game on the rest, by fictitious play and then the
-    exact finish of that one game; the record adds the peeled rates to the
+    solves the soft game on the rest, by fictitious play at delta 1e-1 and
+    then the exact finish of that one game; the record adds the peeled rates to the
     slots and maps each bound v to 1 / (peeled + 1/v). Coloring is
     ``greedy_color`` in index order on that graph and no reuse is the
     rates' sum. Every soft schedule, with the peeled links' own slots
@@ -567,17 +589,10 @@ def run_instance_reference(cfg, run_id, fixture=None):
                 else:
                     comps = enumerate_maximal(rest)
                     H = build_payoff(comps, rest_rates)
-                    if cfg.solver == "exact":
-                        value, y = lp_oracle(H)
-                        extra = dict(value_lower=value, value_upper=value, fp_iterations=0,
-                                     converged=True)
-                    else:
-                        sol = finish_exact_reference(
-                            H, fp_solve(H, SolverConfig(cfg.delta, cfg.max_iterations)))
-                        y = sol.y
-                        extra = dict(value_lower=sol.value_lower, value_upper=sol.value_upper,
-                                     fp_iterations=sol.iterations, converged=sol.converged)
-                    schedule = extract_schedule(comps, rest_rates, y, extra["value_lower"])
+                    sol = finish_exact_reference(H, fp_solve(H, SolverConfig(delta=1e-1)))
+                    extra = dict(value_lower=sol.value_lower, value_upper=sol.value_upper,
+                                 fp_iterations=sol.iterations, converged=sol.converged)
+                    schedule = extract_schedule(comps, rest_rates, sol.y, sol.value_lower)
                     check = verify_schedule_reference(unpeel_schedule(schedule, keep, rates), g,
                                                       rates)
                     assert check, check.violation

@@ -14,7 +14,6 @@ from softsched import (
     enumerate_maximal,
     first_fit_stack,
     greedy_color,
-    lp_oracle,
     no_schedule_slots,
 )
 
@@ -22,6 +21,7 @@ from conftest import (
     THREE_LINK_RATES,
     first_fit_classes,
     independent_in,
+    lp_oracle,
     max_coloring_slots_reference,
     random_conflict_graph,
     three_link_graph,

@@ -20,7 +20,6 @@ from softsched import (
     finish_exact,
     finish_stack,
     fp_solve,
-    lp_oracle,
     verify_schedule,
 )
 
@@ -35,6 +34,7 @@ from conftest import (
     finish_exact_reference,
     fp_reference,
     greedy_clique_reference,
+    lp_oracle,
     random_conflict_graph,
     three_link_graph,
     verify_schedule_reference,
@@ -351,7 +351,7 @@ def test_fp_component_tie_keeps_lowest_index(n, touched, want_col):
 def test_fp_bottleneck_outside_picked_column():
     # Links 0 and 1 form component 1, link 2 component 0. Iteration 2 makes
     # link 2 the bottleneck; at iteration 3 the component player still picks
-    # column 1, which does not contain link 2, so the argmin is not recomputed.
+    # column 1, which does not contain link 2, so link 2 stays the bottleneck.
     H = PayoffMatrix(np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]))
     cfg = SolverConfig(delta=1e-9, max_iterations=3)
     want = fp_reference(H, cfg, log_bounds=True)

@@ -32,7 +32,6 @@ from softsched import (
     fp_solve,
     link_powers,
     load_fixture,
-    lp_oracle,
     route_sessions,
     run_instance,
     run_sweep,
@@ -49,6 +48,7 @@ from conftest import (
     extract_schedule_reference,
     fp_reference,
     generate_instance_reference,
+    lp_oracle,
     random_conflict_graph,
     run_instance_reference,
     unpeel_schedule,
@@ -231,17 +231,16 @@ def test_saturating_margins_reuse_the_previous_records(monkeypatch, run_id):
        run_id=st.integers(0, 10_000), beta_min=st.integers(-10, 30), span=st.integers(0, 40),
        step=st.sampled_from([2.5, 5.0, 10.0]),
        modes=st.sets(st.sampled_from(("soft", "coloring", "none")), min_size=1),
-       max_iterations=st.sampled_from([1, 20, 1_000_000]),
        fixture_path=st.sampled_from([None, RELAY_FIXTURE, THREE_LINK_FIXTURE]))
 def test_run_instance_matches_reference_without_reuse(n_nodes, n_sessions, seed, run_id,
                                                       beta_min, span, step, modes,
-                                                      max_iterations, fixture_path):
+                                                      fixture_path):
     # High margins saturate into repeated graphs; the reference shares nothing
     # between margins, so reuse must not change a single record.
     cfg = ExperimentConfig(
         n_nodes=n_nodes, n_sessions=min(n_sessions, n_nodes * (n_nodes - 1)), seed=seed,
         beta_min_db=float(beta_min), beta_max_db=float(beta_min + span), beta_step_db=step,
-        modes=tuple(modes), max_iterations=max_iterations, runs=1,
+        modes=tuple(modes), runs=1,
     )
     fixture = load_fixture(fixture_path) if fixture_path else None
     assert (_without_nan(run_instance(cfg, run_id, fixture))
@@ -252,15 +251,17 @@ def test_sweep_csvs_match_reference_solver_and_rounding(tmp_path, monkeypatch):
     # Paper-default instances: the dense fictitious play and the slot-by-slot
     # trim of tests/conftest.py give the same bytes as the library's fast paths.
     # The CSVs leave out x and the solver state, so every game the sweep solves
-    # is also compared with the dense reference field by field. A budget that
-    # runs out before every link is covered leaves FP's lower bound at 0; the
-    # sweep still finishes, and every soft schedule is feasible and no shorter
-    # than the bracket allows. Budgets of 5 and 20 iterations run at delta
-    # 1e-2, which some game does not reach within them; every game of these
-    # sweeps reaches the coarser default delta within 5.
-    default = ExperimentConfig.delta
-    for max_iterations, delta in ((1_000_000, default), (1, default), (5, 1e-2), (20, 1e-2)):
-        cfg = ExperimentConfig(runs=3, seed=11, max_iterations=max_iterations, delta=delta)
+    # is also compared with the dense reference field by field. The sweep
+    # runs FP at delta 1e-1; wrappers of fp_solve stand in other budgets, and
+    # the CSVs must not depend on them. A budget that runs out before every
+    # link is covered leaves FP's lower bound at 0; the sweep still finishes,
+    # and every soft schedule is feasible and no shorter than the bracket
+    # allows. Budgets of 5 and 20 iterations run at delta 1e-2, which some
+    # game does not reach within them; every game of these sweeps reaches
+    # delta 1e-1 within 5.
+    cfg = ExperimentConfig(runs=3, seed=11)
+    for max_iterations, delta in ((1_000_000, 1e-1), (1, 1e-1), (5, 1e-2), (20, 1e-2)):
+        budget = SolverConfig(delta, max_iterations)
 
         def sweep_bytes(tag):
             table, records = run_sweep(cfg)
@@ -275,8 +276,9 @@ def test_sweep_csvs_match_reference_solver_and_rounding(tmp_path, monkeypatch):
         solved, checked = [], []
 
         def checked_fp_solve(H, solver_cfg):
-            sol = fp_solve(H, solver_cfg)
-            assert_same_solution(sol, fp_reference(H, solver_cfg))
+            assert solver_cfg == SolverConfig(delta=1e-1)
+            sol = fp_solve(H, budget)
+            assert_same_solution(sol, fp_reference(H, budget))
             solved.append(H.h.shape)
             return sol
 
@@ -290,7 +292,7 @@ def test_sweep_csvs_match_reference_solver_and_rounding(tmp_path, monkeypatch):
         assert len(solved) > 10 and max(shape[1] for shape in solved) > 10
         assert len(checked) == len(solved) and all(checked)
         assert (b"false" in fast[1]) == (max_iterations < 1_000_000)
-        monkeypatch.setattr(harness, "fp_solve", fp_reference)
+        monkeypatch.setattr(harness, "fp_solve", lambda H, solver_cfg: fp_reference(H, budget))
         monkeypatch.setattr(harness, "extract_schedule", extract_schedule_reference)
         assert sweep_bytes("reference") == fast
         monkeypatch.undo()
@@ -324,7 +326,7 @@ def test_fp_brackets_contain_exact_value_on_routed_instances(run_id, beta):
     g = build_conflict_graph(link_powers(links, nodes, params), float(beta))
     H = build_payoff(enumerate_maximal(g), rates)
     value, _ = lp_oracle(H)
-    sol = fp_solve(H, SolverConfig(delta=cfg.delta), log_bounds=True)
+    sol = fp_solve(H, SolverConfig(delta=1e-1), log_bounds=True)
     for lower, upper in sol.bounds_log:
         assert lower <= value + 1e-12
         assert upper >= value - 1e-12
@@ -332,9 +334,9 @@ def test_fp_brackets_contain_exact_value_on_routed_instances(run_id, beta):
 
 @settings(max_examples=40, deadline=None)
 @given(n_nodes=st.integers(2, 8), n_sessions=st.integers(1, 8), seed=st.integers(0, 10_000),
-       run_id=st.integers(0, 10_000), max_iterations=st.sampled_from([1, 20, 1_000_000]))
+       run_id=st.integers(0, 10_000))
 def test_soft_records_are_exact_and_within_their_gap_of_the_integer_optimum(
-        n_nodes, n_sessions, seed, run_id, max_iterations):
+        n_nodes, n_sessions, seed, run_id):
     # Every soft record's bracket is the LP value, and the integer optimum
     # over all maximal components (milp) is no more than the reported gap,
     # slots - ceil(1/value_upper), below the soft schedule.
@@ -343,7 +345,6 @@ def test_soft_records_are_exact_and_within_their_gap_of_the_integer_optimum(
     cfg = ExperimentConfig(
         n_nodes=n_nodes, n_sessions=min(n_sessions, n_nodes * (n_nodes - 1)), seed=seed,
         beta_min_db=0.0, beta_max_db=30.0, beta_step_db=10.0, modes=("soft",),
-        max_iterations=max_iterations,
     )
     params = PropagationParams(alpha=cfg.alpha)
     nodes, sessions = _generate_instance(cfg, run_id)
@@ -419,10 +420,8 @@ def test_conflict_fixture_counts_rates_past_int64_exactly(tmp_path):
 @settings(max_examples=100, deadline=None)
 @given(n_links=st.integers(1, 9), p=st.floats(0.0, 1.0), seed=st.integers(0, 10_000),
        universal=st.sets(st.integers(0, 8)), rates=st.lists(st.integers(1, 30), min_size=9,
-                                                             max_size=9),
-       solver=st.sampled_from(["fp", "exact"]), max_iterations=st.sampled_from([1, 1_000_000]))
-def test_peeled_links_keep_the_whole_game_exact(n_links, p, seed, universal, rates, solver,
-                                                max_iterations):
+                                                             max_size=9))
+def test_peeled_links_keep_the_whole_game_exact(n_links, p, seed, universal, rates):
     # Links forced to conflict with every other one are peeled off the game:
     # the record is still the whole game's exact value, its schedule plus
     # the peeled links' own slots is feasible on the whole graph, and no
@@ -432,7 +431,7 @@ def test_peeled_links_keep_the_whole_game_exact(n_links, p, seed, universal, rat
         adjacency[i, :] = adjacency[:, i] = True
     g, r = ConflictGraph(n_links, adjacency), RateVector(tuple(rates[:n_links]))
     schedules = []
-    cfg = ExperimentConfig(runs=1, modes=("soft",), solver=solver, max_iterations=max_iterations)
+    cfg = ExperimentConfig(runs=1, modes=("soft",))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "verify_schedule",
                       lambda s, *args: schedules.append(s) or verify_schedule(s, *args))
@@ -464,15 +463,14 @@ def test_cli_counts_a_complete_graph_with_rates_far_apart(tmp_path):
     # is solved or materialised: 10**12 + 1 slots, counted exactly.
     path = tmp_path / "far.json"
     path.write_text(json.dumps({"n_links": 2, "conflicts": [[0, 1]], "rates": [10**12, 1]}))
-    for solver in ("fp", "exact"):
-        detail = tmp_path / f"{solver}-detail.csv"
-        assert main(["--fixture", str(path), "--runs", "1", "--solver", solver,
-                     "--out", str(tmp_path / "far.csv"), "--detail", str(detail)]) == 0
-        with open(detail, newline="") as fh:
-            soft = next(row for row in csv.DictReader(fh) if row["mode"] == "soft")
-        assert soft["slots"] == "1000000000001"
-        assert float(soft["value_upper"]) == pytest.approx(1 / (10**12 + 1), rel=1e-8)
-        assert (soft["fp_iterations"], soft["converged"]) == ("0", "true")
+    detail = tmp_path / "detail.csv"
+    assert main(["--fixture", str(path), "--runs", "1",
+                 "--out", str(tmp_path / "far.csv"), "--detail", str(detail)]) == 0
+    with open(detail, newline="") as fh:
+        soft = next(row for row in csv.DictReader(fh) if row["mode"] == "soft")
+    assert soft["slots"] == "1000000000001"
+    assert float(soft["value_upper"]) == pytest.approx(1 / (10**12 + 1), rel=1e-8)
+    assert (soft["fp_iterations"], soft["converged"]) == ("0", "true")
 
 
 HUGE_RATE_FIXTURES = [
@@ -514,8 +512,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(beta_step_db=0.0)
     with pytest.raises(ValueError):
-        ExperimentConfig(solver="simplex")
-    with pytest.raises(ValueError):
         ExperimentConfig(modes=("soft", "other"))
     with pytest.raises(ValueError):
         ExperimentConfig(modes=())
@@ -531,14 +527,12 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError, match="beta"):
             ExperimentConfig(**bounds)
-    # NaN passed a `<= 0` test and failed in numpy at run 0; the solver and
-    # path-loss settings were not checked until a run needed them, and never
-    # when no mode used them.
+    # NaN passed a `<= 0` test and failed in numpy at run 0; the path-loss
+    # settings were not checked until a run needed them, and never when no
+    # mode used them.
     for bad, message in (
         (dict(poisson_mean=math.nan), "poisson_mean"),
-        (dict(delta=-1.0, modes=("coloring",)), "delta"),
-        (dict(max_iterations=0, modes=("none",)), "max_iterations"),
-        (dict(alpha=math.nan), "alpha"),
+        (dict(alpha=math.nan, modes=("none",)), "alpha"),
         (dict(modes="none"), "string 'none'"),
     ):
         with pytest.raises(ValueError, match=message):
@@ -548,13 +542,12 @@ def test_config_validation():
 def test_config_counts_are_whole_numbers():
     # Whole-valued floats and numpy integers are taken as ints; bools,
     # fractions and strings are rejected with the field's name.
-    cfg = ExperimentConfig(runs=np.int64(3), n_nodes=4.0, n_sessions=2.0, seed=np.int32(-7),
-                           max_iterations=50.0)
-    counts = (cfg.runs, cfg.n_nodes, cfg.n_sessions, cfg.seed, cfg.max_iterations)
-    assert counts == (3, 4, 2, -7, 50) and all(type(v) is int for v in counts)
-    assert cfg == ExperimentConfig(runs=3, n_nodes=4, n_sessions=2, seed=-7, max_iterations=50)
+    cfg = ExperimentConfig(runs=np.int64(3), n_nodes=4.0, n_sessions=2.0, seed=np.int32(-7))
+    counts = (cfg.runs, cfg.n_nodes, cfg.n_sessions, cfg.seed)
+    assert counts == (3, 4, 2, -7) and all(type(v) is int for v in counts)
+    assert cfg == ExperimentConfig(runs=3, n_nodes=4, n_sessions=2, seed=-7)
     assert type(SolverConfig(max_iterations=np.uint8(9)).max_iterations) is int
-    for name in ("runs", "n_nodes", "n_sessions", "seed", "max_iterations"):
+    for name in ("runs", "n_nodes", "n_sessions", "seed"):
         for bad in (True, 1.5, "2", math.nan, math.inf, None):
             with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
                 ExperimentConfig(**{name: bad})
@@ -562,7 +555,7 @@ def test_config_counts_are_whole_numbers():
 
 def test_config_reals_reject_bools_and_strings():
     # True is an int, so it used to run as 1.0.
-    for name in ("beta_min_db", "beta_max_db", "beta_step_db", "alpha", "poisson_mean", "delta"):
+    for name in ("beta_min_db", "beta_max_db", "beta_step_db", "alpha", "poisson_mean"):
         for bad in (True, False, "1.0", None):
             with pytest.raises(ValueError, match=f"^{name} must be a real number, got {bad!r}$"):
                 ExperimentConfig(**{name: bad})
@@ -738,19 +731,24 @@ def test_cli_fixture_run(tmp_path):
 
 
 def test_cli_exact_solver_matches_fp_on_fixture(tmp_path):
-    outputs = {}
-    for solver in ("fp", "exact"):
-        out = tmp_path / f"{solver}.csv"
-        assert main(["--fixture", THREE_LINK_FIXTURE, "--runs", "1",
-                     "--solver", solver, "--out", str(out)]) == 0
-        outputs[solver] = out.read_text()
-    soft_fp = [l for l in outputs["fp"].split("\n") if ",soft," in l]
-    soft_exact = [l for l in outputs["exact"].split("\n") if ",soft," in l]
-    assert soft_fp == soft_exact
+    # HiGHS (lp_oracle) solves the three-link game independently; the soft
+    # row gives its value and ceil(1/v) slots.
+    detail = tmp_path / "detail.csv"
+    assert main(["--fixture", THREE_LINK_FIXTURE, "--runs", "1", "--out", str(tmp_path / "agg.csv"),
+                 "--detail", str(detail)]) == 0
+    with open(detail, newline="") as fh:
+        soft = next(row for row in csv.DictReader(fh) if row["mode"] == "soft")
+    fixture = load_fixture(THREE_LINK_FIXTURE)
+    value, _ = lp_oracle(build_payoff(enumerate_maximal(fixture.graph), fixture.rates))
+    for bound in ("value_lower", "value_upper"):
+        assert float(soft[bound]) == pytest.approx(value, rel=1e-8)
+    assert int(soft["slots"]) == math.ceil(1 / value - 1e-9)
 
 
 def test_cli_exact_solver_paper_scale_sweep(tmp_path):
-    args = ["--nodes", "10", "--sessions", "10", "--runs", "4", "--solver", "exact"]
+    # Reruns are byte-identical, soft <= coloring <= none in every cell, and
+    # every soft record carries HiGHS's value of its whole game.
+    args = ["--nodes", "10", "--sessions", "10", "--runs", "4"]
     outputs = []
     for tag in ("first", "second"):
         agg = tmp_path / f"{tag}_agg.csv"
@@ -759,19 +757,37 @@ def test_cli_exact_solver_paper_scale_sweep(tmp_path):
         outputs.append((agg.read_bytes(), det.read_bytes()))
     assert outputs[0] == outputs[1]
     with open(tmp_path / "first_detail.csv", newline="") as fh:
-        slots = {(row["run_id"], row["beta_db"], row["mode"]): int(row["slots"])
-                 for row in csv.DictReader(fh)}
-    cases = {(run_id, beta) for run_id, beta, _ in slots}
+        rows = {(int(row["run_id"]), float(row["beta_db"]), row["mode"]): row
+                for row in csv.DictReader(fh)}
+    cases = {(run_id, beta) for run_id, beta, _ in rows}
     assert len(cases) == 4 * 7
-    for run_id, beta in cases:
-        soft, hard, none = (slots[(run_id, beta, mode)] for mode in ("soft", "coloring", "none"))
-        assert soft <= hard <= none, (run_id, beta, soft, hard, none)
+    cfg = ExperimentConfig(runs=4)
+    params = PropagationParams(alpha=cfg.alpha)
+    for run_id in range(cfg.runs):
+        nodes, sessions = _generate_instance(cfg, run_id)
+        links, rates = accumulate_rates(route_sessions(nodes, sessions, params), sessions)
+        powers = link_powers(links, nodes, params)
+        for beta in cfg.beta_values():
+            soft, hard, none = (int(rows[(run_id, beta, mode)]["slots"])
+                                for mode in ("soft", "coloring", "none"))
+            assert soft <= hard <= none, (run_id, beta, soft, hard, none)
+            g = build_conflict_graph(powers, beta)
+            value, _ = lp_oracle(build_payoff(enumerate_maximal(g), rates))
+            record = rows[(run_id, beta, "soft")]
+            for bound in ("value_lower", "value_upper"):
+                assert float(record[bound]) == pytest.approx(value, rel=1e-8)
 
 
 def test_import_does_not_load_scipy():
-    # scipy is loaded only by the exact solver; fictitious-play runs never pay for it.
-    code = "import softsched, sys; assert 'scipy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True)
+    # scipy is a test dependency only: with every scipy import made to fail,
+    # softsched imports and runs a default-config soft sweep and a sweep of
+    # a conflict fixture.
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "import softsched\n"
+            "softsched.run_sweep(softsched.ExperimentConfig(runs=2))\n"
+            "softsched.run_sweep(softsched.ExperimentConfig(runs=1),"
+            " softsched.load_fixture(sys.argv[1]))\n")
+    subprocess.run([sys.executable, "-c", code, THREE_LINK_FIXTURE], check=True)
 
 
 def test_cli_modes_flag(tmp_path):
@@ -839,7 +855,7 @@ def test_cli_rejects_reversed_beta_range(tmp_path, capsys):
 @pytest.mark.parametrize(
     "args, config, message",
     [
-        (["--delta", "-1", "--modes", "coloring"], None, "delta must be positive"),
+        (["--alpha", "-1", "--modes", "coloring"], None, "alpha must be a positive finite real"),
         (["--poisson-mean", "nan"], None, "poisson_mean must be positive"),
         ([], {"modes": "none"}, "not the string 'none'"),
         ([], {"runs": True}, "runs must be a whole number of at least 1, got True"),
@@ -847,9 +863,9 @@ def test_cli_rejects_reversed_beta_range(tmp_path, capsys):
         ([], {"n_nodes": 10.5}, "n_nodes must be a whole number of at least 1, got 10.5"),
         ([], {"n_sessions": 2.5}, "n_sessions must be a whole number of at least 1, got 2.5"),
         ([], {"seed": 1.5}, "seed must be a whole number, got 1.5"),
-        ([], {"max_iterations": 100.5}, "max_iterations must be a whole number of at least 1"),
+        ([], {"beta_step_db": 0}, "beta_step_db must be positive, got 0"),
         (["--nodes", "3", "--sessions", "10"], None, "n_sessions 10 exceeds"),
-        ([], {"delta": True}, "delta must be a real number, got True"),
+        ([], {"alpha": True}, "alpha must be a real number, got True"),
         (["--poisson-mean", "1e-12"], None, "poisson_mean must be positive and >= 1e-3"),
     ],
 )
