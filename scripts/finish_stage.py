@@ -13,14 +13,21 @@ to keep each call's graph, ``harness.fp_solve`` to keep each call's
 arguments, whatever FP settings the checkout passes, and
 ``harness.finish_stack`` to keep each call's payoffs and FP solutions. --nodes and --sessions change the instance size
 (default: desk's 10 and 10), --chunks and --runs the number of chunks and
-their runs. It then replays those calls: the enumeration's, FP's and the
-finish's CPU times per replication are each the least over --passes
+their runs. A replication whose enumeration hits the component cap
+(``ResourceLimitError``) is counted in ``cap_hits`` and left out of
+everything else. It then replays those calls: the enumeration's, FP's and
+the finish's CPU times per replication are each the least over --passes
 replays, and a SHA-256 of each stage's replayed outputs lets two checkouts
-be compared bit for bit. A further replay counts the stacked rounds
-(``_dual_simplex`` calls), the games whose first master already holds every
-column (finished whole), and the stacked pivots, by line-tracing
-``_dual_simplex``'s basis update ``basis[g, r] = q``, the last statement of
-each pivot. The output is one JSON object.
+be compared bit for bit. A further replay wraps the finish's simplex
+kernels and reads the pivots each returns: per replication, the stacked
+pivots (each solve's largest per-game count) of the first masters and of
+all dual simplex solves, the stacked pivots of the warm primal solves, and
+the pricing rounds (the solves after a finish's first); the largest
+per-game count of any solve and, where the kernels take a budget, its
+largest share of that budget; and the share of games whose first master
+already holds every column (finished whole). A checkout that re-solves
+each pricing round from scratch shows them as dual simplex solves and no
+warm ones. The output is one JSON object.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
-import inspect  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -59,46 +65,52 @@ def solutions_digest(sols) -> str:
         [s.value_lower, s.value_upper, s.iterations, s.converged], dtype=float)))
 
 
-def count_pivots(game, calls) -> int:
-    """Executions of ``basis[g, r] = q`` in ``game._dual_simplex`` while the calls replay."""
-    lines, first = inspect.getsourcelines(game._dual_simplex)
-    marks = {first + i for i, line in enumerate(lines) if line.strip() == "basis[g, r] = q"}
-    if not marks:
-        sys.exit("finish_stage: _dual_simplex has no `basis[g, r] = q` statement to count")
-    code, count = game._dual_simplex.__code__, 0
+KERNELS = ("_dual_simplex", "_primal_simplex")  # a checkout may lack the warm one
 
-    def local(frame, event, arg):
-        nonlocal count
-        count += event == "line" and frame.f_lineno in marks
-        return local
 
-    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+def count_solves(game, calls) -> dict:
+    """Pivots, rounds and whole games of the finish while the calls replay, read from its kernels.
+
+    Each kernel returns its pivots last (or alone): one count per game, or
+    one stacked count from a checkout whose kernel counts no other way, so
+    a solve's stacked pivots are the largest count it returns. A kernel's
+    budget, where it takes one, is its last argument.
+    """
+    solves, real = [], {name: getattr(game, name) for name in KERNELS if hasattr(game, name)}
+
+    def spy(name):
+        def kernel(*args):
+            out = real[name](*args)
+            solves.append((name, args, np.asarray(out[-1] if isinstance(out, tuple) else out)))
+            return out
+        return kernel
+
+    totals = dict.fromkeys(("first_master", "dual", "warm", "rounds", "whole"), 0)
+    largest, share = 0, None
+    for name in real:
+        setattr(game, name, spy(name))
     try:
         for payoffs, sols in calls:
+            solves.clear()
             game.finish_stack(payoffs, sols)
+            if not solves:  # no game to finish
+                continue
+            (_, (a, *_), first), *later = solves
+            totals["first_master"] += int(first.max())
+            totals["whole"] += sum(int(n) == H.n_components  # each game's own columns
+                                   for n, H in zip((a > 0).any(axis=1).sum(axis=1), payoffs))
+            totals["rounds"] += len(later)
+            for name, args, pivots in solves:
+                totals["dual" if name == "_dual_simplex" else "warm"] += int(pivots.max())
+                largest = max(largest, int(pivots.max()))
+                if pivots.shape and len(args) in (3, 5):  # per-game counts and a budget
+                    budget = np.asarray(args[-1], dtype=float)
+                    used = np.divide(pivots, budget, out=np.zeros(pivots.shape), where=budget > 0)
+                    share = max(share or 0.0, float(used.max()))
     finally:
-        sys.settrace(None)
-    return count
-
-
-def count_rounds(game, calls) -> tuple[int, int]:
-    """Stacked rounds while the calls replay, and the games whose first master holds all columns."""
-    real, shapes = game._dual_simplex, []
-
-    def spy(a, b, rows, cols):
-        shapes.append((a > 0).any(axis=1).sum(axis=1))  # each game's own columns
-        return real(a, b, rows, cols)
-
-    game._dual_simplex, rounds, whole = spy, 0, 0
-    try:
-        for payoffs, sols in calls:
-            shapes.clear()
-            game.finish_stack(payoffs, sols)
-            rounds += len(shapes)
-            whole += sum(int(n) == H.n_components for n, H in zip(shapes[0], payoffs))
-    finally:
-        game._dual_simplex = real
-    return rounds, whole
+        for name, kernel in real.items():
+            setattr(game, name, kernel)
+    return dict(totals, largest=largest, share=share)
 
 
 def main(argv=None) -> int:
@@ -116,6 +128,7 @@ def main(argv=None) -> int:
             ap.error(f"--{name} must be at least 1, got {getattr(args, name)}")
     sys.path.insert(0, str(args.checkout.resolve() / "src"))
     from softsched import game, harness
+    from softsched.components import ResourceLimitError
 
     graphs, fp_calls, calls = [], [], []
     enumerate_maximal, fp_solve, finish = (harness.enumerate_maximal, harness.fp_solve,
@@ -134,15 +147,23 @@ def main(argv=None) -> int:
         return finish(payoffs, sols)
 
     harness.enumerate_maximal, harness.fp_solve, harness.finish_stack = keep_graph, keep_fp, keep
+    cap_hits = 0
     for k in range(args.chunks):
         cfg = harness.ExperimentConfig(seed=args.seed * CHUNKS + k, runs=args.runs,
                                        n_nodes=args.nodes, n_sessions=args.sessions, **DESK)
         for run_id in range(cfg.runs):
-            harness.run_instance(cfg, run_id)
+            kept = len(graphs), len(fp_calls), len(calls)
+            try:
+                harness.run_instance(cfg, run_id)
+            except ResourceLimitError:
+                cap_hits += 1
+                del graphs[kept[0]:], fp_calls[kept[1]:], calls[kept[2]:]
     harness.enumerate_maximal, harness.fp_solve, harness.finish_stack = (enumerate_maximal,
                                                                          fp_solve, finish)
 
-    replications = args.chunks * args.runs
+    replications = args.chunks * args.runs - cap_hits
+    if not replications:
+        sys.exit("finish_stage: every replication hit the component cap")
     best = dict.fromkeys(("enumerate", "fp", "finish"), float("inf"))
     for _ in range(args.passes):
         start = time.process_time()
@@ -155,12 +176,13 @@ def main(argv=None) -> int:
         exact = [sol for payoffs, fp in calls for sol in game.finish_stack(payoffs, fp)]
         best["finish"] = min(best["finish"], time.process_time() - start)
     games = sum(len(payoffs) for payoffs, _ in calls)
-    rounds, whole = count_rounds(game, calls)
+    solves = count_solves(game, calls)
     print(json.dumps({
         "seed": args.seed,
         "nodes": args.nodes,
         "sessions": args.sessions,
         "replications": replications,
+        "cap_hits": cap_hits,
         "games": games,
         "components_per_game": sum(map(len, comps)) / len(comps) if comps else 0.0,
         "passes": args.passes,
@@ -172,9 +194,13 @@ def main(argv=None) -> int:
         "fp_sha256": solutions_digest(sols),
         "finish_sha256": solutions_digest(exact),
         "fp_iterations_per_game": sum(sol.iterations for sol in sols) / games,
-        "stacked_rounds_per_replication": rounds / replications,
-        "whole_game_share": whole / games,
-        "stacked_pivots_per_replication": count_pivots(game, calls) / replications,
+        "pricing_rounds_per_replication": solves["rounds"] / replications,
+        "whole_game_share": solves["whole"] / games if games else 0.0,
+        "first_master_pivots_per_replication": solves["first_master"] / replications,
+        "dual_pivots_per_replication": solves["dual"] / replications,
+        "warm_pivots_per_replication": solves["warm"] / replications,
+        "largest_game_pivots": solves["largest"],
+        "largest_budget_share": solves["share"],
     }))
     return 0
 

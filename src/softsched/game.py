@@ -7,10 +7,12 @@ and (Hy)_i is the fraction of link i's demand served per slot, so the game
 value v = max_y min_i (Hy)_i makes 1/v the minimal fractional schedule
 length. A short run of fictitious play, the plain dense loop, picks a few
 columns. The exact finish solves the linear program over every column of a
-game with at most four per link, and over FP's columns of a wider one, from
-a basis built on a clique of links no component holds two of, and adds
-priced columns until v is exact, for several games at once in one stacked
-simplex. The schedule extractor turns y into integer slot counts.
+game with at most four per link, and over FP's columns of a wider one, by a
+dual simplex from a basis built on a clique of links no component holds two
+of. It then adds priced columns, continuing from the last optimal basis by
+primal simplex steps, until v is exact, for several games at once in
+stacked simplex calls. The schedule extractor turns y into integer slot
+counts.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import itertools
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -214,6 +216,11 @@ def finish_exact(H: PayoffMatrix, sol: GameSolution) -> GameSolution:
 # them; a wider one opens with FP's columns and prices the rest in rounds.
 _WHOLE_PER_LINK = 4
 
+# A game pivots by Dantzig's rule until its pivots in one solve reach this
+# many times its master's rows plus columns, then by Bland's rule, which
+# cannot cycle.
+_DANTZIG_BUDGET = 1
+
 
 def finish_stack(payoffs: list[PayoffMatrix], sols: list[GameSolution]) -> list[GameSolution]:
     """Make each sols[g] exact by column generation on min sum(u) s.t. A u >= b, u >= 0.
@@ -227,24 +234,30 @@ def finish_stack(payoffs: list[PayoffMatrix], sols: list[GameSolution]) -> list[
     y = u / sum(u) and x = b z / (b . z) certify value_upper = max(x @ H) and
     value_lower = min(min(H @ y), value_upper).
 
-    Each game's master starts from a clique basis. The clique is greedy over
-    A alone: rows that no column holds two of, largest b first and lowest
-    index on ties (for build_payoff, a clique of the conflict graph taken by
-    rate). Each round gives clique row s the pool column j_s that maximises
-    A[s, .], the largest b . A[:, j] and then the lowest index on ties. No
-    column holds two clique rows, so the start is dual feasible, every
-    reduced cost being 1 - A[s, j] / A[s, j_s] >= 0, and its objective is the
-    clique's bound sum(b_s / A[s, j_s]).
+    Each game's first master starts from a clique basis. The clique is
+    greedy over A alone: rows that no column holds two of, largest b first
+    and lowest index on ties (for build_payoff, a clique of the conflict
+    graph taken by rate). Clique row s gets the pool column j_s that
+    maximises A[s, .], the largest b . A[:, j] and then the lowest index on
+    ties. No column holds two clique rows, so the start is dual feasible,
+    every reduced cost being 1 - A[s, j] / A[s, j_s] >= 0, and its objective
+    is the clique's bound sum(b_s / A[s, j_s]). _dual_simplex solves it.
+    After that the master stays warm: a pricing round appends its columns
+    to the game's optimal tableau as B^-1 (-a_j), in the order they were
+    priced, just before the surpluses, with reduced cost 1 - z . a_j. The
+    basis is still primal feasible, and _primal_simplex finishes the round.
 
     Every game's A sits side by side in one array, rows zero-padded to the
-    tallest game's: one copy of the payoffs, never padded to the widest. So
-    each round builds its masters, crash columns and pricing in a fixed
-    number of numpy calls however many games there are. Each round solves
-    the masters of the games still pricing in one _dual_simplex call,
-    zero-padded to a common shape after each game's own rows and columns; a
-    game leaves once its pricing adds nothing, and a round whose games hold
-    all their columns prices none. A padded column never enters (its entries
-    are 0), a padded row's surplus stays basic (its right side is 0), and
+    tallest game's: one copy of the payoffs, never padded to the widest. The
+    first masters of all games are solved in one _dual_simplex call,
+    zero-padded to a common shape after each game's own rows and columns,
+    and each round grows and re-solves the tableaus of the games still
+    pricing in one _primal_simplex call, their new columns zero-padded to
+    the round's widest. So each round takes a fixed number of numpy calls
+    however many games there are. A game leaves once its pricing adds
+    nothing, and a round whose games hold all their columns prices none. A
+    padded column never enters (its entries are 0, and so its reduced cost
+    is 1), a padded row's surplus stays basic (its right side is 0), and
     every sum that decides a step runs over a game's rows or columns in
     index order, so each game comes out bit for bit as if it were finished
     alone.
@@ -259,7 +272,7 @@ def finish_stack(payoffs: list[PayoffMatrix], sols: list[GameSolution]) -> list[
     scale = np.full((n_games, n_rows), np.inf)  # a padded row's b is 1/inf = 0
     a_all = np.zeros((n_rows, ends[-1]))
     for g, h in enumerate(hs):
-        row_max = np.amax(h, axis=1, out=scale[g, :len(h)])
+        row_max = np.maximum.reduce(h, axis=1, out=scale[g, :len(h)])
         np.divide(h, row_max[:, None], out=a_all[:len(h), ends[g] - widths[g]:ends[g]])
     b_all = 1.0 / scale
 
@@ -285,23 +298,33 @@ def finish_stack(payoffs: list[PayoffMatrix], sols: list[GameSolution]) -> list[
     width = max(map(len, cliques))
     clique_rows = np.array([c + [-1] * (width - len(c)) for c in cliques])
 
+    # The first masters. ids maps each stacked game's tableau column to its
+    # column of a_all; padding maps to y_all's last entry, which is dropped.
+    cols = np.flatnonzero(in_pool)
+    k = owner[cols]
+    sizes = np.bincount(k)  # each game's pool size
+    pos = np.arange(len(cols)) - (np.cumsum(sizes) - sizes)[k]
+    a = np.zeros((n_games, n_rows, sizes.max()))
+    a[k, :, pos] = a_all[:, cols].T
+    ids = np.full(a.shape[::2], len(owner))
+    ids[k, pos] = cols
     most_added = np.array(n_links)  # a game's pool grows by at most L columns a round
-    x_all, y_all = np.zeros((n_games, n_rows)), np.zeros(len(owner))
-    pricing = np.ones(n_games, dtype=bool)
-    active = np.arange(n_games)
+    t, basis, _ = _dual_simplex(a, b_all, clique_rows, _crash_columns(a, b_all, clique_rows),
+                                _DANTZIG_BUDGET * (most_added + sizes))
+
+    x_all, y_all = np.zeros((n_games, n_rows)), np.zeros(len(owner) + 1)
+    active, pricing = np.arange(n_games), np.ones(n_games, dtype=bool)
+    outside = ~in_pool  # the columns of games still pricing that are not in their pools
     while True:
-        cols = np.flatnonzero(in_pool & pricing[owner])
-        k = np.searchsorted(active, owner[cols])  # each pool column's game in the stack
-        counts = np.bincount(k)
-        pos = np.arange(len(cols)) - (np.cumsum(counts) - counts)[k]
-        a = np.zeros((len(active), n_rows, counts.max()))
-        a[k, :, pos] = a_all[:, cols].T
-        b = b_all[active]
-        rows = clique_rows[active]
-        u, z, _ = _dual_simplex(a, b, rows, _crash_columns(a, b, rows))
+        n_cols = ids.shape[1]
+        values = np.zeros((len(active), n_cols + n_rows))
+        values[np.arange(len(active))[:, None], basis] = t[:, :n_rows, -1]
+        # + 0.0 turns -0.0 into 0.0, so a stacked game's zeros have the signs of the game alone.
+        u = np.maximum(values[:, :n_cols], 0.0) + 0.0
+        z = np.maximum(t[:, n_rows, n_cols:-1], 0.0) + 0.0
         # Every sum over a game's rows or columns runs in index order. A game
         # that prices again overwrites its x and y in the next round.
-        y_all[cols] = u[k, pos] / np.add.accumulate(u, axis=1)[k, -1]
+        y_all[ids] = u / np.add.accumulate(u, axis=1)[:, -1:]
         w = z / scale[active]
         x_all[active] = w / np.add.accumulate(w, axis=1)[:, -1:]
 
@@ -312,7 +335,7 @@ def finish_stack(payoffs: list[PayoffMatrix], sols: list[GameSolution]) -> list[
         # lie within 5e-10 of the game's L-th most negative by the matmul.
         # Only those columns are priced again with sums in row order, and
         # those below -1e-9 enter, up to L a game, the most negative first.
-        candidates = np.flatnonzero(pricing[owner] & ~in_pool)
+        candidates = np.flatnonzero(outside)
         if not len(candidates):  # every stacked game's pool holds all its columns
             break
         prices = z @ a_all
@@ -334,21 +357,44 @@ def finish_stack(payoffs: list[PayoffMatrix], sols: list[GameSolution]) -> list[
         below = reduced < -1e-9
         if not below.any():
             break
-        entering, game = candidates[below], owner[candidates[below]]
-        order = np.lexsort((reduced[below], game))
-        entering, game = entering[order], game[order]
-        added = np.bincount(game, minlength=n_games)
-        rank = np.arange(len(entering)) - (np.cumsum(added) - added)[game]
-        in_pool[entering[rank < most_added[game]]] = True
-        pricing = added > 0
-        active = np.flatnonzero(pricing)
+        entering, stacked = candidates[below], stacked[below]
+        order = np.lexsort((reduced[below], stacked))
+        entering, stacked = entering[order], stacked[order]
+        counts = np.bincount(stacked, minlength=len(active))
+        rank = np.arange(len(entering)) - (np.cumsum(counts) - counts)[stacked]
+        taken = rank < limit[stacked]
+        entering, stacked, rank = entering[taken], stacked[taken], rank[taken]
+
+        # Grow the tableaus of the games that priced a column: each new
+        # column is B^-1 (-a_j), summed over rows in order, and its reduced
+        # cost 1 - z . a_j, where B^-1 and z are the surpluses' columns.
+        outside[entering] = False
+        pricing[active[counts == 0]] = False
+        outside &= pricing[owner]
+        sizes[active] += np.minimum(counts, limit)
+        keep = np.flatnonzero(counts)
+        active = active[keep]
+        at = np.searchsorted(keep, stacked)
+        a = np.zeros((len(keep), n_rows, rank.max() + 1))
+        a[at, :, rank] = a_all[:, entering].T
+        new = -np.add.accumulate(t[keep, :, n_cols:-1, None] * a[:, None], axis=2)[:, :, -1]
+        new[:, n_rows] += 1.0
+        t = np.concatenate([t[keep, :, :n_cols], new, t[keep, :, n_cols:]], axis=2)
+        basis = basis[keep]
+        basis[basis >= n_cols] += new.shape[2]
+        new_ids = np.full(new.shape[::2], len(owner))
+        new_ids[at, rank] = entering
+        ids = np.concatenate([ids[keep], new_ids], axis=1)
+        _primal_simplex(t, basis, _DANTZIG_BUDGET * (most_added + sizes)[active])
 
     out = []
     for h, sol, x, end, width in zip(hs, sols, x_all, ends, widths):
         x, y = x[:len(h)], y_all[end - width:end]
-        upper = float((x @ h).max())
-        out.append(replace(sol, x=x, y=y, value_upper=upper,
-                           value_lower=min(float((h @ y).min()), upper)))
+        upper = float(np.maximum.reduce(x @ h))
+        out.append(GameSolution(x=x, y=y, value_lower=min(float(np.minimum.reduce(h @ y)), upper),
+                                value_upper=upper, iterations=sol.iterations,
+                                converged=sol.converged, state=sol.state,
+                                bounds_log=sol.bounds_log))
     return out
 
 
@@ -365,25 +411,38 @@ def _crash_columns(a: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndarray
     return np.where(best, weight[:, None, :], -np.inf).argmax(axis=2)
 
 
-def _dual_simplex(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
-                  cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per game g of a (G, L, C) stack: u minimising sum(u) s.t. a[g] @ u >= b[g], u >= 0.
+def _pivot(t: np.ndarray, basis: np.ndarray, g: np.ndarray, r: np.ndarray, q: np.ndarray,
+           pivot: np.ndarray) -> None:
+    """Pivot each game g of the stack t on row r[g] and column q[g], in place; pivot is t[g, r]."""
+    pivot /= pivot[g, q][:, None]
+    t -= t[g, :, q][:, :, None] * pivot[:, None, :]
+    t[g, r] = pivot
+    basis[g, r] = q
 
-    Returns u (G, C) and the row duals (G, L), both clipped at 0, and the
-    number of stacked pivots after the crash. A dense dual simplex whose
-    tableau carries the reduced costs as its last row. The crash starts it
-    from the basis in which column cols[g, k] replaces the surplus of row
-    rows[g, k] (entries of rows below 0 are padding); no column may hold two
-    of a game's rows, and the basis must be dual feasible. Its block is
+
+def _dual_simplex(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                  budget: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per game g of a (G, L, C) stack: min sum(u) s.t. a[g] @ u >= b[g], u >= 0, by a dual simplex.
+
+    Returns the optimal tableaus (G, L + 1, C + L + 1), their bases (G, L)
+    and each game's pivots after the crash. A tableau's columns are the C
+    structurals, the L surpluses and the right side; its last row holds the
+    reduced costs, so its surplus entries are the row duals z. The crash
+    starts from the basis in which column cols[g, k] replaces the surplus of
+    row rows[g, k] (entries of rows below 0 are padding); no column may hold
+    two of a game's rows, and the basis must be dual feasible. Its block is
     diagonal, so it is pivoted in one step, to the bits (up to signs of 0)
     of pivoting the rows one at a time in order: each row is divided by its
     pivot; every other entry but the right side takes off at most one
     nonzero multiple, which one matmul gives exactly; and the right sides
-    take theirs off one after another. Then Bland's rule: the
-    lowest-indexed basic variable below minus the rounding of its terms
-    leaves, the lowest-indexed column of least ratio enters. Each round
-    pivots every game that still has such a row once, and the others on a
-    basic column, which changes nothing.
+    take theirs off one after another. Then a row is short when its right
+    side is below minus the rounding of its terms. By Dantzig's rule the
+    short row of most negative right side leaves, the lowest on ties; once
+    a game has made budget[g] pivots, Bland's rule picks its lowest-indexed
+    short basic variable instead, so no game can cycle. The lowest-indexed
+    column of least ratio enters. Each round pivots every game that still
+    has a short row once, and the others on a basic column, which changes
+    nothing.
     """
     n_games, n_rows, n_cols = a.shape
     t = np.zeros((n_games, n_rows + 1, n_cols + n_rows + 1))
@@ -392,49 +451,87 @@ def _dual_simplex(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
     t[:, diag, n_cols + diag] = 1.0
     np.negative(b, out=t[:, :n_rows, -1])
     t[:, n_rows, :n_cols] = 1.0  # the reduced costs: every column costs 1
-    basis = np.broadcast_to(n_cols + diag, (n_games, n_rows)).copy()
+    basis = np.zeros((n_games, 1), dtype=np.intp) + (n_cols + diag)
 
-    g = np.broadcast_to(np.arange(n_games)[:, None], rows.shape)
+    gk = np.arange(n_games).repeat(rows.shape[1]).reshape(rows.shape)
     pad = rows < 0
-    pivot = t[g, rows] / t[g, rows, cols][:, :, None]
-    coef = t[g, :, cols]
+    pivot = t[gk, rows] / t[gk, rows, cols][:, :, None]
+    coef = t[gk, :, cols]
     pivot[pad] = 0.0
     coef[pad] = 0.0
     sides = np.concatenate([t[:, None, :, -1], coef * pivot[:, :, -1:]], axis=1)
     t -= coef.transpose(0, 2, 1) @ pivot
     t[:, :, -1] = np.subtract.reduce(sides, axis=1)
     crash = ~pad
-    t[g[crash], rows[crash]] = pivot[crash]
-    basis[g[crash], rows[crash]] = cols[crash]
+    t[gk[crash], rows[crash]] = pivot[crash]
+    basis[gk[crash], rows[crash]] = cols[crash]
 
-    g = np.arange(n_games)
+    rhs, inverse = t[:, :n_rows, -1], t[:, :n_rows, n_cols:-1]  # views, kept up to date
+    costs = t[:, n_rows, :-1]
     tol = -1e-12 * b[:, :, None]
-    pivots = 0
-    while True:
-        rhs = t[:, :n_rows, -1]
-        short = rhs < (np.abs(t[:, :n_rows, n_cols:-1]) @ tol)[:, :, 0]
+    g = np.arange(n_games)
+    pivots = np.zeros(n_games, dtype=np.intp)
+    bland_from = int(budget.min())
+    ratios = np.empty((n_games, n_cols + n_rows))
+    for stacked in itertools.count():
+        short = rhs < (np.abs(inverse) @ tol)[:, :, 0]
         pivoting = short.any(axis=1)
         if not pivoting.any():
-            break
-        r = np.where(short, basis, n_cols + n_rows).argmin(axis=1)
+            return t, basis, pivots
+        r = np.where(short, rhs, np.inf).argmin(axis=1)
+        if stacked >= bland_from:  # some game may have spent its budget
+            bland = np.where(short, basis, n_cols + n_rows).argmin(axis=1)
+            r = np.where(pivots >= budget, bland, r)
         pivot = t[g, r]
         row = pivot[:, :-1]
         # Minus the ratios, so the least ratio is the first largest entry.
-        ratios = np.divide(t[:, n_rows, :-1], row, out=np.full(row.shape, -np.inf),
-                           where=row < -1e-9)
+        ratios.fill(-np.inf)
+        np.divide(costs, row, out=ratios, where=row < -1e-9)
         # A game with no short row pivots row 0 on its basic column, the
         # unit vector of that row: the pivot changes nothing but signs of 0.
-        q = np.where(pivoting, ratios.argmax(axis=1), basis[:, 0])
-        pivot /= pivot[g, q][:, None]
-        t -= t[g, :, q][:, :, None] * pivot[:, None, :]
-        t[g, r] = pivot
-        basis[g, r] = q
-        pivots += 1
-    values = np.zeros((n_games, n_cols + n_rows))
-    values[g[:, None], basis] = rhs
-    # + 0.0 turns -0.0 into 0.0, so a stacked game's zeros have the signs of the game alone.
-    return (np.maximum(values[:, :n_cols], 0.0) + 0.0,
-            np.maximum(t[:, n_rows, n_cols:-1], 0.0) + 0.0, pivots)
+        _pivot(t, basis, g, r, np.where(pivoting, ratios.argmax(axis=1), basis[:, 0]), pivot)
+        pivots += pivoting
+
+
+def _primal_simplex(t: np.ndarray, basis: np.ndarray, budget: np.ndarray) -> np.ndarray:
+    """Primal simplex, in place, on a stack of primal feasible tableaus laid out as _dual_simplex's.
+
+    Returns each game's pivots. A column of reduced cost below -1e-9 may
+    enter: by Dantzig's rule the most negative, the lowest-indexed on ties.
+    Of the rows whose entry in it is above 1e-9, the one of least ratio of
+    right side to entry leaves, the lowest on ties. Once a game has made
+    budget[g] pivots, Bland's rule takes over: the lowest-indexed column
+    that may enter, and among the rows of least ratio the lowest-indexed
+    basic variable. Each round pivots every game that still has a column
+    to enter once, and the others on a basic column, which changes nothing.
+    """
+    n_games, n_rows = len(t), t.shape[1] - 1
+    g = np.arange(n_games)
+    rhs, costs = t[:, :n_rows, -1], t[:, n_rows, :-1]  # views, kept up to date
+    pivots = np.zeros(n_games, dtype=np.intp)
+    bland_from = int(budget.min())
+    ratios = np.empty((n_games, n_rows))
+    for stacked in itertools.count():
+        entering = costs < -1e-9
+        pivoting = entering.any(axis=1)
+        if not pivoting.any():
+            return pivots
+        bland = pivots >= budget if stacked >= bland_from else None
+        q = costs.argmin(axis=1)
+        if bland is not None:
+            q = np.where(bland, entering.argmax(axis=1), q)
+        # A game with nothing to enter pivots row 0 on its basic column, the
+        # unit vector of that row: the pivot changes nothing but signs of 0.
+        q = np.where(pivoting, q, basis[:, 0])
+        col = t[g, :n_rows, q]
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios, where=col > 1e-9)
+        r = ratios.argmin(axis=1)
+        if bland is not None:
+            tied = ratios == ratios[g, r][:, None]
+            r = np.where(bland, np.where(tied, basis, t.shape[2]).argmin(axis=1), r)
+        _pivot(t, basis, g, r, q, t[g, r])
+        pivots += pivoting
 
 
 @dataclass(frozen=True)

@@ -375,14 +375,19 @@ def assert_same_solution(got, want):
             (l.hex(), u.hex()) for l, u in want.bounds_log]
 
 
-def finish_exact_reference(H, sol):
-    """The exact finish of one game alone: column generation over a one-game dual simplex.
+def finish_exact_reference(H, sol, budget=1):
+    """The exact finish of one game alone: column generation over a one-game warm master.
 
     A game of at most four columns per link opens its pool with all of
     them; a wider one with FP's columns and a covering column per link they
-    miss. Each master starts from greedy_clique_reference's rows and
-    crash_columns_reference's columns, and every sum over rows or columns
-    runs in index order, as the stacked finish's do.
+    miss. The first master starts from greedy_clique_reference's rows and
+    crash_columns_reference's columns and is solved by
+    dual_simplex_reference. Each pricing round appends the columns it adds,
+    the most negative first, to that master's optimal tableau, just before
+    the surpluses, as B^-1 (-a_j) with reduced cost 1 - z . a_j, and
+    primal_simplex_reference finishes the round. Every sum over rows or
+    columns runs in index order, as the stacked finish's do. budget is the
+    game's Dantzig pivots per row plus column before Bland's rule.
     """
     h = H.h
     scale = h.max(axis=1)
@@ -390,16 +395,28 @@ def finish_exact_reference(H, sol):
     in_pool = (sol.y > 0) | (H.n_components <= 4 * H.n_links)
     in_pool[np.argmax(A[~(A[:, in_pool] > 0).any(axis=1)] > 0, axis=1)] = True
     clique = greedy_clique_reference(A, b)
+    pool = np.flatnonzero(in_pool)  # the master's columns, in tableau order
+    a = A[:, pool]
+    t, basis, _ = dual_simplex_reference(a, b, clique, crash_columns_reference(a, b, clique),
+                                         budget)
     while True:
-        pool = np.flatnonzero(in_pool)
-        a = A[:, pool]
-        u, z, _ = dual_simplex_reference(a, b, clique, crash_columns_reference(a, b, clique))
+        n_cols = len(pool)
+        z = np.maximum(t[-1, n_cols:-1], 0.0) + 0.0
         reduced = 1.0 - np.add.accumulate(z[:, None] * A)[-1]
-        reduced[in_pool] = 0.0
+        reduced[pool] = 0.0
         entering = np.flatnonzero(reduced < -1e-9)
         if not entering.size:
             break
-        in_pool[entering[np.argsort(reduced[entering], kind="stable")[:H.n_links]]] = True
+        entering = entering[np.argsort(reduced[entering], kind="stable")[:H.n_links]]
+        new = -np.add.accumulate(t[:, n_cols:-1, None] * A[:, entering], axis=1)[:, -1]
+        new[-1] += 1.0
+        t = np.hstack([t[:, :n_cols], new, t[:, n_cols:]])
+        basis[basis >= n_cols] += len(entering)
+        pool = np.append(pool, entering)
+        primal_simplex_reference(t, basis, budget)
+    values = np.zeros(t.shape[1] - 1)
+    values[basis] = t[:-1, -1]
+    u = np.maximum(values[:n_cols], 0.0) + 0.0
     y = np.zeros(H.n_components)
     y[pool] = u / np.add.accumulate(u)[-1]
     w = z / scale
@@ -429,36 +446,64 @@ def crash_columns_reference(a, b, rows):
     return cols
 
 
-def dual_simplex_reference(a, b, rows, cols):
-    """min sum(u) s.t. a @ u >= b, u >= 0 on one (L, C) matrix: a crash, then Bland's rule.
+def pivot_reference(t, basis, r, q):
+    """Pivot the one-game tableau t on row r and column q, in place."""
+    p = t[r] / t[r, q]
+    t[:] -= t[:, q, None] * p
+    t[r] = p
+    basis[r] = q
+
+
+def dual_simplex_reference(a, b, rows, cols, budget=1):
+    """min sum(u) s.t. a @ u >= b, u >= 0 on one (L, C) matrix: a crash, then a dual simplex.
 
     The crash pivots column cols[k] into row rows[k], one pivot at a time.
-    Returns u, the row duals and the number of pivots after the crash.
+    Then the short row of most negative right side leaves (Dantzig), the
+    lowest on ties, until the pivots reach budget (L + C); from there the
+    lowest-indexed short basic variable (Bland). The lowest-indexed column
+    of least ratio enters. Returns the tableau (columns: the C structurals,
+    the L surpluses, the right side; last row: the reduced costs), the
+    basis and the number of pivots after the crash.
     """
     n_rows, n_cols = a.shape
     t = np.vstack([np.hstack([-a, np.eye(n_rows), -b[:, None]]),
                    np.concatenate([np.ones(n_cols), np.zeros(n_rows + 1)])])
     basis = np.arange(n_cols, n_cols + n_rows)
-
-    def pivot(r, q):
-        p = t[r] / t[r, q]
-        t[:] -= t[:, q, None] * p
-        t[r] = p
-        basis[r] = q
-
     for r, q in zip(rows, cols):
-        pivot(r, q)
+        pivot_reference(t, basis, r, q)
     pivots = 0
     while (short := t[:-1, -1] < np.abs(t[:-1, n_cols:-1]) @ (-1e-12 * b)).any():
-        r = np.where(short, basis, n_cols + n_rows).argmin()
+        if pivots < budget * (n_rows + n_cols):
+            r = np.where(short, t[:-1, -1], np.inf).argmin()
+        else:
+            r = np.where(short, basis, n_cols + n_rows).argmin()
         row = t[r, :-1]
         ratios = np.divide(t[-1, :-1], -row, out=np.full(row.shape, np.inf), where=row < -1e-9)
-        pivot(r, ratios.argmin())
+        pivot_reference(t, basis, r, ratios.argmin())
         pivots += 1
-    values = np.zeros(n_cols + n_rows)
-    values[basis] = t[:-1, -1]
-    return (np.maximum(values[:n_cols], 0.0) + 0.0, np.maximum(t[-1, n_cols:-1], 0.0) + 0.0,
-            pivots)
+    return t, basis, pivots
+
+
+def primal_simplex_reference(t, basis, budget=1):
+    """Primal simplex steps on a primal feasible tableau laid out as dual_simplex_reference's.
+
+    The most negative reduced cost below -1e-9 enters (Dantzig), the lowest
+    column on ties, and the row of least ratio over entries above 1e-9
+    leaves, the lowest on ties, until the pivots reach budget times the
+    tableau's rows plus columns; from there the lowest-indexed column below
+    -1e-9 enters and, among the rows of least ratio, the lowest-indexed
+    basic variable leaves (Bland). Returns the number of pivots.
+    """
+    pivots = 0
+    while (entering := t[-1, :-1] < -1e-9).any():
+        bland = pivots >= budget * (t.shape[1] - 1)
+        q = np.flatnonzero(entering)[0] if bland else t[-1, :-1].argmin()
+        col = t[:-1, q]
+        ratios = np.divide(t[:-1, -1], col, out=np.full(col.shape, np.inf), where=col > 1e-9)
+        least = np.flatnonzero(ratios == ratios.min())
+        pivot_reference(t, basis, least[np.argmin(basis[least])] if bland else least[0], q)
+        pivots += 1
+    return pivots
 
 
 def extract_schedule_reference(components, r, y, value_lower):

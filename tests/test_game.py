@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -448,23 +450,50 @@ def test_finish_rates_far_apart(rates, length):
     assert np.min(H.h @ sol.y) >= sol.value_lower and np.max(sol.x @ H.h) == sol.value_upper
 
 
-def test_finish_prices_more_than_one_round(monkeypatch):
-    # Four disjoint conflict triangles: 81 components, more than 4 per link,
-    # so the pool opens with FP's columns. One FP iteration leaves columns 0
-    # and 27, the first covering columns of the links they miss make 9, and
-    # pricing adds 12 in each of two rounds before none prices below 0. The
-    # schedule length is the largest triangle's rate sum, 2 + 3 + 4.
+def finish_four_triangles(mp):
+    """The finish of four disjoint conflict triangles after one FP iteration, and its solves.
+
+    81 components, more than 4 per link, so the pool opens with FP's
+    columns. One FP iteration leaves columns 0 and 27, the first covering
+    columns of the links they miss make 9, and pricing adds 12 in each of
+    two rounds before none prices below 0. The first master takes the dual
+    simplex; each round's 12 columns join its tableau and primal steps
+    finish it. The schedule length is the largest triangle's rate sum,
+    2 + 3 + 4.
+    """
     g = ConflictGraph.from_pairs(12, [(3 * t + a, 3 * t + b) for t in range(4)
                                       for a, b in ((0, 1), (0, 2), (1, 2))])
     H = build_payoff(enumerate_maximal(g), RateVector((5, 1, 1, 1, 5, 1, 1, 1, 5, 2, 3, 4)))
     assert H.n_components == 81
-    calls = spy_on_simplex(monkeypatch)
+    calls = spy_on_simplex(mp)
     fp = fp_solve(H, SolverConfig(max_iterations=1))
     assert np.flatnonzero(fp.y).tolist() == [0, 27]
     sol = finish_exact(H, fp)
-    assert [a.shape for a, *_ in calls] == [(1, 12, 9), (1, 12, 21), (1, 12, 33)]
+    assert [call.a.shape for call in calls.dual] == [(1, 12, 9)]
+    assert [call.columns for call in calls.primal] == [21, 33]  # 9 + 12, then + 12
     assert sol.value_upper == pytest.approx(1 / 9, rel=1e-12, abs=0)
     assert_exact_finish(H, sol, fp)
+    return H, fp, sol, calls
+
+
+def test_finish_prices_more_than_one_round(monkeypatch):
+    # Each solve has a Dantzig budget of its 12 rows plus its columns, and
+    # none spends it.
+    H, fp, sol, calls = finish_four_triangles(monkeypatch)
+    assert [call.budget.tolist() for call in calls.dual + calls.primal] == [[21], [33], [45]]
+    assert [call.pivots.tolist() for call in calls.dual + calls.primal] == [[6], [7], [2]]
+    want = finish_exact_reference(H, fp)
+    assert (sol.x.tobytes(), sol.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
+
+
+def test_finish_prices_more_than_one_round_by_blands_rule(monkeypatch):
+    # With no Dantzig budget, Bland's rule pivots every solve, more often.
+    monkeypatch.setattr(game, "_DANTZIG_BUDGET", 0)
+    H, fp, sol, calls = finish_four_triangles(monkeypatch)
+    assert [call.budget.tolist() for call in calls.dual + calls.primal] == [[0], [0], [0]]
+    assert [call.pivots.tolist() for call in calls.dual + calls.primal] == [[7], [8], [3]]
+    want = finish_exact_reference(H, fp, budget=0)
+    assert (sol.x.tobytes(), sol.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
 
 
 def test_finish_opens_a_small_game_whole(monkeypatch):
@@ -476,7 +505,7 @@ def test_finish_opens_a_small_game_whole(monkeypatch):
     fp = fp_solve(H, SolverConfig(max_iterations=1))
     assert fp.y.tolist() == [0.5, 0.5, 0.0, 0.0]
     sol = finish_exact(H, fp)
-    assert [a.shape for a, *_ in calls] == [(1, 3, 4)]
+    assert [call.a.shape for call in calls.dual] == [(1, 3, 4)] and not calls.primal
     assert_exact_finish(H, sol, fp)
 
 
@@ -495,7 +524,8 @@ def test_whole_and_pooled_finishes_agree_either_side_of_4L(H, max_iterations, de
             calls = spy_on_simplex(mp)
             finishes[opening] = finish_exact(H, fp)
         if opening == "whole":
-            assert [a.shape for a, *_ in calls] == [(1, H.n_links, H.n_components)]
+            assert [call.a.shape for call in calls.dual] == [(1, H.n_links, H.n_components)]
+            assert not calls.primal
     got = finish_exact(H, fp)
     want = finishes["whole" if H.n_components <= 4 * H.n_links else "pooled"]
     for name in ("x", "y"):
@@ -510,7 +540,8 @@ def test_whole_and_pooled_finishes_agree_either_side_of_4L(H, max_iterations, de
 
 
 @settings(max_examples=150, deadline=None)
-@given(games=st.lists(st.tuples(st.one_of(tied_payoffs(), membership_payoffs()),
+@given(games=st.lists(st.tuples(st.one_of(tied_payoffs(), membership_payoffs(),
+                                          membership_payoffs(columns_per_link=6)),
                                 st.sampled_from([1, 2, 5, 1_000_000])), min_size=1, max_size=6),
        delta=st.sampled_from([1e-3, 1e-2]))
 @example(games=[(DEGENERATE_GAMES[2], 1), (RUN_GAME, 1), (PayoffMatrix(np.eye(5)), 1)], delta=1e-2)
@@ -522,6 +553,7 @@ def test_whole_and_pooled_finishes_agree_either_side_of_4L(H, max_iterations, de
 def test_finish_stack_equals_each_game_finished_alone(games, delta):
     # The stack pads each master after its own rows and columns, and the
     # padding never pivots, so every game comes out bit for bit as alone.
+    # Games six columns per link wide price in warm rounds.
     payoffs = [H for H, _ in games]
     fps = [fp_solve(H, SolverConfig(delta=delta, max_iterations=budget)) for H, budget in games]
     stacked = finish_stack(payoffs, fps)
@@ -535,19 +567,95 @@ def test_finish_stack_equals_each_game_finished_alone(games, delta):
         assert (got.iterations, got.converged, got.state) == (fp.iterations, fp.converged, fp.state)
 
 
+@settings(max_examples=100, deadline=None)
+@given(games=st.lists(st.tuples(st.one_of(tied_payoffs(), membership_payoffs(),
+                                          membership_payoffs(columns_per_link=6)),
+                                st.sampled_from([1, 2, 5, 1_000_000])), min_size=1, max_size=6),
+       per_size=st.sampled_from([0, 0.2]))
+@example(games=[(DEGENERATE_GAMES[2], 1), (RUN_GAME, 1), (PayoffMatrix(np.eye(5)), 1)], per_size=0)
+def test_blands_rule_fallback_stays_exact_and_stacked(games, per_size):
+    # With no Dantzig budget, every solve of every game pivots by Bland's
+    # rule alone; with a fifth of one, games of a stack turn to Bland's rule
+    # after different numbers of pivots. Either way the stacked games pivot
+    # as each would alone.
+    payoffs = [H for H, _ in games]
+    fps = [fp_solve(H, SolverConfig(delta=1e-2, max_iterations=budget)) for H, budget in games]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(game, "_DANTZIG_BUDGET", per_size)
+        stacked = finish_stack(payoffs, fps)
+    for H, fp, got in zip(payoffs, fps, stacked):
+        want = finish_exact_reference(H, fp, budget=per_size)
+        for name in ("x", "y"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert (got.value_lower.hex(), got.value_upper.hex()) == (want.value_lower.hex(),
+                                                                  want.value_upper.hex())
+        assert got.value_upper == pytest.approx(lp_oracle(H)[0], rel=1e-12, abs=0)
+        assert got.value_upper - got.value_lower <= 1e-12 * got.value_upper
+        assert_exact_finish(H, got, fp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(H=st.one_of(tied_payoffs(), membership_payoffs(), membership_payoffs(columns_per_link=6)),
+       max_iterations=st.sampled_from([1, 5, 1_000_000]))
+def test_warm_rounds_start_primal_feasible_and_end_optimal(H, max_iterations):
+    # Forced to open from FP's columns, a game prices in rounds. The columns
+    # a round appends leave the last optimal basis primal feasible, and the
+    # primal steps leave no reduced cost below -1e-9 and every right side
+    # feasible, within rounding of the rates.
+    fp = fp_solve(H, SolverConfig(delta=1e-2, max_iterations=max_iterations))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(game, "_WHOLE_PER_LINK", 0)
+        calls = spy_on_simplex(mp)
+        sol = finish_exact(H, fp)
+    tol = -1e-12 * (1 / H.h.max(axis=1)).max()
+    for call in calls.primal:
+        n_rows = call.start.shape[1] - 1
+        assert (call.start[:, :n_rows, -1] >= tol).all()
+        assert (call.end[:, :n_rows, -1] >= tol).all()
+        assert (call.end[:, n_rows, :-1] >= -1e-9).all()
+    assert sol.value_upper == pytest.approx(lp_oracle(H)[0], rel=1e-12, abs=0)
+    assert_exact_finish(H, sol, fp)
+
+
 # ---------------------------------------------------------------- clique start
 
+@dataclasses.dataclass
+class DualCall:
+    a: np.ndarray
+    b: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    budget: np.ndarray
+    pivots: np.ndarray
+
+
+@dataclasses.dataclass
+class PrimalCall:
+    start: np.ndarray  # the tableaus as the call got them
+    end: np.ndarray
+    columns: int  # the structurals, padding included
+    budget: np.ndarray
+    pivots: np.ndarray
+
+
 def spy_on_simplex(mp):
-    """Record every _dual_simplex call's (a, b, rows, cols) and the Bland pivots it made."""
-    calls = []
-    real = game._dual_simplex
+    """Record every _dual_simplex and _primal_simplex call, with the pivots each game made."""
+    calls = types.SimpleNamespace(dual=[], primal=[])
+    dual, primal = game._dual_simplex, game._primal_simplex
 
-    def spy(a, b, rows, cols):
-        u, z, pivots = real(a, b, rows, cols)
-        calls.append((a, b, rows, cols, pivots))
-        return u, z, pivots
+    def spy_dual(a, b, rows, cols, budget):
+        t, basis, pivots = dual(a, b, rows, cols, budget)
+        calls.dual.append(DualCall(a, b, rows, cols, budget, pivots))
+        return t, basis, pivots
 
-    mp.setattr(game, "_dual_simplex", spy)
+    def spy_primal(t, basis, budget):
+        start = t.copy()
+        pivots = primal(t, basis, budget)
+        calls.primal.append(PrimalCall(start, t.copy(), t.shape[2] - t.shape[1], budget, pivots))
+        return pivots
+
+    mp.setattr(game, "_dual_simplex", spy_dual)
+    mp.setattr(game, "_primal_simplex", spy_primal)
     return calls
 
 
@@ -560,8 +668,10 @@ def test_clique_start_is_dual_feasible(H, max_iterations):
         calls = spy_on_simplex(mp)
         finish_exact(H, fp)
     scale = H.h.max(axis=1)
-    for a, b, rows, cols, _ in calls:
-        a, clique, cols = a[0], rows[0][rows[0] >= 0], cols[0][rows[0] >= 0]
+    assert len(calls.dual) == 1  # later rounds continue from its optimal tableau
+    for call in calls.dual:
+        real = call.rows[0] >= 0
+        a, clique, cols = call.a[0], call.rows[0][real], call.cols[0][real]
         assert clique.tolist() == greedy_clique_reference(H.h / scale[:, None], 1 / scale)
         # No column of the game holds two clique rows.
         assert ((H.h[clique] > 0).sum(axis=0) <= 1).all()
@@ -577,7 +687,7 @@ def test_clique_start_is_optimal_on_a_path(max_iterations):
     # Conflict path 0-1-2-3 with rates (3, 2, 4, 1); its components are
     # {0, 2}, {0, 3} and {1, 3}. The clique {2, 1} bounds the length below by
     # 4 + 2 = 6, and firing {0, 2} four times and {1, 3} twice meets it, so
-    # the crash basis is already optimal and Bland's rule never pivots.
+    # the crash basis is already optimal and the dual simplex never pivots.
     g = ConflictGraph.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
     H = build_payoff(enumerate_maximal(g), RateVector((3, 2, 4, 1)))
     fp = fp_solve(H, SolverConfig(max_iterations=max_iterations))
@@ -585,7 +695,7 @@ def test_clique_start_is_optimal_on_a_path(max_iterations):
         calls = spy_on_simplex(mp)
         sol = finish_exact(H, fp)
     assert sol.value_lower == sol.value_upper == 1 / 6 == lp_oracle(H)[0]
-    assert [pivots for *_, pivots in calls] == [0] * len(calls)
+    assert [call.pivots.tolist() for call in calls.dual] == [[0]] and not calls.primal
     assert_exact_finish(H, sol, fp)
 
 
