@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""CPU time of enumeration, fictitious play and the exact finish, and their sizes, per replication.
+"""CPU time of enumeration, fictitious play, the exact finish and extraction, and their sizes, per replication.
 
     python scripts/finish_stage.py --checkout . --seed 1
     python scripts/finish_stage.py --checkout ../old --seed 4 --passes 10
@@ -10,16 +10,18 @@ the ``desk`` workload's chunks of one seed (perfbench's configs: root seeds
 seed * 30 + k for k < 30, 10 runs each) with the checkout's
 ``softsched.harness.run_instance``, wrapping ``harness.enumerate_maximal``
 to keep each call's graph, ``harness.fp_solve`` to keep each call's
-arguments, whatever FP settings the checkout passes, and
-``harness.finish_stack`` to keep each call's payoffs and FP solutions. --nodes and --sessions change the instance size
-(default: desk's 10 and 10), --chunks and --runs the number of chunks and
-their runs. A replication whose enumeration hits the component cap
-(``ResourceLimitError``) is counted in ``cap_hits`` and left out of
-everything else. It then replays those calls: the enumeration's, FP's and
-the finish's CPU times per replication are each the least over --passes
-replays, and a SHA-256 of each stage's replayed outputs lets two checkouts
-be compared bit for bit. A further replay wraps the finish's simplex
-kernels and reads the pivots each returns: per replication, the stacked
+arguments, whatever FP settings the checkout passes,
+``harness.finish_stack`` to keep each call's payoffs and FP solutions, and
+``harness.extract_schedule`` to keep each call's arguments. --nodes and
+--sessions change the instance size (default: desk's 10 and 10), --chunks
+and --runs the number of chunks and their runs. A replication whose
+enumeration hits the component cap (``ResourceLimitError``) is counted in
+``cap_hits`` and left out of everything else. It then replays those calls:
+the enumeration's, FP's, the finish's and the extraction's CPU times per
+replication are each the least over --passes replays, and a SHA-256 of each
+stage's replayed outputs lets two checkouts be compared bit for bit. A
+further replay wraps the finish's simplex kernels and reads the pivots
+each returns: per replication, the stacked
 pivots (each solve's largest per-game count) of the first masters and of
 all dual simplex solves, the stacked pivots of the warm primal solves, and
 the pricing rounds (the solves after a finish's first); the largest
@@ -63,6 +65,14 @@ def solutions_digest(sols) -> str:
     """``digest`` over each solution's x, y, bounds, iterations and convergence flag."""
     return digest(a for s in sols for a in (s.x, s.y, np.array(
         [s.value_lower, s.value_upper, s.iterations, s.converged], dtype=float)))
+
+
+def schedules_digest(schedules) -> str:
+    """SHA-256 over each schedule's slots and served counts as text, so any int stays exact."""
+    sha = hashlib.sha256()
+    for s in schedules:
+        sha.update(repr((s.slots, s.served)).encode())
+    return sha.hexdigest()
 
 
 KERNELS = ("_dual_simplex", "_primal_simplex")  # a checkout may lack the warm one
@@ -130,9 +140,10 @@ def main(argv=None) -> int:
     from softsched import game, harness
     from softsched.components import ResourceLimitError
 
-    graphs, fp_calls, calls = [], [], []
-    enumerate_maximal, fp_solve, finish = (harness.enumerate_maximal, harness.fp_solve,
-                                           harness.finish_stack)
+    graphs, fp_calls, calls, extract_calls = [], [], [], []
+    enumerate_maximal, fp_solve, finish, extract = (
+        harness.enumerate_maximal, harness.fp_solve, harness.finish_stack,
+        harness.extract_schedule)
 
     def keep_graph(g):
         graphs.append(g)
@@ -146,25 +157,31 @@ def main(argv=None) -> int:
         calls.append((payoffs, sols))
         return finish(payoffs, sols)
 
-    harness.enumerate_maximal, harness.fp_solve, harness.finish_stack = keep_graph, keep_fp, keep
+    def keep_extract(*args):
+        extract_calls.append(args)
+        return extract(*args)
+
+    harness.enumerate_maximal, harness.fp_solve, harness.finish_stack, harness.extract_schedule = (
+        keep_graph, keep_fp, keep, keep_extract)
     cap_hits = 0
     for k in range(args.chunks):
         cfg = harness.ExperimentConfig(seed=args.seed * CHUNKS + k, runs=args.runs,
                                        n_nodes=args.nodes, n_sessions=args.sessions, **DESK)
         for run_id in range(cfg.runs):
-            kept = len(graphs), len(fp_calls), len(calls)
+            kept = len(graphs), len(fp_calls), len(calls), len(extract_calls)
             try:
                 harness.run_instance(cfg, run_id)
             except ResourceLimitError:
                 cap_hits += 1
                 del graphs[kept[0]:], fp_calls[kept[1]:], calls[kept[2]:]
-    harness.enumerate_maximal, harness.fp_solve, harness.finish_stack = (enumerate_maximal,
-                                                                         fp_solve, finish)
+                del extract_calls[kept[3]:]
+    harness.enumerate_maximal, harness.fp_solve, harness.finish_stack, harness.extract_schedule = (
+        enumerate_maximal, fp_solve, finish, extract)
 
     replications = args.chunks * args.runs - cap_hits
     if not replications:
         sys.exit("finish_stage: every replication hit the component cap")
-    best = dict.fromkeys(("enumerate", "fp", "finish"), float("inf"))
+    best = dict.fromkeys(("enumerate", "fp", "finish", "extract"), float("inf"))
     for _ in range(args.passes):
         start = time.process_time()
         comps = [enumerate_maximal(g) for g in graphs]
@@ -175,6 +192,9 @@ def main(argv=None) -> int:
         start = time.process_time()
         exact = [sol for payoffs, fp in calls for sol in game.finish_stack(payoffs, fp)]
         best["finish"] = min(best["finish"], time.process_time() - start)
+        start = time.process_time()
+        schedules = [extract(*extract_args) for extract_args in extract_calls]
+        best["extract"] = min(best["extract"], time.process_time() - start)
     games = sum(len(payoffs) for payoffs, _ in calls)
     solves = count_solves(game, calls)
     print(json.dumps({
@@ -189,10 +209,12 @@ def main(argv=None) -> int:
         "enumerate_cpu_ms_per_replication": best["enumerate"] / replications * 1e3,
         "fp_cpu_ms_per_replication": best["fp"] / replications * 1e3,
         "finish_cpu_ms_per_replication": best["finish"] / replications * 1e3,
+        "extract_cpu_ms_per_replication": best["extract"] / replications * 1e3,
         "enumerate_sha256": digest(np.array(row) for cs in comps for row in (
             [len(c.members) for c in cs], [i for c in cs for i in c.members])),
         "fp_sha256": solutions_digest(sols),
         "finish_sha256": solutions_digest(exact),
+        "extract_sha256": schedules_digest(schedules),
         "fp_iterations_per_game": sum(sol.iterations for sol in sols) / games,
         "pricing_rounds_per_replication": solves["rounds"] / replications,
         "whole_game_share": solves["whole"] / games if games else 0.0,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -117,13 +118,18 @@ class GameSolution:
     bounds_log: list[tuple[float, float]] | None = None
 
 
-def _membership(components: list[Component], n_links: int) -> np.ndarray:
-    """Component-by-link 0/1 matrix: m[j, i] is 1 when link i is in component j."""
-    members = [comp.members for comp in components]
+def _check_links(members: list[tuple[int, ...]], n_links: int) -> None:
+    """Raise ValueError naming the first component whose members leave 0..n_links-1."""
     for j, links in enumerate(members):
         if links[0] < 0 or links[-1] >= n_links:  # members are sorted
             i = next(i for i in links if not 0 <= i < n_links)
             raise ValueError(f"component {j} references link {i} outside 0..{n_links - 1}")
+
+
+def _membership(components: list[Component], n_links: int) -> np.ndarray:
+    """Component-by-link 0/1 matrix: m[j, i] is 1 when link i is in component j."""
+    members = [comp.members for comp in components]
+    _check_links(members, n_links)
     m = np.zeros(len(members) * n_links, dtype=np.intp)
     m[[j * n_links + i for j, links in enumerate(members) for i in links]] = 1
     return m.reshape(len(members), n_links)
@@ -571,6 +577,10 @@ def extract_schedule(components: list[Component], r: RateVector, y: np.ndarray,
     its links, whichever is less. Slots are listed grouped by ascending
     component index.
 
+    Only the components the rounding fires are read, except by the range
+    check on every component's links and by the repair, which builds the
+    component-by-link membership and runs only when a link is still short.
+
     The components already fix which links fire together, so no conflict
     graph is needed. A fifth positional argument (a conflict graph) is
     accepted and ignored, so that five-argument callers keep working.
@@ -580,9 +590,8 @@ def extract_schedule(components: list[Component], r: RateVector, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     if y.shape != (len(components),):
         raise ValueError(f"strategy length {y.shape} does not match {len(components)} components")
-
-    m = _membership(components, len(r))
-    rates = np.asarray(r.rates)
+    members = [comp.members for comp in components]
+    _check_links(members, len(r))
 
     target = math.ceil(1.0 / value_lower - 1e-9)
     quotas = y * target
@@ -591,29 +600,40 @@ def extract_schedule(components: list[Component], r: RateVector, y: np.ndarray,
     by_remainder = np.argsort(-(quotas - counts), kind="stable")  # ties: lower index
     counts[by_remainder[:leftover]] += 1
 
-    served = counts @ m
-    under = served < rates
-    while under.any():
-        coverage = m @ under
-        j = int(np.argmax(coverage))  # ties: lower index
-        if coverage[j] == 0:
-            missing = int(np.flatnonzero(under)[0])
-            raise ValueError(f"no component covers underserved link {missing}")
-        counts[j] += 1
-        served += m[j]
+    # Python ints over the fired components: a game fires a few of its columns.
+    fired = np.flatnonzero(counts).tolist()
+    fired_counts = counts[fired].tolist()
+    served = [0] * len(r)
+    for j, n in zip(fired, fired_counts):
+        for i in members[j]:
+            served[i] += n
+    rates = r.rates
+    if any(map(operator.lt, served, rates)):
+        m = _membership(components, len(r))
+        served, rates = np.array(served), np.asarray(rates)
         under = served < rates
+        while under.any():
+            coverage = m @ under
+            j = int(np.argmax(coverage))  # ties: lower index
+            if coverage[j] == 0:
+                missing = int(np.flatnonzero(under)[0])
+                raise ValueError(f"no component covers underserved link {missing}")
+            counts[j] += 1
+            served += m[j]
+            under = served < rates
+        served, rates = served.tolist(), rates.tolist()
+        fired = np.flatnonzero(counts).tolist()
+        fired_counts = counts[fired].tolist()
 
-    # Lists: the trim touches a few entries per component, too few for numpy.
-    counts, served, rates = counts.tolist(), served.tolist(), rates.tolist()
-    for j in range(len(components) - 1, -1, -1):
-        if counts[j]:
-            members = components[j].members
-            drop = min(counts[j], min([served[i] - rates[i] for i in members]))
-            counts[j] -= drop
-            for i in members:
+    for k in range(len(fired) - 1, -1, -1):
+        links = members[fired[k]]
+        drop = min(fired_counts[k], min([served[i] - rates[i] for i in links]))
+        if drop:
+            fired_counts[k] -= drop
+            for i in links:
                 served[i] -= drop
 
-    slots = tuple(np.repeat(np.arange(len(components)), counts).tolist())
+    slots = tuple(itertools.chain.from_iterable(map(itertools.repeat, fired, fired_counts)))
     return Schedule(slots, tuple(served), tuple(components))
 
 

@@ -1,8 +1,9 @@
 import gc
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softsched import (
@@ -13,6 +14,7 @@ from softsched import (
     enumerate_maximal,
     run_instance,
 )
+from softsched.components import _links
 
 from conftest import (
     brute_force_maximal,
@@ -88,6 +90,62 @@ def test_maximal_are_independent_and_maximal(n, p, seed):
             assert not independent_in(g.adjacency, comp.members + (extra,))
     # every link sits in at least one maximal component
     assert covered == set(range(n))
+
+
+def test_maximal_zero_links_is_rejected():
+    with pytest.raises(ValueError, match="no links"):
+        enumerate_maximal(ConflictGraph(0, np.zeros((0, 0), dtype=bool)))
+
+
+def structured_graph(n, shape):
+    """A conflict graph on n links whose compatible pairs form the named shape.
+
+    "edgeless" has no conflict and "complete" every one. "edges" and
+    "triangles" let links share a slot only within consecutive blocks of 2
+    or 3 (the last block may be shorter), so each block is one component.
+    """
+    if shape == "edgeless":
+        return ConflictGraph(n, np.eye(n, dtype=bool))
+    if shape == "complete":
+        return ConflictGraph(n, np.ones((n, n), dtype=bool))
+    block = np.arange(n) // {"edges": 2, "triangles": 3}[shape]
+    return ConflictGraph(n, (block[:, None] != block[None, :]) | np.eye(n, dtype=bool))
+
+
+# Sizes at and past the byte boundaries of the bitset-to-links table (8 links
+# a byte, 128 links in the table).
+@pytest.mark.parametrize("n", [8, 9, 64, 65, 128, 129, 200])
+@pytest.mark.parametrize("shape", ["edgeless", "complete", "edges", "triangles"])
+def test_structured_graphs_equal_the_reference(n, shape):
+    g = structured_graph(n, shape)
+    assert enumerate_maximal(g) == enumerate_maximal_reference(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.integers(min_value=0, max_value=(1 << 300) - 1))
+@example(bits=0)
+@example(bits=(1 << 128) - 1)
+@example(bits=1 << 128)
+@example(bits=(1 << 256) | (1 << 127) | 1)
+def test_links_are_the_set_bits_ascending(bits):
+    assert _links(bits) == tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=14),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_cap_raises_one_below_the_count_and_passes_at_it(n, p, seed):
+    # The (cap + 1)-th component raises, whether it is found by a call of its
+    # own or appended by its parent's branch.
+    g = random_conflict_graph(np.random.default_rng(seed), n, p)
+    comps = enumerate_maximal(g)
+    assert enumerate_maximal(g, cap=len(comps)) == comps
+    message = re.escape(f"component count exceeds the cap of {len(comps) - 1}; raise the cap")
+    with pytest.raises(ResourceLimitError, match=message):
+        enumerate_maximal(g, cap=len(comps) - 1)
 
 
 def maximal_or_limit(enumerator, g, cap):

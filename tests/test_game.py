@@ -111,6 +111,10 @@ def test_component_link_outside_range_rejected(members, link):
         build_payoff(comps, THREE_LINK_RATES)
     with pytest.raises(ValueError, match=message):
         extract_schedule(comps, THREE_LINK_RATES, np.array([0.5, 0.5]), 1 / 3)
+    # Unfired and never needed by a repair: component 0 alone serves every link.
+    comps = [Component((0, 1, 2)), Component(members)]
+    with pytest.raises(ValueError, match=message):
+        extract_schedule(comps, THREE_LINK_RATES, np.array([1.0, 0.0]), 1 / 3)
 
 
 # ---------------------------------------------------------------- fictitious play
@@ -869,8 +873,25 @@ def rounding_inputs(draw):
     return comps, r, np.array(weights) / sum(weights), 1 / draw(st.floats(1.0, 40.0))
 
 
+def test_extract_builds_the_membership_only_to_repair(monkeypatch):
+    built = []
+    membership = game._membership
+    monkeypatch.setattr(game, "_membership",
+                        lambda comps, n_links: built.append(n_links) or membership(comps, n_links))
+    # The rounding fires component 0 once and component 1 twice, serving every rate.
+    extract_schedule(THREE_LINK_COMPONENTS, THREE_LINK_RATES, np.array([1 / 3, 2 / 3]), 1 / 3)
+    assert built == []
+    # All mass on component 0 leaves link 2 short.
+    extract_schedule(THREE_LINK_COMPONENTS, THREE_LINK_RATES, np.array([1.0, 0.0]), 1 / 3)
+    assert built == [3]
+
+
 @settings(max_examples=300, deadline=None)
 @given(inputs=rounding_inputs())
+# The rounding serves every rate exactly: no repair, and the trim drops nothing.
+@example(inputs=(THREE_LINK_COMPONENTS, THREE_LINK_RATES, np.array([1 / 3, 2 / 3]), 1 / 3))
+# No repair; the trim keeps one of the four slots of component 1, which links 0 and 2 need once.
+@example(inputs=(THREE_LINK_COMPONENTS, RateVector((1, 0, 1)), np.array([0.0, 1.0]), 1 / 4))
 # All mass on component 0, which misses link 2: repair adds component 1 twice.
 @example(inputs=(THREE_LINK_COMPONENTS, THREE_LINK_RATES, np.array([1.0, 0.0]), 1 / 3))
 # One slot each leaves link 0 short; both components cover it, and component 0 must win.
