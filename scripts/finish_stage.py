@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""CPU time of enumeration, fictitious play, the exact finish and extraction, and their sizes, per replication.
+"""CPU time of enumeration, FP, the certificate, the exact finish and extraction, per replication.
 
     python scripts/finish_stage.py --checkout . --seed 1
     python scripts/finish_stage.py --checkout ../old --seed 4 --passes 10
@@ -11,15 +11,22 @@ seed * 30 + k for k < 30, 10 runs each) with the checkout's
 ``softsched.harness.run_instance``, wrapping ``harness.enumerate_maximal``
 to keep each call's graph, ``harness.fp_solve`` to keep each call's
 arguments, whatever FP settings the checkout passes,
-``harness.finish_stack`` to keep each call's payoffs and FP solutions, and
-``harness.extract_schedule`` to keep each call's arguments. --nodes and
+``harness.certified_schedule`` (where the checkout has it) to keep each
+call's graph and rates, ``harness.finish_stack`` to keep each call's
+payoffs and FP solutions, and ``harness.extract_schedule`` to keep each
+call's arguments. --nodes and
 --sessions change the instance size (default: desk's 10 and 10), --chunks
 and --runs the number of chunks and their runs. A replication whose
 enumeration hits the component cap (``ResourceLimitError``) is counted in
 ``cap_hits`` and left out of everything else. It then replays those calls:
-the enumeration's, FP's, the finish's and the extraction's CPU times per
-replication are each the least over --passes replays, and a SHA-256 of each
-stage's replayed outputs lets two checkouts be compared bit for bit. A
+the enumeration's, FP's, the certificate's, the finish's and the
+extraction's CPU times per replication are each the least over --passes
+replays, and a SHA-256 of each stage's replayed outputs lets two checkouts
+be compared bit for bit. ``games`` counts the games FP solved and
+``finished_games`` those the finish saw; ``certified_share`` is the share
+of games the certificate proved, so the finish never saw them. Each
+per-game figure is over the games its stage saw: components and FP
+iterations over every game, the whole-game share over the finished ones. A
 further replay wraps the finish's simplex kernels and reads the pivots
 each returns: per replication, the stacked
 pivots (each solve's largest per-game count) of the first masters and of
@@ -140,10 +147,11 @@ def main(argv=None) -> int:
     from softsched import game, harness
     from softsched.components import ResourceLimitError
 
-    graphs, fp_calls, calls, extract_calls = [], [], [], []
+    graphs, fp_calls, cert_calls, calls, extract_calls = [], [], [], [], []
     enumerate_maximal, fp_solve, finish, extract = (
         harness.enumerate_maximal, harness.fp_solve, harness.finish_stack,
         harness.extract_schedule)
+    certify = getattr(harness, "certified_schedule", None)  # a checkout may finish every game
 
     def keep_graph(g):
         graphs.append(g)
@@ -152,6 +160,10 @@ def main(argv=None) -> int:
     def keep_fp(*args, **kwargs):
         fp_calls.append((args, kwargs))
         return fp_solve(*args, **kwargs)
+
+    def keep_certificate(g, r):
+        cert_calls.append((g, r))
+        return certify(g, r)
 
     def keep(payoffs, sols):
         calls.append((payoffs, sols))
@@ -163,25 +175,29 @@ def main(argv=None) -> int:
 
     harness.enumerate_maximal, harness.fp_solve, harness.finish_stack, harness.extract_schedule = (
         keep_graph, keep_fp, keep, keep_extract)
+    if certify is not None:
+        harness.certified_schedule = keep_certificate
     cap_hits = 0
     for k in range(args.chunks):
         cfg = harness.ExperimentConfig(seed=args.seed * CHUNKS + k, runs=args.runs,
                                        n_nodes=args.nodes, n_sessions=args.sessions, **DESK)
         for run_id in range(cfg.runs):
-            kept = len(graphs), len(fp_calls), len(calls), len(extract_calls)
+            kept = len(graphs), len(fp_calls), len(cert_calls), len(calls), len(extract_calls)
             try:
                 harness.run_instance(cfg, run_id)
             except ResourceLimitError:
                 cap_hits += 1
-                del graphs[kept[0]:], fp_calls[kept[1]:], calls[kept[2]:]
-                del extract_calls[kept[3]:]
+                del graphs[kept[0]:], fp_calls[kept[1]:], cert_calls[kept[2]:]
+                del calls[kept[3]:], extract_calls[kept[4]:]
     harness.enumerate_maximal, harness.fp_solve, harness.finish_stack, harness.extract_schedule = (
         enumerate_maximal, fp_solve, finish, extract)
+    if certify is not None:
+        harness.certified_schedule = certify
 
     replications = args.chunks * args.runs - cap_hits
     if not replications:
         sys.exit("finish_stage: every replication hit the component cap")
-    best = dict.fromkeys(("enumerate", "fp", "finish", "extract"), float("inf"))
+    best = dict.fromkeys(("enumerate", "fp", "certificate", "finish", "extract"), float("inf"))
     for _ in range(args.passes):
         start = time.process_time()
         comps = [enumerate_maximal(g) for g in graphs]
@@ -190,12 +206,16 @@ def main(argv=None) -> int:
         sols = [fp_solve(*fp_args, **fp_kwargs) for fp_args, fp_kwargs in fp_calls]
         best["fp"] = min(best["fp"], time.process_time() - start)
         start = time.process_time()
+        certs = [certify(*cert_args) for cert_args in cert_calls]
+        best["certificate"] = min(best["certificate"], time.process_time() - start)
+        start = time.process_time()
         exact = [sol for payoffs, fp in calls for sol in game.finish_stack(payoffs, fp)]
         best["finish"] = min(best["finish"], time.process_time() - start)
         start = time.process_time()
         schedules = [extract(*extract_args) for extract_args in extract_calls]
         best["extract"] = min(best["extract"], time.process_time() - start)
-    games = sum(len(payoffs) for payoffs, _ in calls)
+    games, finished = len(sols), sum(len(payoffs) for payoffs, _ in calls)
+    certified = sum(cert is not None for cert in certs)
     solves = count_solves(game, calls)
     print(json.dumps({
         "seed": args.seed,
@@ -204,20 +224,24 @@ def main(argv=None) -> int:
         "replications": replications,
         "cap_hits": cap_hits,
         "games": games,
+        "finished_games": finished,
+        "certified_share": certified / games if games else 0.0,
         "components_per_game": sum(map(len, comps)) / len(comps) if comps else 0.0,
         "passes": args.passes,
         "enumerate_cpu_ms_per_replication": best["enumerate"] / replications * 1e3,
         "fp_cpu_ms_per_replication": best["fp"] / replications * 1e3,
+        "certificate_cpu_ms_per_replication": best["certificate"] / replications * 1e3,
         "finish_cpu_ms_per_replication": best["finish"] / replications * 1e3,
         "extract_cpu_ms_per_replication": best["extract"] / replications * 1e3,
         "enumerate_sha256": digest(np.array(row) for cs in comps for row in (
             [len(c.members) for c in cs], [i for c in cs for i in c.members])),
         "fp_sha256": solutions_digest(sols),
+        "certificate_sha256": hashlib.sha256(repr(certs).encode()).hexdigest(),
         "finish_sha256": solutions_digest(exact),
         "extract_sha256": schedules_digest(schedules),
-        "fp_iterations_per_game": sum(sol.iterations for sol in sols) / games,
+        "fp_iterations_per_game": sum(sol.iterations for sol in sols) / games if games else 0.0,
         "pricing_rounds_per_replication": solves["rounds"] / replications,
-        "whole_game_share": solves["whole"] / games if games else 0.0,
+        "whole_game_share": solves["whole"] / finished if finished else 0.0,
         "first_master_pivots_per_replication": solves["first_master"] / replications,
         "dual_pivots_per_replication": solves["dual"] / replications,
         "warm_pivots_per_replication": solves["warm"] / replications,

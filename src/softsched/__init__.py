@@ -31,6 +31,7 @@ from .game import (
     ScheduleCheck,
     SolverConfig,
     build_payoff,
+    certified_schedule,
     extract_schedule,
     finish_exact,
     finish_stack,

@@ -1,18 +1,21 @@
-"""Link-vs-component matrix game: payoff build, fictitious play, exact finish, schedules.
+"""Link-vs-component matrix game: payoff, fictitious play, certificate, exact finish, schedules.
 
 The scheduling problem is cast as a zero-sum game. Rows are links, columns
 are components; the entry is 1/r_i when link i belongs to component j. A
 mixed column strategy y is a recipe for how often to fire each component,
 and (Hy)_i is the fraction of link i's demand served per slot, so the game
 value v = max_y min_i (Hy)_i makes 1/v the minimal fractional schedule
-length. A short run of fictitious play, the plain dense loop, picks a few
-columns. The exact finish solves the linear program over every column of a
-game with at most four per link, and over FP's columns of a wider one, by a
-dual simplex from a basis built on a clique of links no component holds two
-of. It then adds priced columns, continuing from the last optimal basis by
-primal simplex steps, until v is exact, for several games at once in
-stacked simplex calls. The schedule extractor turns y into integer slot
-counts.
+length. The certificate needs no linear program: a first-fit multicoloring
+of T slots that meets a clique of weight T (links that pairwise conflict,
+rates summed) proves v = 1/T, and its slot sets, which need not be maximal
+components, are the schedule. For a game it misses, a short run of
+fictitious play, the plain dense loop, picks a few columns. The exact
+finish solves the linear program over every column of a game with at most
+four per link, and over FP's columns of a wider one, by a dual simplex
+from a basis built on a clique of links no component holds two of. It
+then adds priced columns, continuing from the last optimal basis by primal
+simplex steps, until v is exact, for several games at once in stacked
+simplex calls. The schedule extractor turns y into integer slot counts.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .components import Component
+from .components import Component, _links
 from .conflict import ConflictGraph
 from .topology import RateVector
 
@@ -538,6 +541,86 @@ def _primal_simplex(t: np.ndarray, basis: np.ndarray, budget: np.ndarray) -> np.
             r = np.where(bland, np.where(tied, basis, t.shape[2]).argmin(axis=1), r)
         _pivot(t, basis, g, r, q, t[g, r])
         pivots += pivoting
+
+
+# The clique search of certified_schedule gives up after this many nodes.
+_CLIQUE_NODES = 1_000
+
+
+def certified_schedule(g: ConflictGraph, r: RateVector) -> tuple[list[Component], list[int]] | None:
+    """A first-fit schedule of T slots and a clique of weight T: its slot sets and their counts.
+
+    First fit takes the links in decreasing conflict degree, lowest index on
+    ties, and gives each link i the r_i lowest slots that no conflicting
+    link placed before it holds. Each link's slots are a Python-int bitset,
+    filled a run of free bits at a time, and T is the number of slots used.
+    No fractional schedule is shorter than a clique's weight (its links'
+    rates summed), so a clique of weight T proves the game value 1/T.
+
+    Conflicting links hold disjoint slots, so a clique weighs T exactly when
+    its links' slots tile all T. A depth-first branch and bound searches for
+    such a tiling: each node takes the lowest slot still uncovered and
+    branches on the links that hold it and conflict with every link chosen
+    so far, lowest index first, and prunes a node whose candidates cannot
+    cover the slots left. It stops after _CLIQUE_NODES nodes, never on
+    time, and then returns None, as it does when no clique weighs T.
+
+    A certified schedule comes back as its distinct slot sets in order of
+    first slot, conflict-free but not always maximal, with the number of
+    slots each fills; the counts sum to T.
+    """
+    rates = r.rates
+    packed = np.packbits(g.adjacency, axis=1, bitorder="little")
+    width = 8 * packed.shape[1]  # one row's bits, read out of the whole matrix as one int
+    whole, row = int.from_bytes(packed.tobytes(), "little"), (1 << width) - 1
+    conflicts = [((whole >> width * i) & row) ^ (1 << i) for i in range(g.n_links)]
+    degree = [links.bit_count() for links in conflicts]
+    held, placed = [0] * g.n_links, 0
+    events = {}  # slot -> the links whose runs start or end there
+    for i in sorted(range(g.n_links), key=degree.__getitem__, reverse=True):  # stable
+        blocked = 0
+        for j in _links(conflicts[i] & placed):
+            blocked |= held[j]
+        need, mine, bit = rates[i], 0, 1 << i
+        placed |= bit
+        while need:
+            start = (~blocked & (blocked + 1)).bit_length() - 1  # the lowest free slot
+            above = blocked >> start
+            run = min(need, (above & -above).bit_length() - 1) if above else need
+            bits = ((1 << run) - 1) << start
+            mine |= bits
+            blocked |= bits
+            need -= run
+            events[start] = events.get(start, 0) ^ bit
+            events[start + run] = events.get(start + run, 0) ^ bit
+        held[i] = mine
+    starts = sorted(events)
+    full = (1 << starts[-1]) - 1
+
+    stack = [(0, (1 << g.n_links) - 1)]  # (slots covered, links conflicting with every choice)
+    for _ in range(_CLIQUE_NODES):
+        if not stack:
+            return None
+        covered, candidates = stack.pop()
+        if covered == full:
+            break
+        lowest = ~covered & (covered + 1)  # the lowest uncovered slot's bit
+        reach, options = covered, []
+        for i in _links(candidates):
+            reach |= held[i]
+            if held[i] & lowest:
+                options.append(i)
+        if reach == full:
+            stack.extend((covered | held[i], candidates & conflicts[i]) for i in reversed(options))
+    else:
+        return None
+
+    # Between two neighbouring run ends, the same links hold every slot.
+    counts, members = {}, 0
+    for start, end in zip(starts, starts[1:]):
+        members ^= events[start]
+        counts[members] = counts.get(members, 0) + end - start
+    return [Component(_links(members)) for members in counts], list(counts.values())
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ coloring slots in one ``coloring_slots`` call. The soft mode builds its
 margin's graph with ``build_conflict_graph`` only where that graph differs
 from the previous margin's. It peels each such graph's universal links
 (those that conflict with every link, so fire alone) and plays the game on
-the rest; the exact finishes of a replication's games run as one stacked
-``finish_stack`` call. One loop then builds every record.
+the rest. ``certified_schedule`` proves most games' value with a first-fit
+schedule that meets a clique; the exact finishes of the others run as one
+stacked ``finish_stack`` call. One loop then builds every record.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .game import (
     SolverConfig,
     _count,
     build_payoff,
+    certified_schedule,
     extract_schedule,
     finish_stack,
     fp_solve,
@@ -281,12 +283,16 @@ def _peel(g: ConflictGraph, rates: RateVector) -> tuple[int, ConflictGraph, Rate
 
 
 def _soft_fields(graphs: list[ConflictGraph], rates: RateVector) -> list[tuple]:
-    """Each graph's soft fields: FP at delta 1e-1, then one stacked finish of every game.
+    """Each graph's soft fields: FP at delta 1e-1, the certificate, one stacked finish of the rest.
 
     Each entry is (slots, value_lower, value_upper, fp_iterations,
     converged), in record field order. Each graph's universal links are
     peeled first (``_peel``); ``run_instance`` says how the fields account
-    for them.
+    for them. A game ``certified_schedule`` certifies at T slots has both
+    bounds 1/T and, as components, its schedule's own slot sets, which need
+    not be maximal; extraction from y = counts / T gives that schedule back.
+    Every other game is made exact by ``finish_stack`` and its schedule
+    extracted from the finish's y over the maximal components.
     """
     fields, games = [], []
     for g in graphs:
@@ -299,10 +305,19 @@ def _soft_fields(graphs: list[ConflictGraph], rates: RateVector) -> list[tuple]:
                       build_payoff(comps, rest_rates)))
         fields.append(None)
     payoffs = [game[-1] for game in games]
-    sols = finish_stack(payoffs, [fp_solve(payoff, _FP) for payoff in payoffs])
-    for (k, peeled, rest, rest_rates, comps, _), sol in zip(games, sols):
-        lower, upper = sol.value_lower, sol.value_upper
-        schedule = extract_schedule(comps, rest_rates, sol.y, lower)
+    sols = [fp_solve(payoff, _FP) for payoff in payoffs]
+    certified = [certified_schedule(game[2], game[3]) for game in games]
+    missed = [k for k, cert in enumerate(certified) if cert is None]
+    exact = iter(finish_stack([payoffs[k] for k in missed], [sols[k] for k in missed]))
+    for (k, peeled, rest, rest_rates, comps, _), sol, cert in zip(games, sols, certified):
+        if cert is None:
+            sol = next(exact)
+            y, lower, upper = sol.y, sol.value_lower, sol.value_upper
+        else:
+            comps, counts = cert
+            n_slots = sum(counts)
+            y, lower, upper = np.array(counts) / n_slots, 1 / n_slots, 1 / n_slots
+        schedule = extract_schedule(comps, rest_rates, y, lower)
         check = verify_schedule(schedule, rest, rest_rates)
         if not check:
             raise RuntimeError(f"extracted schedule failed verification: {check.violation}")
@@ -334,13 +349,16 @@ def run_instance(cfg: ExperimentConfig, run_id: int,
     The soft mode runs in two passes (``_soft_fields``). The first peels
     each solved margin's universal links, whose rates add exactly as
     Python ints, and builds the game on the rest: components, payoff and
-    fictitious play. One ``finish_stack`` call then makes every game
-    exact, and the second pass extracts and verifies each schedule on the
-    rest and builds the fields: slots are the peeled rates plus the
-    schedule's length, and each bound v becomes 1 / (peeled + 1/v). A
-    margin whose graph is complete has no game: its slots are the rates'
-    sum, and ``fp_iterations=0`` with ``converged=true`` says that nothing
-    was iterated.
+    fictitious play. ``certified_schedule`` then tries each game: a
+    first-fit schedule of T slots that meets a clique of weight T proves
+    the value 1/T, so both bounds are 1/T. One ``finish_stack`` call makes
+    every other game exact, and the second pass extracts and verifies each
+    schedule on the rest and builds the fields: slots are the peeled rates
+    plus the schedule's length, and each bound v becomes 1 / (peeled +
+    1/v). A certified schedule's components are its own slot sets, which
+    need not be maximal. A margin whose graph is complete has no game: its
+    slots are the rates' sum, and ``fp_iterations=0`` with
+    ``converged=true`` says that nothing was iterated.
     """
     if fixture is not None and fixture.kind == "conflict":
         rates, powers = fixture.rates, None

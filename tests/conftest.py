@@ -579,6 +579,16 @@ def peel_reference(g, rates):
     return keep, peeled, rest, RateVector(tuple(rates[i] for i in keep))
 
 
+def counted_schedule(components, counts, rates):
+    """The schedule that fills counts[j] slots with components[j], in order, and what it serves."""
+    served = [0] * len(rates)
+    for comp, count in zip(components, counts):
+        for i in comp.members:
+            served[i] += count
+    slots = tuple(j for j, count in enumerate(counts) for _ in range(count))
+    return Schedule(slots, tuple(served), tuple(components))
+
+
 def unpeel_schedule(schedule, keep, rates):
     """A schedule of the whole graph: the kept links' schedule plus every other link's own slots."""
     alone = [i for i in range(len(rates)) if i not in keep]
@@ -595,14 +605,57 @@ def unpeel_schedule(schedule, keep, rates):
     return Schedule(tuple(slots), tuple(served), tuple(comps))
 
 
+def certified_schedule_reference(g, r):
+    """First fit slot by slot, certified by the heaviest clique of an exhaustive search.
+
+    Links go in decreasing conflict degree, lowest index on ties; each
+    takes, from slot 0 up, every slot that no conflicting link placed
+    before it holds, until it holds r_i of them. T is the number of slots
+    used. The clique weight is the largest rate sum over every subset of
+    links that pairwise conflict, each grown one link at a time from the
+    subsets below it. When that weight is T, returns the distinct slot sets
+    in order of first slot and the number of slots each fills; else None.
+    """
+    n, adj = g.n_links, g.adjacency
+    order = sorted(range(n), key=lambda i: (-int(adj[i].sum()), i))
+    slots = [set() for _ in range(n)]
+    for i in order:
+        slot = 0
+        while len(slots[i]) < r[i]:
+            if not any(slot in slots[j] for j in range(n) if j != i and adj[i, j]):
+                slots[i].add(slot)
+            slot += 1
+    n_slots = 1 + max(max(held) for held in slots)
+
+    heaviest, subsets = 0, [((), 0)]
+    while subsets:
+        grown = []
+        for members, weight in subsets:
+            heaviest = max(heaviest, weight)
+            for i in range(members[-1] + 1 if members else 0, n):
+                if all(adj[i, j] for j in members):
+                    grown.append((members + (i,), weight + r[i]))
+        subsets = grown
+    if heaviest != n_slots:
+        return None
+    counts = {}
+    for slot in range(n_slots):
+        members = tuple(i for i in range(n) if slot in slots[i])
+        counts[members] = counts.get(members, 0) + 1
+    return [Component(members) for members in counts], list(counts.values())
+
+
 def run_instance_reference(cfg, run_id, fixture=None):
     """``run_instance`` with nothing shared between margins.
 
     Each margin builds its own graph with ``build_conflict_graph``, peels
     the links that conflict with every link (``peel_reference``) and
-    solves the soft game on the rest, by fictitious play at delta 1e-1 and
-    then the exact finish of that one game; the record adds the peeled rates to the
-    slots and maps each bound v to 1 / (peeled + 1/v). Coloring is
+    solves the soft game on the rest. Fictitious play at delta 1e-1 gives
+    the iteration fields. When ``certified_schedule_reference`` certifies
+    a first-fit schedule of T slots, that is the schedule and both bounds
+    are 1/T; otherwise the exact finish of that one game gives the bounds
+    and ``extract_schedule`` the schedule. The record adds the peeled rates
+    to the slots and maps each bound v to 1 / (peeled + 1/v). Coloring is
     ``greedy_color`` in index order on that graph and no reuse is the
     rates' sum. Every soft schedule, with the peeled links' own slots
     added, must pass ``verify_schedule_reference`` on the whole graph.
@@ -634,10 +687,17 @@ def run_instance_reference(cfg, run_id, fixture=None):
                 else:
                     comps = enumerate_maximal(rest)
                     H = build_payoff(comps, rest_rates)
-                    sol = finish_exact_reference(H, fp_solve(H, SolverConfig(delta=1e-1)))
-                    extra = dict(value_lower=sol.value_lower, value_upper=sol.value_upper,
+                    sol = fp_solve(H, SolverConfig(delta=1e-1))
+                    certified = certified_schedule_reference(rest, rest_rates)
+                    if certified is None:
+                        sol = finish_exact_reference(H, sol)
+                        lower, upper = sol.value_lower, sol.value_upper
+                        schedule = extract_schedule(comps, rest_rates, sol.y, lower)
+                    else:
+                        schedule = counted_schedule(*certified, rest_rates)
+                        lower = upper = 1 / schedule.length
+                    extra = dict(value_lower=lower, value_upper=upper,
                                  fp_iterations=sol.iterations, converged=sol.converged)
-                    schedule = extract_schedule(comps, rest_rates, sol.y, sol.value_lower)
                     check = verify_schedule_reference(unpeel_schedule(schedule, keep, rates), g,
                                                       rates)
                     assert check, check.violation

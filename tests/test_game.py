@@ -17,11 +17,14 @@ from softsched import (
     Schedule,
     SolverConfig,
     build_payoff,
+    certified_schedule,
+    coloring_slots,
     enumerate_maximal,
     extract_schedule,
     finish_exact,
     finish_stack,
     fp_solve,
+    greedy_color,
     verify_schedule,
 )
 
@@ -32,6 +35,8 @@ from conftest import (
     assert_same_solution,
     brute_force_components,
     brute_force_maximal,
+    certified_schedule_reference,
+    counted_schedule,
     extract_schedule_reference,
     finish_exact_reference,
     fp_reference,
@@ -969,3 +974,52 @@ def test_theorem_reciprocal_schedule_length():
         slowest = fractions.min()
         assert slowest == pytest.approx(value, abs=1e-9)
         assert 1.0 / slowest == pytest.approx(1.0 / value, rel=1e-9)
+
+
+def test_certified_schedule_of_the_three_link_instance():
+    # First fit takes links 1 and 2 (one conflict each) before link 0: link 1
+    # holds slot 0, link 2 slots 1-2 and link 0 all three. Links 1 and 2
+    # conflict and weigh 3, the slots used, so the value 1/3 is proven.
+    assert certified_schedule(three_link_graph(), THREE_LINK_RATES) == (
+        [Component((0, 1)), Component((0, 2))], [1, 2])
+
+
+def test_certified_schedule_misses_the_five_cycle():
+    # Unit rates on a 5-cycle: first fit needs 3 slots, every clique is an
+    # edge of weight 2, and the value is 2/5, so no first-fit length is
+    # proven and the game goes to the LP finish.
+    g = ConflictGraph.from_pairs(5, [(i, (i + 1) % 5) for i in range(5)])
+    r = RateVector((1,) * 5)
+    assert certified_schedule(g, r) is None
+    assert lp_oracle(build_payoff(enumerate_maximal(g), r))[0] == pytest.approx(0.4, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_links=st.integers(1, 8), p=st.floats(0.0, 1.0), seed=st.integers(0, 10_000),
+       rates=st.lists(st.integers(1, 30), min_size=8, max_size=8))
+def test_certified_schedule_length_is_the_value_and_the_integer_optimum(n_links, p, seed, rates):
+    # Whenever first fit's T slots come with a clique of weight T, T is
+    # both 1/v (HiGHS) and the integer optimum over every maximal component
+    # (milp), the schedule is feasible and no hard coloring is shorter. The
+    # slot sets and counts are the exhaustive reference's, and extraction
+    # from y = counts / T at value 1/T gives back that very schedule.
+    from scipy.optimize import LinearConstraint, milp
+
+    g = random_conflict_graph(np.random.default_rng(seed), n_links, p)
+    r = RateVector(tuple(rates[:n_links]))
+    certified = certified_schedule(g, r)
+    assert certified == certified_schedule_reference(g, r)
+    if certified is None:
+        return
+    comps, counts = certified
+    n_slots = sum(counts)
+    H = build_payoff(enumerate_maximal(g), r)
+    value, _ = lp_oracle(H)
+    assert n_slots == pytest.approx(1 / value, rel=1e-12, abs=0)
+    res = milp(np.ones(H.n_components), integrality=np.ones(H.n_components),
+               constraints=LinearConstraint(H.h > 0, lb=np.array(r.rates, dtype=float)))
+    assert res.status == 0 and round(res.fun) == n_slots
+    schedule = counted_schedule(comps, counts, r)
+    assert verify_schedule_reference(schedule, g, r)
+    assert extract_schedule(comps, r, np.array(counts) / n_slots, 1 / n_slots) == schedule
+    assert coloring_slots(greedy_color(g, list(range(n_links))).colors, r) >= n_slots

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import pickle
@@ -29,6 +30,7 @@ from softsched import (
     build_conflict_graph,
     build_payoff,
     enumerate_maximal,
+    finish_stack,
     fp_solve,
     link_powers,
     load_fixture,
@@ -39,6 +41,7 @@ from softsched import (
     write_detail,
     write_results,
 )
+import softsched.game as game
 import softsched.harness as harness
 from softsched.cli import _config_from_args, build_parser, main
 from softsched.harness import DETAIL_HEADER, RESULTS_HEADER, _derive_streams, _generate_instance
@@ -312,6 +315,36 @@ def test_mode_ordering_invariant_small():
     for (run_id, beta, mode), slots in keyed.items():
         if mode == "soft":
             assert slots <= keyed[(run_id, beta, "coloring")] <= keyed[(run_id, beta, "none")]
+
+
+def test_without_the_clique_search_every_game_takes_the_lp_finish(tmp_path, monkeypatch):
+    # With no node to search, no game is certified and each goes into the
+    # stacked finish, as every game did before the certificate: the CSVs
+    # are the bytes the LP-only soft mode wrote for these two runs. With the
+    # search, run 1's schedule at 0 dB is one slot shorter.
+    cfg = ExperimentConfig(runs=2, seed=35)
+
+    def sweep_digests(tag):
+        table, records = run_sweep(cfg)
+        paths = [tmp_path / f"{tag}{suffix}.csv" for suffix in ("", "-detail")]
+        write_results(table, paths[0])
+        write_detail(records, paths[1])
+        return [hashlib.sha256(path.read_bytes()).hexdigest() for path in paths], records
+
+    certified, certified_records = sweep_digests("certified")
+    solved, finished = [], []
+    monkeypatch.setattr(game, "_CLIQUE_NODES", 0)
+    monkeypatch.setattr(harness, "fp_solve",
+                        lambda H, *args: solved.append(H) or fp_solve(H, *args))
+    monkeypatch.setattr(harness, "finish_stack",
+                        lambda hs, sols: finished.extend(hs) or finish_stack(hs, sols))
+    digests, records = sweep_digests("lp")
+    assert digests == ["0dedff6c11dfe02333f8c66dc2e84320f5455cace0c728452dc744849e95ce61",
+                       "ff26360e7efa8d7b958dd9505b196fcb282b19de1fef2dffefcff97a64e25533"]
+    assert finished == solved and solved
+    changed = [(lp.run_id, lp.beta_db, lp.slots - new.slots)
+               for lp, new in zip(records, certified_records) if lp.slots != new.slots]
+    assert certified != digests and changed == [(1, 0.0, 1)]
 
 
 @settings(max_examples=40, deadline=None)
