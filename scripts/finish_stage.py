@@ -12,9 +12,10 @@ seed * 30 + k for k < 30, 10 runs each) with the checkout's
 to keep each call's graph, ``harness.fp_solve`` to keep each call's
 arguments, whatever FP settings the checkout passes,
 ``harness.certified_schedule`` (where the checkout has it) to keep each
-call's graph and rates, ``harness.finish_stack`` to keep each call's
-payoffs and FP solutions, and ``harness.extract_schedule`` to keep each
-call's arguments. --nodes and
+call's graph and rates, the finish the checkout's harness calls
+(``finish_exact`` on one game, or ``finish_stack`` on a replication's games
+together) to keep each call's payoffs and FP solutions, and
+``harness.extract_schedule`` to keep each call's arguments. --nodes and
 --sessions change the instance size (default: desk's 10 and 10), --chunks
 and --runs the number of chunks and their runs. A replication whose
 enumeration hits the component cap (``ResourceLimitError``) is counted in
@@ -28,13 +29,13 @@ of games the certificate proved, so the finish never saw them. Each
 per-game figure is over the games its stage saw: components and FP
 iterations over every game, the whole-game share over the finished ones. A
 further replay wraps the finish's simplex kernels and reads the pivots
-each returns: per replication, the stacked
-pivots (each solve's largest per-game count) of the first masters and of
-all dual simplex solves, the stacked pivots of the warm primal solves, and
-the pricing rounds (the solves after a finish's first); the largest
-per-game count of any solve and, where the kernels take a budget, its
-largest share of that budget; and the share of games whose first master
-already holds every column (finished whole). A checkout that re-solves
+each returns: per replication, the pivots of the first masters and of all
+dual simplex solves, the pivots of the warm primal solves, and the pricing
+rounds (the solves after a finish call's first); the largest count of any
+solve and, where the kernels take a budget, its largest share of that
+budget; and the share of games whose first master already holds every
+column (finished whole). A checkout that stacks games counts each solve's
+largest per-game count. A checkout that re-solves
 each pricing round from scratch shows them as dual simplex solves and no
 warm ones. The output is one JSON object.
 """
@@ -85,13 +86,14 @@ def schedules_digest(schedules) -> str:
 KERNELS = ("_dual_simplex", "_primal_simplex")  # a checkout may lack the warm one
 
 
-def count_solves(game, calls) -> dict:
-    """Pivots, rounds and whole games of the finish while the calls replay, read from its kernels.
+def count_solves(game, finish, calls) -> dict:
+    """Pivots, rounds and whole games of ``finish`` while the calls replay, read from its kernels.
 
-    Each kernel returns its pivots last (or alone): one count per game, or
-    one stacked count from a checkout whose kernel counts no other way, so
-    a solve's stacked pivots are the largest count it returns. A kernel's
-    budget, where it takes one, is its last argument.
+    Each kernel returns its pivots last (or alone): one count, or one per
+    game from a checkout that stacks games, so a solve's pivots are the
+    largest count it returns. A kernel's budget, where it takes one, is its
+    last argument, and the first master's matrix its first: two-dimensional
+    for one game, or a stack of games' masters zero-padded to a common shape.
     """
     solves, real = [], {name: getattr(game, name) for name in KERNELS if hasattr(game, name)}
 
@@ -109,18 +111,19 @@ def count_solves(game, calls) -> dict:
     try:
         for payoffs, sols in calls:
             solves.clear()
-            game.finish_stack(payoffs, sols)
+            finish(payoffs, sols)
             if not solves:  # no game to finish
                 continue
             (_, (a, *_), first), *later = solves
             totals["first_master"] += int(first.max())
+            masters = a.reshape(-1, *a.shape[-2:])  # one (L, C) master per game
             totals["whole"] += sum(int(n) == H.n_components  # each game's own columns
-                                   for n, H in zip((a > 0).any(axis=1).sum(axis=1), payoffs))
+                                   for n, H in zip((masters > 0).any(axis=1).sum(axis=1), payoffs))
             totals["rounds"] += len(later)
             for name, args, pivots in solves:
                 totals["dual" if name == "_dual_simplex" else "warm"] += int(pivots.max())
                 largest = max(largest, int(pivots.max()))
-                if pivots.shape and len(args) in (3, 5):  # per-game counts and a budget
+                if len(args) in (3, 5):  # the kernels take a budget
                     budget = np.asarray(args[-1], dtype=float)
                     used = np.divide(pivots, budget, out=np.zeros(pivots.shape), where=budget > 0)
                     share = max(share or 0.0, float(used.max()))
@@ -148,10 +151,18 @@ def main(argv=None) -> int:
     from softsched.components import ResourceLimitError
 
     graphs, fp_calls, cert_calls, calls, extract_calls = [], [], [], [], []
-    enumerate_maximal, fp_solve, finish, extract = (
-        harness.enumerate_maximal, harness.fp_solve, harness.finish_stack,
-        harness.extract_schedule)
+    enumerate_maximal, fp_solve, extract = (
+        harness.enumerate_maximal, harness.fp_solve, harness.extract_schedule)
     certify = getattr(harness, "certified_schedule", None)  # a checkout may finish every game
+    # A checkout may finish a replication's games in one stacked call.
+    finish_name = "finish_stack" if hasattr(harness, "finish_stack") else "finish_exact"
+    finish = getattr(harness, finish_name)
+
+    def finish_games(payoffs, sols):
+        """The finished games of one kept call, finished as the checkout's harness finishes them."""
+        if finish_name == "finish_stack":
+            return finish(payoffs, sols)
+        return list(map(finish, payoffs, sols))
 
     def keep_graph(g):
         graphs.append(g)
@@ -165,16 +176,17 @@ def main(argv=None) -> int:
         cert_calls.append((g, r))
         return certify(g, r)
 
-    def keep(payoffs, sols):
-        calls.append((payoffs, sols))
+    def keep(payoffs, sols):  # finish_exact's one game, or finish_stack's lists of them
+        calls.append((payoffs, sols) if finish_name == "finish_stack" else ([payoffs], [sols]))
         return finish(payoffs, sols)
 
     def keep_extract(*args):
         extract_calls.append(args)
         return extract(*args)
 
-    harness.enumerate_maximal, harness.fp_solve, harness.finish_stack, harness.extract_schedule = (
-        keep_graph, keep_fp, keep, keep_extract)
+    harness.enumerate_maximal, harness.fp_solve, harness.extract_schedule = (
+        keep_graph, keep_fp, keep_extract)
+    setattr(harness, finish_name, keep)
     if certify is not None:
         harness.certified_schedule = keep_certificate
     cap_hits = 0
@@ -189,8 +201,9 @@ def main(argv=None) -> int:
                 cap_hits += 1
                 del graphs[kept[0]:], fp_calls[kept[1]:], cert_calls[kept[2]:]
                 del calls[kept[3]:], extract_calls[kept[4]:]
-    harness.enumerate_maximal, harness.fp_solve, harness.finish_stack, harness.extract_schedule = (
-        enumerate_maximal, fp_solve, finish, extract)
+    harness.enumerate_maximal, harness.fp_solve, harness.extract_schedule = (
+        enumerate_maximal, fp_solve, extract)
+    setattr(harness, finish_name, finish)
     if certify is not None:
         harness.certified_schedule = certify
 
@@ -209,14 +222,14 @@ def main(argv=None) -> int:
         certs = [certify(*cert_args) for cert_args in cert_calls]
         best["certificate"] = min(best["certificate"], time.process_time() - start)
         start = time.process_time()
-        exact = [sol for payoffs, fp in calls for sol in game.finish_stack(payoffs, fp)]
+        exact = [sol for payoffs, fp in calls for sol in finish_games(payoffs, fp)]
         best["finish"] = min(best["finish"], time.process_time() - start)
         start = time.process_time()
         schedules = [extract(*extract_args) for extract_args in extract_calls]
         best["extract"] = min(best["extract"], time.process_time() - start)
     games, finished = len(sols), sum(len(payoffs) for payoffs, _ in calls)
     certified = sum(cert is not None for cert in certs)
-    solves = count_solves(game, calls)
+    solves = count_solves(game, finish_games, calls)
     print(json.dumps({
         "seed": args.seed,
         "nodes": args.nodes,

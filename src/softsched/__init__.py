@@ -34,7 +34,6 @@ from .game import (
     certified_schedule,
     extract_schedule,
     finish_exact,
-    finish_stack,
     fp_solve,
     verify_schedule,
 )

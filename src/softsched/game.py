@@ -14,8 +14,7 @@ finish solves the linear program over every column of a game with at most
 four per link, and over FP's columns of a wider one, by a dual simplex
 from a basis built on a clique of links no component holds two of. It
 then adds priced columns, continuing from the last optimal basis by primal
-simplex steps, until v is exact, for several games at once in stacked
-simplex calls. The schedule extractor turns y into integer slot counts.
+simplex steps, until v is exact, one game at a time. The schedule extractor turns y into integer slot counts.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import math
 import numbers
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -216,331 +215,196 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
     )
 
 
-def finish_exact(H: PayoffMatrix, sol: GameSolution) -> GameSolution:
-    """The one-game case of finish_stack: sol made exact on H."""
-    return finish_stack([H], [sol])[0]
-
-
 # A game with at most this many columns per link opens its pool with all of
 # them; a wider one opens with FP's columns and prices the rest in rounds.
 _WHOLE_PER_LINK = 4
 
-# A game pivots by Dantzig's rule until its pivots in one solve reach this
-# many times its master's rows plus columns, then by Bland's rule, which
-# cannot cycle.
+# A solve pivots by Dantzig's rule until its pivots reach this many times
+# its master's rows plus columns, then by Bland's rule, which cannot cycle.
 _DANTZIG_BUDGET = 1
 
 
-def finish_stack(payoffs: list[PayoffMatrix], sols: list[GameSolution]) -> list[GameSolution]:
-    """Make each sols[g] exact by column generation on min sum(u) s.t. A u >= b, u >= 0.
+def finish_exact(H: PayoffMatrix, sol: GameSolution) -> GameSolution:
+    """Make sol exact by column generation on min sum(u) s.t. A u >= b, u >= 0.
 
-    A is payoffs[g] over each row's largest entry and b its reciprocal
-    (build_payoff's 0/1 membership and rates). A game of J <= 4L columns
-    opens its pool with all of them, so its first master is exact. A wider
-    game's pool opens with sols[g].y's columns and the first column covering
-    each link they miss; each round adds up to L of the columns the link
-    duals z price most negative, 1 - z @ A, until none is below -1e-9.
-    y = u / sum(u) and x = b z / (b . z) certify value_upper = max(x @ H) and
-    value_lower = min(min(H @ y), value_upper).
+    A is H over each row's largest entry and b its reciprocal (build_payoff's
+    0/1 membership and rates). A game of J <= 4L columns opens its pool with
+    all of them, so its first master is exact. A wider game's pool opens
+    with sol.y's columns and the first column covering each link they miss;
+    each round adds up to L of the columns the link duals z price most
+    negative, 1 - z @ A, until none is below -1e-9. y = u / sum(u) and x =
+    b z / (b . z) certify value_upper = max(x @ H) and value_lower =
+    min(min(H @ y), value_upper).
 
-    Each game's first master starts from a clique basis. The clique is
-    greedy over A alone: rows that no column holds two of, largest b first
-    and lowest index on ties (for build_payoff, a clique of the conflict
-    graph taken by rate). Clique row s gets the pool column j_s that
-    maximises A[s, .], the largest b . A[:, j] and then the lowest index on
-    ties. No column holds two clique rows, so the start is dual feasible,
-    every reduced cost being 1 - A[s, j] / A[s, j_s] >= 0, and its objective
-    is the clique's bound sum(b_s / A[s, j_s]). _dual_simplex solves it.
-    After that the master stays warm: a pricing round appends its columns
-    to the game's optimal tableau as B^-1 (-a_j), in the order they were
-    priced, just before the surpluses, with reduced cost 1 - z . a_j. The
-    basis is still primal feasible, and _primal_simplex finishes the round.
-
-    Every game's A sits side by side in one array, rows zero-padded to the
-    tallest game's: one copy of the payoffs, never padded to the widest. The
-    first masters of all games are solved in one _dual_simplex call,
-    zero-padded to a common shape after each game's own rows and columns,
-    and each round grows and re-solves the tableaus of the games still
-    pricing in one _primal_simplex call, their new columns zero-padded to
-    the round's widest. So each round takes a fixed number of numpy calls
-    however many games there are. A game leaves once its pricing adds
-    nothing, and a round whose games hold all their columns prices none. A
-    padded column never enters (its entries are 0, and so its reduced cost
-    is 1), a padded row's surplus stays basic (its right side is 0), and
-    every sum that decides a step runs over a game's rows or columns in
-    index order, so each game comes out bit for bit as if it were finished
-    alone.
+    The first master starts from a clique basis. The clique is greedy over
+    A alone: rows that no column holds two of, largest b first and lowest
+    index on ties (for build_payoff, a clique of the conflict graph taken by
+    rate). Clique row s gets the pool column j_s that maximises A[s, .],
+    the largest b . A[:, j] and then the lowest index on ties. No column
+    holds two clique rows, so the start is dual feasible, every reduced cost
+    being 1 - A[s, j] / A[s, j_s] >= 0, and its objective is the clique's
+    bound sum(b_s / A[s, j_s]). _dual_simplex solves it. After that the
+    master stays warm: a pricing round appends its columns to the optimal
+    tableau as B^-1 (-a_j), in the order they were priced, just before the
+    surpluses, with reduced cost 1 - z . a_j. The basis is still primal
+    feasible, and _primal_simplex finishes the round. Every sum that
+    decides a step runs over rows or columns in index order.
     """
-    if not payoffs:
-        return []
-    hs = [H.h for H in payoffs]
-    n_games, n_links = len(hs), [len(h) for h in hs]
-    n_rows, widths = max(n_links), [h.shape[1] for h in hs]
-    ends = list(itertools.accumulate(widths))
-    owner = np.repeat(np.arange(n_games), widths)  # each column's game
-    scale = np.full((n_games, n_rows), np.inf)  # a padded row's b is 1/inf = 0
-    a_all = np.zeros((n_rows, ends[-1]))
-    for g, h in enumerate(hs):
-        row_max = np.maximum.reduce(h, axis=1, out=scale[g, :len(h)])
-        np.divide(h, row_max[:, None], out=a_all[:len(h), ends[g] - widths[g]:ends[g]])
-    b_all = 1.0 / scale
+    h = H.h
+    n_links, n_comps = h.shape
+    scale = np.maximum.reduce(h, axis=1)
+    a_all, b = h / scale[:, None], 1.0 / scale
 
-    # Each row's columns as one Python-int bitset, for the clique and the cover.
-    packed = np.packbits(a_all > 0, axis=1, bitorder="little")
-    held_by = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    in_pool = np.concatenate([sol.y > 0 if width > _WHOLE_PER_LINK * links else np.full(width, True)
-                              for sol, width, links in zip(sols, widths, n_links)])
-    pool = int.from_bytes(np.packbits(in_pool, bitorder="little").tobytes(), "little")
-    cliques, cover = [], []
-    for b, end, width, links in zip(b_all.tolist(), ends, widths, n_links):
-        span = (1 << end) - (1 << (end - width))
-        clique, taken = [], 0
-        for i in sorted(range(links), key=b.__getitem__, reverse=True):  # stable
-            cols = held_by[i] & span
-            if not cols & taken:
-                clique.append(i)
-                taken |= cols
-            if not cols & pool:
-                cover.append((cols & -cols).bit_length() - 1)  # the first column covering i
-        cliques.append(clique)
-    in_pool[cover] = True
-    width = max(map(len, cliques))
-    clique_rows = np.array([c + [-1] * (width - len(c)) for c in cliques])
+    held = a_all > 0
+    held_by = [int.from_bytes(row.tobytes(), "little")  # each row's columns as a bitset
+               for row in np.packbits(held, axis=1, bitorder="little")]
+    clique, taken = [], 0
+    for i in sorted(range(n_links), key=b.tolist().__getitem__, reverse=True):  # stable
+        if not held_by[i] & taken:
+            clique.append(i)
+            taken |= held_by[i]
+    in_pool = sol.y > 0 if n_comps > _WHOLE_PER_LINK * n_links else np.full(n_comps, True)
+    in_pool[held[~held[:, in_pool].any(axis=1)].argmax(axis=1)] = True  # cover what FP missed
 
-    # The first masters. ids maps each stacked game's tableau column to its
-    # column of a_all; padding maps to y_all's last entry, which is dropped.
-    cols = np.flatnonzero(in_pool)
-    k = owner[cols]
-    sizes = np.bincount(k)  # each game's pool size
-    pos = np.arange(len(cols)) - (np.cumsum(sizes) - sizes)[k]
-    a = np.zeros((n_games, n_rows, sizes.max()))
-    a[k, :, pos] = a_all[:, cols].T
-    ids = np.full(a.shape[::2], len(owner))
-    ids[k, pos] = cols
-    most_added = np.array(n_links)  # a game's pool grows by at most L columns a round
-    t, basis, _ = _dual_simplex(a, b_all, clique_rows, _crash_columns(a, b_all, clique_rows),
-                                _DANTZIG_BUDGET * (most_added + sizes))
-
-    x_all, y_all = np.zeros((n_games, n_rows)), np.zeros(len(owner) + 1)
-    active, pricing = np.arange(n_games), np.ones(n_games, dtype=bool)
-    outside = ~in_pool  # the columns of games still pricing that are not in their pools
+    ids = np.flatnonzero(in_pool)  # each tableau column's column of a_all
+    a = a_all[:, ids]
+    t, basis, _ = _dual_simplex(a, b, clique, _crash_columns(a, b, clique),
+                                _DANTZIG_BUDGET * (n_links + len(ids)))
+    outside = ~in_pool
     while True:
-        n_cols = ids.shape[1]
-        values = np.zeros((len(active), n_cols + n_rows))
-        values[np.arange(len(active))[:, None], basis] = t[:, :n_rows, -1]
-        # + 0.0 turns -0.0 into 0.0, so a stacked game's zeros have the signs of the game alone.
-        u = np.maximum(values[:, :n_cols], 0.0) + 0.0
-        z = np.maximum(t[:, n_rows, n_cols:-1], 0.0) + 0.0
-        # Every sum over a game's rows or columns runs in index order. A game
-        # that prices again overwrites its x and y in the next round.
-        y_all[ids] = u / np.add.accumulate(u, axis=1)[:, -1:]
-        w = z / scale[active]
-        x_all[active] = w / np.add.accumulate(w, axis=1)[:, -1:]
-
-        # One matmul prices every column against every stacked game's duals.
-        # It sums in its own order, off by far less than 2.5e-10. A column
-        # below -1e-9 in row order is below -5e-10 by the matmul, and since at
-        # most L of a game's columns enter, the L most negative in row order
-        # lie within 5e-10 of the game's L-th most negative by the matmul.
-        # Only those columns are priced again with sums in row order, and
-        # those below -1e-9 enter, up to L a game, the most negative first.
+        n_cols = len(ids)
+        z = np.maximum(t[n_links, n_cols:-1], 0.0) + 0.0  # + 0.0 turns -0.0 into 0.0
         candidates = np.flatnonzero(outside)
-        if not len(candidates):  # every stacked game's pool holds all its columns
+        if not len(candidates):  # the pool holds every column
             break
-        prices = z @ a_all
-        stacked = np.searchsorted(active, owner[candidates])
-        rough = 1.0 - prices[stacked, candidates]
+        # One matmul prices every column. It sums in its own order, off by
+        # far less than 2.5e-10. A column below -1e-9 in row order is below
+        # -5e-10 by the matmul, and since at most L columns enter, the L most
+        # negative in row order lie within 5e-10 of the L-th most negative by
+        # the matmul. Only those columns are priced again with sums in row
+        # order, and those below -1e-9 enter, up to L, the most negative first.
+        rough = 1.0 - (z @ a_all)[candidates]
         near = rough < -5e-10
-        candidates, stacked, rough = candidates[near], stacked[near], rough[near]
-        limit = most_added[active]
-        counts = np.bincount(stacked, minlength=len(active))
-        many = counts > limit
-        lth = np.full(len(active), np.inf)
-        order = np.lexsort((rough, stacked))
-        lth[many] = rough[order[(np.cumsum(counts) - counts + limit - 1)[many]]]
-        leading = rough <= lth[stacked] + 5e-10
-        candidates, stacked = candidates[leading], stacked[leading]
-        terms = a_all[:, candidates]
-        terms *= z[stacked].T
-        reduced = 1.0 - np.add.accumulate(terms)[-1]
+        candidates, rough = candidates[near], rough[near]
+        if len(rough) > n_links:
+            candidates = candidates[rough <= np.sort(rough)[n_links - 1] + 5e-10]
+        reduced = 1.0 - np.add.accumulate(a_all[:, candidates] * z[:, None])[-1]
         below = reduced < -1e-9
         if not below.any():
             break
-        entering, stacked = candidates[below], stacked[below]
-        order = np.lexsort((reduced[below], stacked))
-        entering, stacked = entering[order], stacked[order]
-        counts = np.bincount(stacked, minlength=len(active))
-        rank = np.arange(len(entering)) - (np.cumsum(counts) - counts)[stacked]
-        taken = rank < limit[stacked]
-        entering, stacked, rank = entering[taken], stacked[taken], rank[taken]
+        entering = candidates[below][np.argsort(reduced[below], kind="stable")[:n_links]]
 
-        # Grow the tableaus of the games that priced a column: each new
-        # column is B^-1 (-a_j), summed over rows in order, and its reduced
-        # cost 1 - z . a_j, where B^-1 and z are the surpluses' columns.
+        # Grow the tableau: each new column is B^-1 (-a_j), summed over rows
+        # in order, and its reduced cost 1 - z . a_j, where B^-1 and z are
+        # the surpluses' columns.
         outside[entering] = False
-        pricing[active[counts == 0]] = False
-        outside &= pricing[owner]
-        sizes[active] += np.minimum(counts, limit)
-        keep = np.flatnonzero(counts)
-        active = active[keep]
-        at = np.searchsorted(keep, stacked)
-        a = np.zeros((len(keep), n_rows, rank.max() + 1))
-        a[at, :, rank] = a_all[:, entering].T
-        new = -np.add.accumulate(t[keep, :, n_cols:-1, None] * a[:, None], axis=2)[:, :, -1]
-        new[:, n_rows] += 1.0
-        t = np.concatenate([t[keep, :, :n_cols], new, t[keep, :, n_cols:]], axis=2)
-        basis = basis[keep]
-        basis[basis >= n_cols] += new.shape[2]
-        new_ids = np.full(new.shape[::2], len(owner))
-        new_ids[at, rank] = entering
-        ids = np.concatenate([ids[keep], new_ids], axis=1)
-        _primal_simplex(t, basis, _DANTZIG_BUDGET * (most_added + sizes)[active])
+        new = -np.add.accumulate(t[:, n_cols:-1, None] * a_all[:, entering], axis=1)[:, -1]
+        new[n_links] += 1.0
+        t = np.concatenate([t[:, :n_cols], new, t[:, n_cols:]], axis=1)
+        basis[basis >= n_cols] += len(entering)
+        ids = np.concatenate([ids, entering])
+        _primal_simplex(t, basis, _DANTZIG_BUDGET * (n_links + len(ids)))
 
-    out = []
-    for h, sol, x, end, width in zip(hs, sols, x_all, ends, widths):
-        x, y = x[:len(h)], y_all[end - width:end]
-        upper = float(np.maximum.reduce(x @ h))
-        out.append(GameSolution(x=x, y=y, value_lower=min(float(np.minimum.reduce(h @ y)), upper),
-                                value_upper=upper, iterations=sol.iterations,
-                                converged=sol.converged, state=sol.state,
-                                bounds_log=sol.bounds_log))
-    return out
+    values = np.zeros(n_cols + n_links)
+    values[basis] = t[:n_links, -1]
+    u = np.maximum(values[:n_cols], 0.0) + 0.0
+    y = np.zeros(n_comps)
+    y[ids] = u / np.add.accumulate(u)[-1]
+    w = z / scale
+    x = w / np.add.accumulate(w)[-1]
+    upper = float(np.maximum.reduce(x @ h))
+    return replace(sol, x=x, y=y, value_lower=min(float(np.minimum.reduce(h @ y)), upper),
+                   value_upper=upper)
 
 
-def _crash_columns(a: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Per game g of a (G, L, C) stack, the column j_s for each clique row s in rows[g].
+def _crash_columns(a: np.ndarray, b: np.ndarray, rows: list[int]) -> np.ndarray:
+    """The column j_s for each clique row s in rows: it maximises a[s, :].
 
-    j_s maximises a[g, s, :]; among ties, the largest b[g] . a[g, :, j], then
-    the lowest index. Entries of rows below 0 are padding, and their columns
-    are meaningless.
+    Among ties, the largest b . a[:, j] wins, then the lowest index.
     """
-    vals = a[np.arange(len(a))[:, None], rows]
-    weight = (b[:, :, None] * a).sum(axis=1)  # one row after another, so in row order
-    best = vals == vals.max(axis=2, keepdims=True)
-    return np.where(best, weight[:, None, :], -np.inf).argmax(axis=2)
+    vals = a[rows]
+    weight = (b[:, None] * a).sum(axis=0)  # one row after another, so in row order
+    best = vals == vals.max(axis=1, keepdims=True)
+    return np.where(best, weight, -np.inf).argmax(axis=1)
 
 
-def _pivot(t: np.ndarray, basis: np.ndarray, g: np.ndarray, r: np.ndarray, q: np.ndarray,
-           pivot: np.ndarray) -> None:
-    """Pivot each game g of the stack t on row r[g] and column q[g], in place; pivot is t[g, r]."""
-    pivot /= pivot[g, q][:, None]
-    t -= t[g, :, q][:, :, None] * pivot[:, None, :]
-    t[g, r] = pivot
-    basis[g, r] = q
+def _pivot(t: np.ndarray, basis: np.ndarray, r: int, q: int) -> None:
+    """Pivot the tableau t on row r and column q, in place."""
+    pivot = t[r] / t[r, q]
+    t -= t[:, q, None] * pivot
+    t[r] = pivot
+    basis[r] = q
 
 
-def _dual_simplex(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                  budget: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per game g of a (G, L, C) stack: min sum(u) s.t. a[g] @ u >= b[g], u >= 0, by a dual simplex.
+def _dual_simplex(a: np.ndarray, b: np.ndarray, rows: list[int], cols: np.ndarray,
+                  budget: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """min sum(u) s.t. a @ u >= b, u >= 0 on one (L, C) matrix, by a dual simplex.
 
-    Returns the optimal tableaus (G, L + 1, C + L + 1), their bases (G, L)
-    and each game's pivots after the crash. A tableau's columns are the C
-    structurals, the L surpluses and the right side; its last row holds the
-    reduced costs, so its surplus entries are the row duals z. The crash
-    starts from the basis in which column cols[g, k] replaces the surplus of
-    row rows[g, k] (entries of rows below 0 are padding); no column may hold
-    two of a game's rows, and the basis must be dual feasible. Its block is
-    diagonal, so it is pivoted in one step, to the bits (up to signs of 0)
-    of pivoting the rows one at a time in order: each row is divided by its
-    pivot; every other entry but the right side takes off at most one
-    nonzero multiple, which one matmul gives exactly; and the right sides
-    take theirs off one after another. Then a row is short when its right
-    side is below minus the rounding of its terms. By Dantzig's rule the
-    short row of most negative right side leaves, the lowest on ties; once
-    a game has made budget[g] pivots, Bland's rule picks its lowest-indexed
-    short basic variable instead, so no game can cycle. The lowest-indexed
-    column of least ratio enters. Each round pivots every game that still
-    has a short row once, and the others on a basic column, which changes
-    nothing.
+    Returns the optimal tableau (L + 1, C + L + 1), its basis (L) and the
+    pivots after the crash. The tableau's columns are the C structurals, the
+    L surpluses and the right side; its last row holds the reduced costs, so
+    its surplus entries are the row duals z. The crash pivots column cols[k]
+    into row rows[k], one row after another; no column may hold two of the
+    rows, and the basis must be dual feasible. Then a row is short when its
+    right side is below minus the rounding of its terms. By Dantzig's rule
+    the short row of most negative right side leaves, the lowest on ties;
+    once the solve has made budget pivots, Bland's rule picks the
+    lowest-indexed short basic variable instead, so it cannot cycle. The
+    lowest-indexed column of least ratio enters.
     """
-    n_games, n_rows, n_cols = a.shape
-    t = np.zeros((n_games, n_rows + 1, n_cols + n_rows + 1))
-    np.negative(a, out=t[:, :n_rows, :n_cols])
+    n_rows, n_cols = a.shape
+    t = np.zeros((n_rows + 1, n_cols + n_rows + 1))
+    np.negative(a, out=t[:n_rows, :n_cols])
     diag = np.arange(n_rows)
-    t[:, diag, n_cols + diag] = 1.0
-    np.negative(b, out=t[:, :n_rows, -1])
-    t[:, n_rows, :n_cols] = 1.0  # the reduced costs: every column costs 1
-    basis = np.zeros((n_games, 1), dtype=np.intp) + (n_cols + diag)
+    t[diag, n_cols + diag] = 1.0
+    np.negative(b, out=t[:n_rows, -1])
+    t[n_rows, :n_cols] = 1.0  # the reduced costs: every column costs 1
+    basis = n_cols + diag
+    for r, q in zip(rows, cols):
+        _pivot(t, basis, r, q)
 
-    gk = np.arange(n_games).repeat(rows.shape[1]).reshape(rows.shape)
-    pad = rows < 0
-    pivot = t[gk, rows] / t[gk, rows, cols][:, :, None]
-    coef = t[gk, :, cols]
-    pivot[pad] = 0.0
-    coef[pad] = 0.0
-    sides = np.concatenate([t[:, None, :, -1], coef * pivot[:, :, -1:]], axis=1)
-    t -= coef.transpose(0, 2, 1) @ pivot
-    t[:, :, -1] = np.subtract.reduce(sides, axis=1)
-    crash = ~pad
-    t[gk[crash], rows[crash]] = pivot[crash]
-    basis[gk[crash], rows[crash]] = cols[crash]
-
-    rhs, inverse = t[:, :n_rows, -1], t[:, :n_rows, n_cols:-1]  # views, kept up to date
-    costs = t[:, n_rows, :-1]
-    tol = -1e-12 * b[:, :, None]
-    g = np.arange(n_games)
-    pivots = np.zeros(n_games, dtype=np.intp)
-    bland_from = int(budget.min())
-    ratios = np.empty((n_games, n_cols + n_rows))
-    for stacked in itertools.count():
-        short = rhs < (np.abs(inverse) @ tol)[:, :, 0]
-        pivoting = short.any(axis=1)
-        if not pivoting.any():
-            return t, basis, pivots
-        r = np.where(short, rhs, np.inf).argmin(axis=1)
-        if stacked >= bland_from:  # some game may have spent its budget
-            bland = np.where(short, basis, n_cols + n_rows).argmin(axis=1)
-            r = np.where(pivots >= budget, bland, r)
-        pivot = t[g, r]
-        row = pivot[:, :-1]
+    rhs, inverse = t[:n_rows, -1], t[:n_rows, n_cols:-1]  # views, kept up to date
+    costs = t[n_rows, :-1]
+    tol = -1e-12 * b
+    pivots = 0
+    while (short := rhs < np.abs(inverse) @ tol).any():
+        if pivots < budget:
+            r = np.where(short, rhs, np.inf).argmin()
+        else:
+            r = np.where(short, basis, n_cols + n_rows).argmin()
+        row = t[r, :-1]
         # Minus the ratios, so the least ratio is the first largest entry.
-        ratios.fill(-np.inf)
-        np.divide(costs, row, out=ratios, where=row < -1e-9)
-        # A game with no short row pivots row 0 on its basic column, the
-        # unit vector of that row: the pivot changes nothing but signs of 0.
-        _pivot(t, basis, g, r, np.where(pivoting, ratios.argmax(axis=1), basis[:, 0]), pivot)
-        pivots += pivoting
+        ratios = np.divide(costs, row, out=np.full(row.shape, -np.inf), where=row < -1e-9)
+        _pivot(t, basis, r, ratios.argmax())
+        pivots += 1
+    return t, basis, pivots
 
 
-def _primal_simplex(t: np.ndarray, basis: np.ndarray, budget: np.ndarray) -> np.ndarray:
-    """Primal simplex, in place, on a stack of primal feasible tableaus laid out as _dual_simplex's.
+def _primal_simplex(t: np.ndarray, basis: np.ndarray, budget: float) -> int:
+    """Primal simplex, in place, on a primal feasible tableau laid out as _dual_simplex's.
 
-    Returns each game's pivots. A column of reduced cost below -1e-9 may
-    enter: by Dantzig's rule the most negative, the lowest-indexed on ties.
-    Of the rows whose entry in it is above 1e-9, the one of least ratio of
-    right side to entry leaves, the lowest on ties. Once a game has made
-    budget[g] pivots, Bland's rule takes over: the lowest-indexed column
-    that may enter, and among the rows of least ratio the lowest-indexed
-    basic variable. Each round pivots every game that still has a column
-    to enter once, and the others on a basic column, which changes nothing.
+    Returns the pivots. A column of reduced cost below -1e-9 may enter: by
+    Dantzig's rule the most negative, the lowest-indexed on ties. Of the
+    rows whose entry in it is above 1e-9, the one of least ratio of right
+    side to entry leaves, the lowest on ties. Once the solve has made budget
+    pivots, Bland's rule takes over: the lowest-indexed column that may
+    enter, and among the rows of least ratio the lowest-indexed basic
+    variable.
     """
-    n_games, n_rows = len(t), t.shape[1] - 1
-    g = np.arange(n_games)
-    rhs, costs = t[:, :n_rows, -1], t[:, n_rows, :-1]  # views, kept up to date
-    pivots = np.zeros(n_games, dtype=np.intp)
-    bland_from = int(budget.min())
-    ratios = np.empty((n_games, n_rows))
-    for stacked in itertools.count():
-        entering = costs < -1e-9
-        pivoting = entering.any(axis=1)
-        if not pivoting.any():
-            return pivots
-        bland = pivots >= budget if stacked >= bland_from else None
-        q = costs.argmin(axis=1)
-        if bland is not None:
-            q = np.where(bland, entering.argmax(axis=1), q)
-        # A game with nothing to enter pivots row 0 on its basic column, the
-        # unit vector of that row: the pivot changes nothing but signs of 0.
-        q = np.where(pivoting, q, basis[:, 0])
-        col = t[g, :n_rows, q]
-        ratios.fill(np.inf)
-        np.divide(rhs, col, out=ratios, where=col > 1e-9)
-        r = ratios.argmin(axis=1)
-        if bland is not None:
-            tied = ratios == ratios[g, r][:, None]
-            r = np.where(bland, np.where(tied, basis, t.shape[2]).argmin(axis=1), r)
-        _pivot(t, basis, g, r, q, t[g, r])
-        pivots += pivoting
+    n_rows = len(t) - 1
+    rhs, costs = t[:n_rows, -1], t[n_rows, :-1]  # views, kept up to date
+    pivots = 0
+    while (entering := costs < -1e-9).any():
+        bland = pivots >= budget
+        q = entering.argmax() if bland else costs.argmin()
+        col = t[:n_rows, q]
+        ratios = np.divide(rhs, col, out=np.full(n_rows, np.inf), where=col > 1e-9)
+        r = ratios.argmin()
+        if bland:
+            r = np.where(ratios == ratios[r], basis, t.shape[1]).argmin()
+        _pivot(t, basis, r, q)
+        pivots += 1
+    return pivots
 
 
 # The clique search of certified_schedule gives up after this many nodes.

@@ -18,8 +18,8 @@ margin's graph with ``build_conflict_graph`` only where that graph differs
 from the previous margin's. It peels each such graph's universal links
 (those that conflict with every link, so fire alone) and plays the game on
 the rest. ``certified_schedule`` proves most games' value with a first-fit
-schedule that meets a clique; the exact finishes of the others run as one
-stacked ``finish_stack`` call. One loop then builds every record.
+schedule that meets a clique; ``finish_exact`` makes each of the others
+exact, one game at a time. One loop then builds every record.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .game import (
     build_payoff,
     certified_schedule,
     extract_schedule,
-    finish_stack,
+    finish_exact,
     fp_solve,
     verify_schedule,
 )
@@ -283,7 +283,7 @@ def _peel(g: ConflictGraph, rates: RateVector) -> tuple[int, ConflictGraph, Rate
 
 
 def _soft_fields(graphs: list[ConflictGraph], rates: RateVector) -> list[tuple]:
-    """Each graph's soft fields: FP at delta 1e-1, the certificate, one stacked finish of the rest.
+    """Each graph's soft fields: FP at delta 1e-1, the certificate, the exact finish of the rest.
 
     Each entry is (slots, value_lower, value_upper, fp_iterations,
     converged), in record field order. Each graph's universal links are
@@ -291,9 +291,12 @@ def _soft_fields(graphs: list[ConflictGraph], rates: RateVector) -> list[tuple]:
     for them. A game ``certified_schedule`` certifies at T slots has both
     bounds 1/T and, as components, its schedule's own slot sets, which need
     not be maximal; extraction from y = counts / T gives that schedule back.
-    Every other game is made exact by ``finish_stack`` and its schedule
-    extracted from the finish's y over the maximal components.
+    Every other game is made exact by ``finish_exact``, one game at a time,
+    and its schedule extracted from the finish's y over the maximal
+    components.
     """
+    # Stage by stage over all the games, not one loop per game: interleaving
+    # the stages measured each 10-30% slower per call, and desk 6% slower.
     fields, games = [], []
     for g in graphs:
         peeled, rest, rest_rates = _peel(g, rates)
@@ -304,14 +307,11 @@ def _soft_fields(graphs: list[ConflictGraph], rates: RateVector) -> list[tuple]:
         games.append((len(fields), peeled, rest, rest_rates, comps,
                       build_payoff(comps, rest_rates)))
         fields.append(None)
-    payoffs = [game[-1] for game in games]
-    sols = [fp_solve(payoff, _FP) for payoff in payoffs]
+    sols = [fp_solve(game[-1], _FP) for game in games]
     certified = [certified_schedule(game[2], game[3]) for game in games]
-    missed = [k for k, cert in enumerate(certified) if cert is None]
-    exact = iter(finish_stack([payoffs[k] for k in missed], [sols[k] for k in missed]))
-    for (k, peeled, rest, rest_rates, comps, _), sol, cert in zip(games, sols, certified):
+    for (k, peeled, rest, rest_rates, comps, payoff), sol, cert in zip(games, sols, certified):
         if cert is None:
-            sol = next(exact)
+            sol = finish_exact(payoff, sol)
             y, lower, upper = sol.y, sol.value_lower, sol.value_upper
         else:
             comps, counts = cert
@@ -351,11 +351,11 @@ def run_instance(cfg: ExperimentConfig, run_id: int,
     Python ints, and builds the game on the rest: components, payoff and
     fictitious play. ``certified_schedule`` then tries each game: a
     first-fit schedule of T slots that meets a clique of weight T proves
-    the value 1/T, so both bounds are 1/T. One ``finish_stack`` call makes
-    every other game exact, and the second pass extracts and verifies each
-    schedule on the rest and builds the fields: slots are the peeled rates
-    plus the schedule's length, and each bound v becomes 1 / (peeled +
-    1/v). A certified schedule's components are its own slot sets, which
+    the value 1/T, so both bounds are 1/T. The second pass makes each
+    other game exact with ``finish_exact``, one game at a time, extracts
+    and verifies each schedule on the rest and builds the fields: slots are
+    the peeled rates plus the schedule's length, and each bound v becomes
+    1 / (peeled + 1/v). A certified schedule's components are its own slot sets, which
     need not be maximal. A margin whose graph is complete has no game: its
     slots are the rates' sum, and ``fp_iterations=0`` with
     ``converged=true`` says that nothing was iterated.

@@ -386,7 +386,7 @@ def finish_exact_reference(H, sol, budget=1):
     the most negative first, to that master's optimal tableau, just before
     the surpluses, as B^-1 (-a_j) with reduced cost 1 - z . a_j, and
     primal_simplex_reference finishes the round. Every sum over rows or
-    columns runs in index order, as the stacked finish's do. budget is the
+    columns runs in index order, as finish_exact's do. budget is the
     game's Dantzig pivots per row plus column before Bland's rule.
     """
     h = H.h

@@ -22,7 +22,6 @@ from softsched import (
     enumerate_maximal,
     extract_schedule,
     finish_exact,
-    finish_stack,
     fp_solve,
     greedy_color,
     verify_schedule,
@@ -478,7 +477,7 @@ def finish_four_triangles(mp):
     fp = fp_solve(H, SolverConfig(max_iterations=1))
     assert np.flatnonzero(fp.y).tolist() == [0, 27]
     sol = finish_exact(H, fp)
-    assert [call.a.shape for call in calls.dual] == [(1, 12, 9)]
+    assert [call.a.shape for call in calls.dual] == [(12, 9)]
     assert [call.columns for call in calls.primal] == [21, 33]  # 9 + 12, then + 12
     assert sol.value_upper == pytest.approx(1 / 9, rel=1e-12, abs=0)
     assert_exact_finish(H, sol, fp)
@@ -489,8 +488,8 @@ def test_finish_prices_more_than_one_round(monkeypatch):
     # Each solve has a Dantzig budget of its 12 rows plus its columns, and
     # none spends it.
     H, fp, sol, calls = finish_four_triangles(monkeypatch)
-    assert [call.budget.tolist() for call in calls.dual + calls.primal] == [[21], [33], [45]]
-    assert [call.pivots.tolist() for call in calls.dual + calls.primal] == [[6], [7], [2]]
+    assert [call.budget for call in calls.dual + calls.primal] == [21, 33, 45]
+    assert [call.pivots for call in calls.dual + calls.primal] == [6, 7, 2]
     want = finish_exact_reference(H, fp)
     assert (sol.x.tobytes(), sol.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
 
@@ -499,8 +498,8 @@ def test_finish_prices_more_than_one_round_by_blands_rule(monkeypatch):
     # With no Dantzig budget, Bland's rule pivots every solve, more often.
     monkeypatch.setattr(game, "_DANTZIG_BUDGET", 0)
     H, fp, sol, calls = finish_four_triangles(monkeypatch)
-    assert [call.budget.tolist() for call in calls.dual + calls.primal] == [[0], [0], [0]]
-    assert [call.pivots.tolist() for call in calls.dual + calls.primal] == [[7], [8], [3]]
+    assert [call.budget for call in calls.dual + calls.primal] == [0, 0, 0]
+    assert [call.pivots for call in calls.dual + calls.primal] == [7, 8, 3]
     want = finish_exact_reference(H, fp, budget=0)
     assert (sol.x.tobytes(), sol.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
 
@@ -514,7 +513,7 @@ def test_finish_opens_a_small_game_whole(monkeypatch):
     fp = fp_solve(H, SolverConfig(max_iterations=1))
     assert fp.y.tolist() == [0.5, 0.5, 0.0, 0.0]
     sol = finish_exact(H, fp)
-    assert [call.a.shape for call in calls.dual] == [(1, 3, 4)] and not calls.primal
+    assert [call.a.shape for call in calls.dual] == [(3, 4)] and not calls.primal
     assert_exact_finish(H, sol, fp)
 
 
@@ -533,7 +532,7 @@ def test_whole_and_pooled_finishes_agree_either_side_of_4L(H, max_iterations, de
             calls = spy_on_simplex(mp)
             finishes[opening] = finish_exact(H, fp)
         if opening == "whole":
-            assert [call.a.shape for call in calls.dual] == [(1, H.n_links, H.n_components)]
+            assert [call.a.shape for call in calls.dual] == [(H.n_links, H.n_components)]
             assert not calls.primal
     got = finish_exact(H, fp)
     want = finishes["whole" if H.n_components <= 4 * H.n_links else "pooled"]
@@ -560,14 +559,15 @@ def test_whole_and_pooled_finishes_agree_either_side_of_4L(H, max_iterations, de
                 (PayoffMatrix(np.array([[0.0, 0, 2, 0], [0, 1, 0, 0], [0, 0, 2, 0], [3, 0, 0, 0],
                                         [1, 0, 1, 2]])), 1)], delta=1e-3)
 def test_finish_stack_equals_each_game_finished_alone(games, delta):
-    # The stack pads each master after its own rows and columns, and the
-    # padding never pivots, so every game comes out bit for bit as alone.
-    # Games six columns per link wide price in warm rounds.
+    # A replication's missed games are finished one after another, as the
+    # harness does; each comes out bit for bit as the reference finishes it
+    # alone, with FP's counters carried over. Games six columns per link wide
+    # price in warm rounds.
     payoffs = [H for H, _ in games]
     fps = [fp_solve(H, SolverConfig(delta=delta, max_iterations=budget)) for H, budget in games]
-    stacked = finish_stack(payoffs, fps)
-    assert len(stacked) == len(games)
-    for H, fp, got in zip(payoffs, fps, stacked):
+    finished = [finish_exact(H, fp) for H, fp in zip(payoffs, fps)]
+    assert len(finished) == len(games)
+    for H, fp, got in zip(payoffs, fps, finished):
         want = finish_exact_reference(H, fp)
         for name in ("x", "y"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -584,15 +584,15 @@ def test_finish_stack_equals_each_game_finished_alone(games, delta):
 @example(games=[(DEGENERATE_GAMES[2], 1), (RUN_GAME, 1), (PayoffMatrix(np.eye(5)), 1)], per_size=0)
 def test_blands_rule_fallback_stays_exact_and_stacked(games, per_size):
     # With no Dantzig budget, every solve of every game pivots by Bland's
-    # rule alone; with a fifth of one, games of a stack turn to Bland's rule
-    # after different numbers of pivots. Either way the stacked games pivot
-    # as each would alone.
+    # rule alone; with a fifth of one, a solve may turn to it part way, and
+    # games of one replication after different numbers of pivots. Either way
+    # each game, finished in turn, pivots as the reference does alone.
     payoffs = [H for H, _ in games]
     fps = [fp_solve(H, SolverConfig(delta=1e-2, max_iterations=budget)) for H, budget in games]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(game, "_DANTZIG_BUDGET", per_size)
-        stacked = finish_stack(payoffs, fps)
-    for H, fp, got in zip(payoffs, fps, stacked):
+        finished = [finish_exact(H, fp) for H, fp in zip(payoffs, fps)]
+    for H, fp, got in zip(payoffs, fps, finished):
         want = finish_exact_reference(H, fp, budget=per_size)
         for name in ("x", "y"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -618,10 +618,10 @@ def test_warm_rounds_start_primal_feasible_and_end_optimal(H, max_iterations):
         sol = finish_exact(H, fp)
     tol = -1e-12 * (1 / H.h.max(axis=1)).max()
     for call in calls.primal:
-        n_rows = call.start.shape[1] - 1
-        assert (call.start[:, :n_rows, -1] >= tol).all()
-        assert (call.end[:, :n_rows, -1] >= tol).all()
-        assert (call.end[:, n_rows, :-1] >= -1e-9).all()
+        n_rows = len(call.start) - 1
+        assert (call.start[:n_rows, -1] >= tol).all()
+        assert (call.end[:n_rows, -1] >= tol).all()
+        assert (call.end[n_rows, :-1] >= -1e-9).all()
     assert sol.value_upper == pytest.approx(lp_oracle(H)[0], rel=1e-12, abs=0)
     assert_exact_finish(H, sol, fp)
 
@@ -632,23 +632,23 @@ def test_warm_rounds_start_primal_feasible_and_end_optimal(H, max_iterations):
 class DualCall:
     a: np.ndarray
     b: np.ndarray
-    rows: np.ndarray
+    rows: list[int]
     cols: np.ndarray
-    budget: np.ndarray
-    pivots: np.ndarray
+    budget: float
+    pivots: int
 
 
 @dataclasses.dataclass
 class PrimalCall:
-    start: np.ndarray  # the tableaus as the call got them
+    start: np.ndarray  # the tableau as the call got it
     end: np.ndarray
-    columns: int  # the structurals, padding included
-    budget: np.ndarray
-    pivots: np.ndarray
+    columns: int  # the structurals
+    budget: float
+    pivots: int
 
 
 def spy_on_simplex(mp):
-    """Record every _dual_simplex and _primal_simplex call, with the pivots each game made."""
+    """Record every _dual_simplex and _primal_simplex call, with the pivots each made."""
     calls = types.SimpleNamespace(dual=[], primal=[])
     dual, primal = game._dual_simplex, game._primal_simplex
 
@@ -660,7 +660,7 @@ def spy_on_simplex(mp):
     def spy_primal(t, basis, budget):
         start = t.copy()
         pivots = primal(t, basis, budget)
-        calls.primal.append(PrimalCall(start, t.copy(), t.shape[2] - t.shape[1], budget, pivots))
+        calls.primal.append(PrimalCall(start, t.copy(), t.shape[1] - t.shape[0], budget, pivots))
         return pivots
 
     mp.setattr(game, "_dual_simplex", spy_dual)
@@ -679,9 +679,8 @@ def test_clique_start_is_dual_feasible(H, max_iterations):
     scale = H.h.max(axis=1)
     assert len(calls.dual) == 1  # later rounds continue from its optimal tableau
     for call in calls.dual:
-        real = call.rows[0] >= 0
-        a, clique, cols = call.a[0], call.rows[0][real], call.cols[0][real]
-        assert clique.tolist() == greedy_clique_reference(H.h / scale[:, None], 1 / scale)
+        a, clique, cols = call.a, np.array(call.rows), call.cols
+        assert call.rows == greedy_clique_reference(H.h / scale[:, None], 1 / scale)
         # No column of the game holds two clique rows.
         assert ((H.h[clique] > 0).sum(axis=0) <= 1).all()
         # Each j_s maximises its row over the pool.
@@ -704,7 +703,7 @@ def test_clique_start_is_optimal_on_a_path(max_iterations):
         calls = spy_on_simplex(mp)
         sol = finish_exact(H, fp)
     assert sol.value_lower == sol.value_upper == 1 / 6 == lp_oracle(H)[0]
-    assert [call.pivots.tolist() for call in calls.dual] == [[0]] and not calls.primal
+    assert [call.pivots for call in calls.dual] == [0] and not calls.primal
     assert_exact_finish(H, sol, fp)
 
 

@@ -30,7 +30,7 @@ from softsched import (
     build_conflict_graph,
     build_payoff,
     enumerate_maximal,
-    finish_stack,
+    finish_exact,
     fp_solve,
     link_powers,
     load_fixture,
@@ -319,7 +319,7 @@ def test_mode_ordering_invariant_small():
 
 def test_without_the_clique_search_every_game_takes_the_lp_finish(tmp_path, monkeypatch):
     # With no node to search, no game is certified and each goes into the
-    # stacked finish, as every game did before the certificate: the CSVs
+    # exact finish, as every game did before the certificate: the CSVs
     # are the bytes the LP-only soft mode wrote for these two runs. With the
     # search, run 1's schedule at 0 dB is one slot shorter.
     cfg = ExperimentConfig(runs=2, seed=35)
@@ -336,8 +336,8 @@ def test_without_the_clique_search_every_game_takes_the_lp_finish(tmp_path, monk
     monkeypatch.setattr(game, "_CLIQUE_NODES", 0)
     monkeypatch.setattr(harness, "fp_solve",
                         lambda H, *args: solved.append(H) or fp_solve(H, *args))
-    monkeypatch.setattr(harness, "finish_stack",
-                        lambda hs, sols: finished.extend(hs) or finish_stack(hs, sols))
+    monkeypatch.setattr(harness, "finish_exact",
+                        lambda H, sol: finished.append(H) or finish_exact(H, sol))
     digests, records = sweep_digests("lp")
     assert digests == ["0dedff6c11dfe02333f8c66dc2e84320f5455cace0c728452dc744849e95ce61",
                        "ff26360e7efa8d7b958dd9505b196fcb282b19de1fef2dffefcff97a64e25533"]
