@@ -42,7 +42,7 @@ def main():
           f"bracket [{sol.value_lower:.8f}, {sol.value_upper:.8f}]")
     print("empirical usage:", np.round(sol.y, 6))
 
-    exact = finish_exact(payoff, sol)
+    exact = finish_exact(payoff)  # from the payoff alone
     value, y = exact.value_lower, exact.y
     print(f"\nexact game value {value:.6f} -> fractional schedule length {1 / value:.3f}")
     print("exact component usage:", y)

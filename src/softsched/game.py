@@ -8,13 +8,13 @@ value v = max_y min_i (Hy)_i makes 1/v the minimal fractional schedule
 length. The certificate needs no linear program: a first-fit multicoloring
 of T slots that meets a clique of weight T (links that pairwise conflict,
 rates summed) proves v = 1/T, and its slot sets, which need not be maximal
-components, are the schedule. For a game it misses, a short run of
-fictitious play, the plain dense loop, picks a few columns. The exact
-finish solves the linear program over every column of a game with at most
-four per link, and over FP's columns of a wider one, by a dual simplex
-from a basis built on a clique of links no component holds two of. It
-then adds priced columns, continuing from the last optimal basis by primal
-simplex steps, until v is exact, one game at a time. The schedule extractor turns y into integer slot counts.
+components, are the schedule. Fictitious play is the paper's solver, the
+plain dense loop. The exact finish solves a game the certificate misses
+from its payoff alone, over every column of a game with at most four per
+link and each link's first covering column of a wider one, by a dual
+simplex from a basis on a clique of links no component holds two of, then
+adds priced columns, continuing from the last optimal basis by primal
+simplex steps, until v is exact. The schedule extractor rounds y to slots.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 import numbers
 import operator
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,8 +106,8 @@ class GameSolution:
 
     max(x @ H) is value_upper and min(H @ y) is value_lower, capped at value_upper
     by the exact finish. From fp_solve, x may come from an earlier iteration
-    than y; iterations and converged (FP's bracket closed to delta) are FP's,
-    and the finish keeps them.
+    than y and converged says FP's bracket closed to delta; from finish_exact,
+    iterations counts the masters solved and converged is True.
     """
 
     x: np.ndarray
@@ -216,7 +216,7 @@ def fp_solve(H: PayoffMatrix, cfg: SolverConfig | None = None,
 
 
 # A game with at most this many columns per link opens its pool with all of
-# them; a wider one opens with FP's columns and prices the rest in rounds.
+# them; a wider one with each link's first covering column, priced in rounds.
 _WHOLE_PER_LINK = 4
 
 # A solve pivots by Dantzig's rule until its pivots reach this many times
@@ -224,17 +224,17 @@ _WHOLE_PER_LINK = 4
 _DANTZIG_BUDGET = 1
 
 
-def finish_exact(H: PayoffMatrix, sol: GameSolution) -> GameSolution:
-    """Make sol exact by column generation on min sum(u) s.t. A u >= b, u >= 0.
+def finish_exact(H: PayoffMatrix) -> GameSolution:
+    """Solve the game exactly by column generation on min sum(u) s.t. A u >= b, u >= 0.
 
     A is H over each row's largest entry and b its reciprocal (build_payoff's
     0/1 membership and rates). A game of J <= 4L columns opens its pool with
     all of them, so its first master is exact. A wider game's pool opens
-    with sol.y's columns and the first column covering each link they miss;
-    each round adds up to L of the columns the link duals z price most
-    negative, 1 - z @ A, until none is below -1e-9. y = u / sum(u) and x =
-    b z / (b . z) certify value_upper = max(x @ H) and value_lower =
-    min(min(H @ y), value_upper).
+    with the first column covering each link; each round adds up to L of
+    the columns the link duals z price most negative, 1 - z @ A, until none
+    is below -1e-9. y = u / sum(u) and x = b z / (b . z) certify
+    value_upper = max(x @ H) and value_lower = min(min(H @ y), value_upper).
+    iterations counts the masters solved.
 
     The first master starts from a clique basis. The clique is greedy over
     A alone: rows that no column holds two of, largest b first and lowest
@@ -263,14 +263,14 @@ def finish_exact(H: PayoffMatrix, sol: GameSolution) -> GameSolution:
         if not held_by[i] & taken:
             clique.append(i)
             taken |= held_by[i]
-    in_pool = sol.y > 0 if n_comps > _WHOLE_PER_LINK * n_links else np.full(n_comps, True)
-    in_pool[held[~held[:, in_pool].any(axis=1)].argmax(axis=1)] = True  # cover what FP missed
+    in_pool = np.full(n_comps, n_comps <= _WHOLE_PER_LINK * n_links)
+    in_pool[held.argmax(axis=1)] = True  # each link's first covering column
 
     ids = np.flatnonzero(in_pool)  # each tableau column's column of a_all
     a = a_all[:, ids]
     t, basis, _ = _dual_simplex(a, b, clique, _crash_columns(a, b, clique),
                                 _DANTZIG_BUDGET * (n_links + len(ids)))
-    outside = ~in_pool
+    outside, masters = ~in_pool, 1
     while True:
         n_cols = len(ids)
         z = np.maximum(t[n_links, n_cols:-1], 0.0) + 0.0  # + 0.0 turns -0.0 into 0.0
@@ -304,6 +304,7 @@ def finish_exact(H: PayoffMatrix, sol: GameSolution) -> GameSolution:
         basis[basis >= n_cols] += len(entering)
         ids = np.concatenate([ids, entering])
         _primal_simplex(t, basis, _DANTZIG_BUDGET * (n_links + len(ids)))
+        masters += 1
 
     values = np.zeros(n_cols + n_links)
     values[basis] = t[:n_links, -1]
@@ -313,8 +314,7 @@ def finish_exact(H: PayoffMatrix, sol: GameSolution) -> GameSolution:
     w = z / scale
     x = w / np.add.accumulate(w)[-1]
     upper = float(np.maximum.reduce(x @ h))
-    return replace(sol, x=x, y=y, value_lower=min(float(np.minimum.reduce(h @ y)), upper),
-                   value_upper=upper)
+    return GameSolution(x, y, min(float(np.minimum.reduce(h @ y)), upper), upper, masters, True)
 
 
 def _crash_columns(a: np.ndarray, b: np.ndarray, rows: list[int]) -> np.ndarray:

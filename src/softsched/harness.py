@@ -60,8 +60,8 @@ from .topology import (
 )
 
 MODE_ORDER = ("soft", "coloring", "none")
-# Fictitious play only seeds the exact finish, which is exact at any delta;
-# at 1e-1 it stops after about two iterations a game.
+# Fictitious play, the paper's solver, fills only fp_iterations and converged;
+# the exact finish reads nothing of it. At 1e-1 it stops after about two iterations a game.
 _FP = SolverConfig(delta=1e-1)
 
 
@@ -307,11 +307,11 @@ def _soft_fields(graphs: list[ConflictGraph], rates: RateVector) -> list[tuple]:
         games.append((len(fields), peeled, rest, rest_rates, comps,
                       build_payoff(comps, rest_rates)))
         fields.append(None)
-    sols = [fp_solve(game[-1], _FP) for game in games]
+    fps = [fp_solve(game[-1], _FP) for game in games]
     certified = [certified_schedule(game[2], game[3]) for game in games]
-    for (k, peeled, rest, rest_rates, comps, payoff), sol, cert in zip(games, sols, certified):
+    for (k, peeled, rest, rest_rates, comps, payoff), fp, cert in zip(games, fps, certified):
         if cert is None:
-            sol = finish_exact(payoff, sol)
+            sol = finish_exact(payoff)
             y, lower, upper = sol.y, sol.value_lower, sol.value_upper
         else:
             comps, counts = cert
@@ -323,7 +323,7 @@ def _soft_fields(graphs: list[ConflictGraph], rates: RateVector) -> list[tuple]:
             raise RuntimeError(f"extracted schedule failed verification: {check.violation}")
         if peeled:
             lower, upper = 1 / (peeled + 1 / lower), 1 / (peeled + 1 / upper)
-        fields[k] = (peeled + schedule.length, lower, upper, sol.iterations, sol.converged)
+        fields[k] = (peeled + schedule.length, lower, upper, fp.iterations, fp.converged)
     return fields
 
 

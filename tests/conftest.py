@@ -1,7 +1,6 @@
 """Shared helpers: the canonical three-link instance and the simple reference
 implementations that the library's fast paths are tested against."""
 
-import dataclasses
 import heapq
 import itertools
 import math
@@ -375,12 +374,11 @@ def assert_same_solution(got, want):
             (l.hex(), u.hex()) for l, u in want.bounds_log]
 
 
-def finish_exact_reference(H, sol, budget=1):
-    """The exact finish of one game alone: column generation over a one-game warm master.
+def finish_exact_reference(H, budget=1):
+    """The exact finish of one game from its payoff alone: column generation over a warm master.
 
     A game of at most four columns per link opens its pool with all of
-    them; a wider one with FP's columns and a covering column per link they
-    miss. The first master starts from greedy_clique_reference's rows and
+    them; a wider one with the first covering column of each link. The first master starts from greedy_clique_reference's rows and
     crash_columns_reference's columns and is solved by
     dual_simplex_reference. Each pricing round appends the columns it adds,
     the most negative first, to that master's optimal tableau, just before
@@ -388,17 +386,19 @@ def finish_exact_reference(H, sol, budget=1):
     primal_simplex_reference finishes the round. Every sum over rows or
     columns runs in index order, as finish_exact's do. budget is the
     game's Dantzig pivots per row plus column before Bland's rule.
+    iterations counts the masters solved, and converged is True.
     """
     h = H.h
     scale = h.max(axis=1)
     A, b = h / scale[:, None], 1.0 / scale
-    in_pool = (sol.y > 0) | (H.n_components <= 4 * H.n_links)
-    in_pool[np.argmax(A[~(A[:, in_pool] > 0).any(axis=1)] > 0, axis=1)] = True
+    in_pool = np.full(H.n_components, H.n_components <= 4 * H.n_links)
+    in_pool[np.argmax(A > 0, axis=1)] = True
     clique = greedy_clique_reference(A, b)
     pool = np.flatnonzero(in_pool)  # the master's columns, in tableau order
     a = A[:, pool]
     t, basis, _ = dual_simplex_reference(a, b, clique, crash_columns_reference(a, b, clique),
                                          budget)
+    masters = 1
     while True:
         n_cols = len(pool)
         z = np.maximum(t[-1, n_cols:-1], 0.0) + 0.0
@@ -414,6 +414,7 @@ def finish_exact_reference(H, sol, budget=1):
         basis[basis >= n_cols] += len(entering)
         pool = np.append(pool, entering)
         primal_simplex_reference(t, basis, budget)
+        masters += 1
     values = np.zeros(t.shape[1] - 1)
     values[basis] = t[:-1, -1]
     u = np.maximum(values[:n_cols], 0.0) + 0.0
@@ -422,8 +423,8 @@ def finish_exact_reference(H, sol, budget=1):
     w = z / scale
     x = w / np.add.accumulate(w)[-1]
     upper = float((x @ h).max())
-    return dataclasses.replace(sol, x=x, y=y, value_upper=upper,
-                               value_lower=min(float((h @ y).min()), upper))
+    return GameSolution(x=x, y=y, value_lower=min(float((h @ y).min()), upper),
+                        value_upper=upper, iterations=masters, converged=True)
 
 
 def greedy_clique_reference(A, b):
@@ -651,7 +652,7 @@ def run_instance_reference(cfg, run_id, fixture=None):
     Each margin builds its own graph with ``build_conflict_graph``, peels
     the links that conflict with every link (``peel_reference``) and
     solves the soft game on the rest. Fictitious play at delta 1e-1 gives
-    the iteration fields. When ``certified_schedule_reference`` certifies
+    the iteration fields and nothing else. When ``certified_schedule_reference`` certifies
     a first-fit schedule of T slots, that is the schedule and both bounds
     are 1/T; otherwise the exact finish of that one game gives the bounds
     and ``extract_schedule`` the schedule. The record adds the peeled rates
@@ -687,17 +688,17 @@ def run_instance_reference(cfg, run_id, fixture=None):
                 else:
                     comps = enumerate_maximal(rest)
                     H = build_payoff(comps, rest_rates)
-                    sol = fp_solve(H, SolverConfig(delta=1e-1))
+                    fp = fp_solve(H, SolverConfig(delta=1e-1))
                     certified = certified_schedule_reference(rest, rest_rates)
                     if certified is None:
-                        sol = finish_exact_reference(H, sol)
+                        sol = finish_exact_reference(H)
                         lower, upper = sol.value_lower, sol.value_upper
                         schedule = extract_schedule(comps, rest_rates, sol.y, lower)
                     else:
                         schedule = counted_schedule(*certified, rest_rates)
                         lower = upper = 1 / schedule.length
                     extra = dict(value_lower=lower, value_upper=upper,
-                                 fp_iterations=sol.iterations, converged=sol.converged)
+                                 fp_iterations=fp.iterations, converged=fp.converged)
                     check = verify_schedule_reference(unpeel_schedule(schedule, keep, rates), g,
                                                       rates)
                     assert check, check.violation

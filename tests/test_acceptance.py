@@ -129,14 +129,14 @@ def test_criterion_3_dominated_components_do_not_matter():
         f"within {worst:.2e} (tolerance 1e-9)")
 
 
-def _pipeline_slots(nodes, sessions, beta, solver_cfg):
+def _pipeline_slots(nodes, sessions, beta):
     params = PropagationParams(alpha=4.0)
     paths = route_sessions(nodes, sessions, params)
     links, rates = accumulate_rates(paths, sessions)
     g = build_conflict_graph(link_powers(links, nodes, params), beta)
     comps = enumerate_maximal(g)
     payoff = build_payoff(comps, rates)
-    sol = finish_exact(payoff, fp_solve(payoff, solver_cfg))
+    sol = finish_exact(payoff)
     sched = extract_schedule(comps, rates, sol.y, sol.value_lower)
     check = verify_schedule(sched, g, rates)
     soft = sched.length
@@ -148,12 +148,11 @@ def _pipeline_slots(nodes, sessions, beta, solver_cfg):
 def test_criterion_4_mode_ordering_and_feasibility():
     betas = (0.0, 10.0, 20.0, 30.0)
     cfg = ExperimentConfig(n_nodes=8, n_sessions=4, runs=250, seed=404)
-    solver_cfg = SolverConfig(delta=1e-1)  # the sweep's
     checked = 0
     for run_id in range(cfg.runs):
         nodes, sessions = _generate_instance(cfg, run_id)
         for beta in betas:
-            soft, hard, none, check = _pipeline_slots(nodes, sessions, beta, solver_cfg)
+            soft, hard, none, check = _pipeline_slots(nodes, sessions, beta)
             assert check.ok, f"run {run_id} beta {beta}: {check.violation}"
             assert soft <= hard <= none, f"run {run_id} beta {beta}: {soft}/{hard}/{none}"
             checked += 1

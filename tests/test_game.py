@@ -384,8 +384,8 @@ def test_fp_negative_zero_entries_match_reference():
 
 # ---------------------------------------------------------------- exact finish
 
-def assert_exact_finish(H, sol, fp):
-    """sol is the exact game solution, its strategies certify its bracket, and FP's fields stay."""
+def assert_exact_finish(H, sol):
+    """sol is the exact game solution, its strategies certify its bracket, and it is its own."""
     value, _ = lp_oracle(H)
     assert sol.value_lower <= sol.value_upper
     assert sol.value_upper - sol.value_lower <= 1e-12 * sol.value_upper
@@ -395,7 +395,15 @@ def assert_exact_finish(H, sol, fp):
     assert np.min(H.h @ sol.y) == pytest.approx(sol.value_lower, rel=1e-12, abs=0)
     assert np.max(sol.x @ H.h) == pytest.approx(sol.value_upper, rel=1e-12, abs=0)
     assert np.count_nonzero(sol.y) <= H.n_links  # a basic solution
-    assert (sol.iterations, sol.converged, sol.state) == (fp.iterations, fp.converged, fp.state)
+    assert sol.iterations >= 1 and sol.converged is True
+    assert (sol.state, sol.bounds_log) == (None, None)
+
+
+def assert_fp_brackets(H, sol, cfg):
+    """FP's certified bracket at cfg holds the exact finish's value, up to its rounding."""
+    fp = fp_solve(H, cfg)
+    assert fp.value_lower <= sol.value_upper * (1 + 1e-12)
+    assert fp.value_upper >= sol.value_lower * (1 - 1e-12)
 
 
 DEGENERATE_GAMES = [
@@ -419,27 +427,37 @@ DEGENERATE_GAMES = [
 @example(H=PayoffMatrix(np.array([[1.0, 2.0], [3.0, 1.0]]) * (1 / 3)), max_iterations=1_000_000,
          delta=1e-2)
 def test_finish_is_exact_and_certified(H, max_iterations, delta):
-    fp = fp_solve(H, SolverConfig(delta=delta, max_iterations=max_iterations))
-    assert_exact_finish(H, finish_exact(H, fp), fp)
+    # The finish reads the payoff alone; FP's bracket at any budget holds
+    # its value.
+    sol = finish_exact(H)
+    assert_exact_finish(H, sol)
+    assert_fp_brackets(H, sol, SolverConfig(delta=delta, max_iterations=max_iterations))
 
 
 @pytest.mark.parametrize("H", DEGENERATE_GAMES)
 @pytest.mark.parametrize("max_iterations", [1, 1_000_000])
 def test_finish_degenerate_games(H, max_iterations):
     # Every column ties with another or with a mix of others.
-    fp = fp_solve(H, SolverConfig(delta=1e-2, max_iterations=max_iterations))
-    assert_exact_finish(H, finish_exact(H, fp), fp)
+    sol = finish_exact(H)
+    assert_exact_finish(H, sol)
+    assert_fp_brackets(H, sol, SolverConfig(delta=1e-2, max_iterations=max_iterations))
 
 
-def test_finish_covers_links_fp_never_reached():
-    # One FP iteration plays columns 0 and 1, so link 2 is left uncovered
-    # and the pool takes column 2 for it.
-    H = PayoffMatrix(np.eye(3))
+def test_finish_covers_links_fp_never_reached(monkeypatch):
+    # Four copies of the three singletons and one column of all three links:
+    # 13 columns, more than 4 per link. One FP iteration plays columns 0 and
+    # 1 and leaves link 2 uncovered, but the finish reads none of it: its
+    # pool opens with each link's first covering column, 0, 1 and 2, and
+    # one pricing round adds the column of all three, the whole optimum.
+    H = PayoffMatrix(np.hstack([np.eye(3)] * 4 + [np.ones((3, 1))]))
     fp = fp_solve(H, SolverConfig(max_iterations=1))
-    assert fp.y.tolist() == [0.5, 0.5, 0.0] and fp.value_lower == 0.0
-    sol = finish_exact(H, fp)
-    assert_exact_finish(H, sol, fp)
-    assert sol.y.tolist() == pytest.approx([1 / 3] * 3, abs=1e-15)
+    assert np.flatnonzero(fp.y).tolist() == [0, 1] and fp.value_lower == 0.0
+    calls = spy_on_simplex(monkeypatch)
+    sol = finish_exact(H)
+    assert [call.a.shape for call in calls.dual] == [(3, 3)]
+    assert [call.columns for call in calls.primal] == [4]
+    assert_exact_finish(H, sol)
+    assert sol.y.tolist() == [0.0] * 12 + [1.0] and sol.iterations == 2
 
 
 @pytest.mark.parametrize("rates, length", [((10**12, 1), 10**12),
@@ -452,170 +470,156 @@ def test_finish_rates_far_apart(rates, length):
     n = len(rates)
     comps = [Component((i,)) for i in range(n)] + [Component((0, n - 1))]
     H = build_payoff(comps, RateVector(rates))
-    sol = finish_exact(H, fp_solve(H, SolverConfig(delta=1e-2)))
+    sol = finish_exact(H)
     assert sol.value_lower <= sol.value_upper == pytest.approx(1 / length, rel=1e-12, abs=0)
     assert sol.value_lower == pytest.approx(1 / length, rel=1e-12, abs=0)
     assert np.min(H.h @ sol.y) >= sol.value_lower and np.max(sol.x @ H.h) == sol.value_upper
 
 
 def finish_four_triangles(mp):
-    """The finish of four disjoint conflict triangles after one FP iteration, and its solves.
+    """The finish of four disjoint conflict triangles, and its solves.
 
-    81 components, more than 4 per link, so the pool opens with FP's
-    columns. One FP iteration leaves columns 0 and 27, the first covering
-    columns of the links they miss make 9, and pricing adds 12 in each of
-    two rounds before none prices below 0. The first master takes the dual
-    simplex; each round's 12 columns join its tableau and primal steps
-    finish it. The schedule length is the largest triangle's rate sum,
-    2 + 3 + 4.
+    81 components, more than 4 per link, so the pool opens with the first
+    covering column of each link, 9 distinct ones, and pricing adds 12 in
+    each of two rounds before none prices below 0. The first master takes
+    the dual simplex; each round's 12 columns join its tableau and primal
+    steps finish it. The schedule length is the largest triangle's rate
+    sum, 2 + 3 + 4.
     """
     g = ConflictGraph.from_pairs(12, [(3 * t + a, 3 * t + b) for t in range(4)
                                       for a, b in ((0, 1), (0, 2), (1, 2))])
     H = build_payoff(enumerate_maximal(g), RateVector((5, 1, 1, 1, 5, 1, 1, 1, 5, 2, 3, 4)))
     assert H.n_components == 81
     calls = spy_on_simplex(mp)
-    fp = fp_solve(H, SolverConfig(max_iterations=1))
-    assert np.flatnonzero(fp.y).tolist() == [0, 27]
-    sol = finish_exact(H, fp)
+    sol = finish_exact(H)
     assert [call.a.shape for call in calls.dual] == [(12, 9)]
     assert [call.columns for call in calls.primal] == [21, 33]  # 9 + 12, then + 12
     assert sol.value_upper == pytest.approx(1 / 9, rel=1e-12, abs=0)
-    assert_exact_finish(H, sol, fp)
-    return H, fp, sol, calls
+    assert_exact_finish(H, sol)
+    return H, sol, calls
 
 
 def test_finish_prices_more_than_one_round(monkeypatch):
     # Each solve has a Dantzig budget of its 12 rows plus its columns, and
     # none spends it.
-    H, fp, sol, calls = finish_four_triangles(monkeypatch)
+    H, sol, calls = finish_four_triangles(monkeypatch)
     assert [call.budget for call in calls.dual + calls.primal] == [21, 33, 45]
     assert [call.pivots for call in calls.dual + calls.primal] == [6, 7, 2]
-    want = finish_exact_reference(H, fp)
+    want = finish_exact_reference(H)
     assert (sol.x.tobytes(), sol.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
+    assert sol.iterations == want.iterations == 3  # the first master and two rounds
 
 
 def test_finish_prices_more_than_one_round_by_blands_rule(monkeypatch):
     # With no Dantzig budget, Bland's rule pivots every solve, more often.
     monkeypatch.setattr(game, "_DANTZIG_BUDGET", 0)
-    H, fp, sol, calls = finish_four_triangles(monkeypatch)
+    H, sol, calls = finish_four_triangles(monkeypatch)
     assert [call.budget for call in calls.dual + calls.primal] == [0, 0, 0]
     assert [call.pivots for call in calls.dual + calls.primal] == [7, 8, 3]
-    want = finish_exact_reference(H, fp, budget=0)
+    want = finish_exact_reference(H, budget=0)
     assert (sol.x.tobytes(), sol.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
 
 
 def test_finish_opens_a_small_game_whole(monkeypatch):
-    # Links with rates 3, 2, 3 and 4 components, at most 4 per link: one FP
-    # iteration leaves columns 0 and 1, but the only master holds all four.
+    # Links with rates 3, 2, 3 and 4 components, at most 4 per link: the
+    # only master holds all four.
     member = np.array([[0, 1, 0, 1], [1, 0, 1, 1], [0, 1, 1, 0]])
     H = PayoffMatrix(member / np.array([[3.0], [2.0], [3.0]]))
     calls = spy_on_simplex(monkeypatch)
-    fp = fp_solve(H, SolverConfig(max_iterations=1))
-    assert fp.y.tolist() == [0.5, 0.5, 0.0, 0.0]
-    sol = finish_exact(H, fp)
+    sol = finish_exact(H)
     assert [call.a.shape for call in calls.dual] == [(3, 4)] and not calls.primal
-    assert_exact_finish(H, sol, fp)
+    assert_exact_finish(H, sol)
+    assert sol.iterations == 1
 
 
 @settings(max_examples=150, deadline=None)
-@given(H=membership_payoffs(columns_per_link=4),
-       max_iterations=st.sampled_from([1, 2, 5, 1_000_000]),
-       delta=st.sampled_from([1e-2, 0.1]))
-def test_whole_and_pooled_finishes_agree_either_side_of_4L(H, max_iterations, delta):
+@given(H=membership_payoffs(columns_per_link=4))
+def test_whole_and_pooled_finishes_agree_either_side_of_4L(H):
     # J lies within 2 of 4L. The finish opens the pool whole up to 4L and
-    # from FP's columns beyond, and each is that opening forced on every game.
-    fp = fp_solve(H, SolverConfig(delta=delta, max_iterations=max_iterations))
+    # from covering columns beyond, and each is that opening forced on every game.
     finishes = {}
     for opening, per_link in (("whole", math.inf), ("pooled", 0)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(game, "_WHOLE_PER_LINK", per_link)
             calls = spy_on_simplex(mp)
-            finishes[opening] = finish_exact(H, fp)
+            finishes[opening] = finish_exact(H)
         if opening == "whole":
             assert [call.a.shape for call in calls.dual] == [(H.n_links, H.n_components)]
             assert not calls.primal
-    got = finish_exact(H, fp)
+    got = finish_exact(H)
     want = finishes["whole" if H.n_components <= 4 * H.n_links else "pooled"]
     for name in ("x", "y"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert (got.value_lower, got.value_upper) == (want.value_lower, want.value_upper)
     value, _ = lp_oracle(H)
     for sol in finishes.values():
-        assert_exact_finish(H, sol, fp)
+        assert_exact_finish(H, sol)
         assert sol.value_upper == pytest.approx(value, rel=1e-12, abs=0)
     assert finishes["whole"].value_upper == pytest.approx(finishes["pooled"].value_upper,
                                                           rel=1e-12, abs=0)
 
 
 @settings(max_examples=150, deadline=None)
-@given(games=st.lists(st.tuples(st.one_of(tied_payoffs(), membership_payoffs(),
-                                          membership_payoffs(columns_per_link=6)),
-                                st.sampled_from([1, 2, 5, 1_000_000])), min_size=1, max_size=6),
-       delta=st.sampled_from([1e-3, 1e-2]))
-@example(games=[(DEGENERATE_GAMES[2], 1), (RUN_GAME, 1), (PayoffMatrix(np.eye(5)), 1)], delta=1e-2)
+@given(games=st.lists(st.one_of(tied_payoffs(), membership_payoffs(),
+                                membership_payoffs(columns_per_link=6)), min_size=1, max_size=6))
+@example(games=[DEGENERATE_GAMES[2], RUN_GAME, PayoffMatrix(np.eye(5))])
 # Row 4 sits in the crash columns of two clique rows: its right side must take
 # their multiples off one after another, as pivoting them one at a time does.
-@example(games=[(PayoffMatrix(np.array([[1.0]])), 1),
-                (PayoffMatrix(np.array([[0.0, 0, 2, 0], [0, 1, 0, 0], [0, 0, 2, 0], [3, 0, 0, 0],
-                                        [1, 0, 1, 2]])), 1)], delta=1e-3)
-def test_finish_stack_equals_each_game_finished_alone(games, delta):
+@example(games=[PayoffMatrix(np.array([[1.0]])),
+                PayoffMatrix(np.array([[0.0, 0, 2, 0], [0, 1, 0, 0], [0, 0, 2, 0], [3, 0, 0, 0],
+                                       [1, 0, 1, 2]]))])
+def test_finish_stack_equals_each_game_finished_alone(games):
     # A replication's missed games are finished one after another, as the
     # harness does; each comes out bit for bit as the reference finishes it
-    # alone, with FP's counters carried over. Games six columns per link wide
-    # price in warm rounds.
-    payoffs = [H for H, _ in games]
-    fps = [fp_solve(H, SolverConfig(delta=delta, max_iterations=budget)) for H, budget in games]
-    finished = [finish_exact(H, fp) for H, fp in zip(payoffs, fps)]
+    # alone, counters included. Games six columns per link wide price in
+    # warm rounds.
+    finished = [finish_exact(H) for H in games]
     assert len(finished) == len(games)
-    for H, fp, got in zip(payoffs, fps, finished):
-        want = finish_exact_reference(H, fp)
+    for H, got in zip(games, finished):
+        want = finish_exact_reference(H)
         for name in ("x", "y"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert got.value_lower.hex() == want.value_lower.hex()
         assert got.value_upper.hex() == want.value_upper.hex()
-        assert (got.iterations, got.converged, got.state) == (fp.iterations, fp.converged, fp.state)
+        assert (got.iterations, got.converged, got.state) == (want.iterations, True, None)
 
 
 @settings(max_examples=100, deadline=None)
-@given(games=st.lists(st.tuples(st.one_of(tied_payoffs(), membership_payoffs(),
-                                          membership_payoffs(columns_per_link=6)),
-                                st.sampled_from([1, 2, 5, 1_000_000])), min_size=1, max_size=6),
+@given(games=st.lists(st.one_of(tied_payoffs(), membership_payoffs(),
+                                membership_payoffs(columns_per_link=6)), min_size=1, max_size=6),
        per_size=st.sampled_from([0, 0.2]))
-@example(games=[(DEGENERATE_GAMES[2], 1), (RUN_GAME, 1), (PayoffMatrix(np.eye(5)), 1)], per_size=0)
+@example(games=[DEGENERATE_GAMES[2], RUN_GAME, PayoffMatrix(np.eye(5))], per_size=0)
 def test_blands_rule_fallback_stays_exact_and_stacked(games, per_size):
     # With no Dantzig budget, every solve of every game pivots by Bland's
     # rule alone; with a fifth of one, a solve may turn to it part way, and
     # games of one replication after different numbers of pivots. Either way
     # each game, finished in turn, pivots as the reference does alone.
-    payoffs = [H for H, _ in games]
-    fps = [fp_solve(H, SolverConfig(delta=1e-2, max_iterations=budget)) for H, budget in games]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(game, "_DANTZIG_BUDGET", per_size)
-        finished = [finish_exact(H, fp) for H, fp in zip(payoffs, fps)]
-    for H, fp, got in zip(payoffs, fps, finished):
-        want = finish_exact_reference(H, fp, budget=per_size)
+        finished = [finish_exact(H) for H in games]
+    for H, got in zip(games, finished):
+        want = finish_exact_reference(H, budget=per_size)
         for name in ("x", "y"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert (got.value_lower.hex(), got.value_upper.hex()) == (want.value_lower.hex(),
                                                                   want.value_upper.hex())
         assert got.value_upper == pytest.approx(lp_oracle(H)[0], rel=1e-12, abs=0)
         assert got.value_upper - got.value_lower <= 1e-12 * got.value_upper
-        assert_exact_finish(H, got, fp)
+        assert got.iterations == want.iterations
+        assert_exact_finish(H, got)
 
 
 @settings(max_examples=150, deadline=None)
-@given(H=st.one_of(tied_payoffs(), membership_payoffs(), membership_payoffs(columns_per_link=6)),
-       max_iterations=st.sampled_from([1, 5, 1_000_000]))
-def test_warm_rounds_start_primal_feasible_and_end_optimal(H, max_iterations):
-    # Forced to open from FP's columns, a game prices in rounds. The columns
-    # a round appends leave the last optimal basis primal feasible, and the
-    # primal steps leave no reduced cost below -1e-9 and every right side
-    # feasible, within rounding of the rates.
-    fp = fp_solve(H, SolverConfig(delta=1e-2, max_iterations=max_iterations))
+@given(H=st.one_of(tied_payoffs(), membership_payoffs(), membership_payoffs(columns_per_link=6)))
+def test_warm_rounds_start_primal_feasible_and_end_optimal(H):
+    # Forced to open from covering columns, a game prices in rounds. The
+    # columns a round appends leave the last optimal basis primal feasible,
+    # and the primal steps leave no reduced cost below -1e-9 and every right
+    # side feasible, within rounding of the rates.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(game, "_WHOLE_PER_LINK", 0)
         calls = spy_on_simplex(mp)
-        sol = finish_exact(H, fp)
+        sol = finish_exact(H)
     tol = -1e-12 * (1 / H.h.max(axis=1)).max()
     for call in calls.primal:
         n_rows = len(call.start) - 1
@@ -623,7 +627,8 @@ def test_warm_rounds_start_primal_feasible_and_end_optimal(H, max_iterations):
         assert (call.end[:n_rows, -1] >= tol).all()
         assert (call.end[n_rows, :-1] >= -1e-9).all()
     assert sol.value_upper == pytest.approx(lp_oracle(H)[0], rel=1e-12, abs=0)
-    assert_exact_finish(H, sol, fp)
+    assert_exact_finish(H, sol)
+    assert sol.iterations == 1 + len(calls.primal)
 
 
 # ---------------------------------------------------------------- clique start
@@ -669,13 +674,11 @@ def spy_on_simplex(mp):
 
 
 @settings(max_examples=200, deadline=None)
-@given(H=st.one_of(tied_payoffs(), membership_payoffs()),
-       max_iterations=st.sampled_from([1, 5, 1_000_000]))
-def test_clique_start_is_dual_feasible(H, max_iterations):
-    fp = fp_solve(H, SolverConfig(delta=1e-2, max_iterations=max_iterations))
+@given(H=st.one_of(tied_payoffs(), membership_payoffs()))
+def test_clique_start_is_dual_feasible(H):
     with pytest.MonkeyPatch.context() as mp:
         calls = spy_on_simplex(mp)
-        finish_exact(H, fp)
+        finish_exact(H)
     scale = H.h.max(axis=1)
     assert len(calls.dual) == 1  # later rounds continue from its optimal tableau
     for call in calls.dual:
@@ -696,15 +699,16 @@ def test_clique_start_is_optimal_on_a_path(max_iterations):
     # {0, 2}, {0, 3} and {1, 3}. The clique {2, 1} bounds the length below by
     # 4 + 2 = 6, and firing {0, 2} four times and {1, 3} twice meets it, so
     # the crash basis is already optimal and the dual simplex never pivots.
+    # FP's bracket holds 1/6 after one iteration and at full budget.
     g = ConflictGraph.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
     H = build_payoff(enumerate_maximal(g), RateVector((3, 2, 4, 1)))
-    fp = fp_solve(H, SolverConfig(max_iterations=max_iterations))
     with pytest.MonkeyPatch.context() as mp:
         calls = spy_on_simplex(mp)
-        sol = finish_exact(H, fp)
+        sol = finish_exact(H)
     assert sol.value_lower == sol.value_upper == 1 / 6 == lp_oracle(H)[0]
     assert [call.pivots for call in calls.dual] == [0] and not calls.primal
-    assert_exact_finish(H, sol, fp)
+    assert_exact_finish(H, sol)
+    assert_fp_brackets(H, sol, SolverConfig(max_iterations=max_iterations))
 
 
 # ---------------------------------------------------------------- exact oracle

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import pickle
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softsched import (
@@ -301,6 +302,55 @@ def test_sweep_csvs_match_reference_solver_and_rounding(tmp_path, monkeypatch):
         monkeypatch.undo()
 
 
+# A game of desk chunk seed 31 (ExperimentConfig(seed=31), N=10/S=10, beta
+# 0-30 step 5), run 6 at 0 dB: 18 links and 126 maximal components, wider
+# than 4L, which the certificate misses.
+WIDE_MISSED_PAIRS = [
+    (0, 1), (0, 6), (0, 14), (0, 15), (0, 16), (1, 2), (1, 3), (1, 6), (1, 7), (1, 10), (1, 13),
+    (1, 14), (1, 15), (2, 3), (2, 10), (2, 13), (2, 14), (3, 7), (3, 10), (3, 12), (3, 13),
+    (4, 5), (4, 6), (4, 14), (4, 16), (5, 6), (5, 14), (5, 16), (6, 14), (6, 15), (6, 16),
+    (7, 8), (7, 9), (7, 11), (7, 12), (7, 13), (7, 17), (8, 9), (8, 11), (8, 12), (8, 17),
+    (9, 11), (9, 17), (10, 12), (10, 13), (10, 14), (11, 12), (11, 17), (12, 13), (12, 17),
+    (13, 14), (14, 15), (14, 16), (15, 16),
+]
+WIDE_MISSED_GAME = Fixture("conflict", graph=ConflictGraph.from_pairs(18, WIDE_MISSED_PAIRS),
+                           rates=RateVector((17, 17, 21, 29, 12, 4, 4, 19, 11, 8, 11, 10, 10, 5, 5,
+                                             5, 5, 5)))
+
+
+@st.composite
+def conflict_fixtures(draw):
+    """A conflict fixture of 1-12 links, each pair conflicting or not, and rates 1-30."""
+    n_links = draw(st.integers(1, 12))
+    pairs = [pair for pair in itertools.combinations(range(n_links), 2) if draw(st.booleans())]
+    rates = draw(st.lists(st.integers(1, 30), min_size=n_links, max_size=n_links))
+    return Fixture("conflict", graph=ConflictGraph.from_pairs(n_links, pairs),
+                   rates=RateVector(tuple(rates)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fixture=conflict_fixtures(),
+       fp=st.sampled_from([SolverConfig(delta=1e-1, max_iterations=1), SolverConfig(delta=1e-2)]))
+@example(fixture=WIDE_MISSED_GAME, fp=SolverConfig(delta=1e-1, max_iterations=1))
+# When FP's columns seeded the exact finish's pool, this FP run of 95
+# iterations took the game to 83 slots, and the sweep's FP to 84.
+@example(fixture=WIDE_MISSED_GAME, fp=SolverConfig(delta=1e-2))
+def test_soft_records_do_not_depend_on_fictitious_play(fixture, fp):
+    # FP fills only the iteration fields: with harness._FP cut to one
+    # iteration, or run to delta 1e-2, every soft slot count and bound keeps
+    # its bits.
+    cfg = ExperimentConfig(runs=1, modes=("soft",))
+
+    def soft_fields():
+        [rec] = run_instance(cfg, 0, fixture)
+        return rec.slots, rec.value_lower, rec.value_upper
+
+    want = soft_fields()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_FP", fp)
+        assert soft_fields() == want
+
+
 def test_too_many_sessions_rejected():
     # Only 6 ordered pairs; the config is refused before any run.
     with pytest.raises(ValueError, match="^n_sessions 7 exceeds the 6 distinct"):
@@ -337,7 +387,7 @@ def test_without_the_clique_search_every_game_takes_the_lp_finish(tmp_path, monk
     monkeypatch.setattr(harness, "fp_solve",
                         lambda H, *args: solved.append(H) or fp_solve(H, *args))
     monkeypatch.setattr(harness, "finish_exact",
-                        lambda H, sol: finished.append(H) or finish_exact(H, sol))
+                        lambda H: finished.append(H) or finish_exact(H))
     digests, records = sweep_digests("lp")
     assert digests == ["0dedff6c11dfe02333f8c66dc2e84320f5455cace0c728452dc744849e95ce61",
                        "ff26360e7efa8d7b958dd9505b196fcb282b19de1fef2dffefcff97a64e25533"]
